@@ -1,0 +1,273 @@
+"""Model-quality and cost metrics, plus cross-round confidence intervals.
+
+The headline quantity is cost efficiency
+
+    eta(q) = lambda(q) / (zeta(q) * C),
+
+performance per unit labeling cost: ``lambda`` is the performance score
+(here, mean AUC over the test pools), ``zeta`` the fraction of positive
+labels accumulated in the labeled pool, and ``C >= 1`` the cost of one
+positive label relative to one negative label.
+
+Confidence intervals are Student-t based; the t quantile is computed
+numerically in-repo (regularized incomplete beta via continued fraction,
+inverted by bisection) rather than from shipped tables.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .datagen import DataPool
+from .errors import ConfigError
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Relative cost of labeling a positive instance; C = 1 means symmetric."""
+
+    C: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.C >= 1.0:
+            raise ConfigError(f"cost C must be >= 1, got {self.C!r}")
+
+
+@dataclass(frozen=True)
+class MetricSample:
+    """Metrics recorded after one model refit.
+
+    ``eta`` is None when zeta was zero (efficiency undefined); callers treat
+    that as a missing sample.
+    """
+
+    lam: float
+    zeta: float
+    eta: float | None
+    auc_per_test: tuple[float, ...]
+    f1_per_test: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class CiSummary:
+    """Symmetric Student-t confidence interval around a sample mean."""
+
+    mean: float
+    lower: float
+    upper: float
+    confidence: float = 0.99
+    n: int = 0
+
+
+def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Area under the ROC curve via the Mann-Whitney rank statistic.
+
+    Equals P(score+ > score-) + 0.5 P(score+ = score-); ties are handled with
+    average ranks.  Raises ``ValueError`` unless both classes are present.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise ValueError("scores and labels must be 1-D and of equal length")
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC is undefined when only one class is present")
+    ranks = _average_ranks(scores)
+    rank_sum_pos = ranks[labels == 1].sum()
+    return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    # 1-based ranks; tied values share the mean of their ordinal ranks
+    order = np.argsort(values, kind="mergesort")
+    sorted_vals = values[order]
+    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [len(values)]])
+    ranks = np.empty(len(values), dtype=np.float64)
+    for start, end in zip(starts, ends):
+        ranks[order[start:end]] = (start + end + 1) / 2.0
+    return ranks
+
+
+def f1(probs: Sequence[float], labels: Sequence[int],
+       threshold: float = 0.5) -> float:
+    """F1 score of thresholded probabilities; degenerate cases return 0."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if probs.shape != labels.shape or probs.ndim != 1:
+        raise ValueError("probs and labels must be 1-D and of equal length")
+    predicted = probs >= threshold
+    tp = int(np.sum(predicted & (labels == 1)))
+    fp = int(np.sum(predicted & (labels == 0)))
+    fn = int(np.sum(~predicted & (labels == 1)))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def positive_ratio(labeled_pool: DataPool) -> float:
+    """Fraction of positive labels in the pool (seed plus queried)."""
+    if len(labeled_pool) == 0:
+        raise ValueError("positive ratio is undefined for an empty pool")
+    return labeled_pool.n_positive / len(labeled_pool)
+
+
+def cost_efficiency(lam: float, zeta: float, cost: CostModel) -> float:
+    """Cost efficiency lam / (zeta * C); higher is better.
+
+    Raises ``ValueError`` when zeta is 0 (undefined); callers record the
+    sample as missing rather than substituting a sentinel.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"performance must lie in [0, 1], got {lam!r}")
+    if zeta < 0.0 or zeta > 1.0:
+        raise ValueError(f"zeta must lie in [0, 1], got {zeta!r}")
+    if zeta == 0.0:
+        raise ValueError("cost efficiency is undefined at zeta = 0")
+    # sequential division keeps eta(C) == eta(1) / C an exact float identity
+    return lam / zeta / cost.C
+
+
+def compute_phi(final_probs: Mapping[int, float],
+                interim_probs: Mapping[int, float],
+                delta: float = 0.05) -> list[float]:
+    """Final-model probabilities of instances an interim model found uncertain.
+
+    Returns ``final_probs[i]`` for every id whose interim probability lies in
+    ``[0.5 - delta, 0.5 + delta]``, in ascending id order.  Purely diagnostic;
+    never feeds selection.
+    """
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must be in (0, 0.5), got {delta!r}")
+    if set(final_probs.keys()) != set(interim_probs.keys()):
+        raise ValueError("final and interim probability maps cover different ids")
+    lo, hi = 0.5 - delta, 0.5 + delta
+    return [float(final_probs[i]) for i in sorted(interim_probs)
+            if lo <= interim_probs[i] <= hi]
+
+
+def mean_ci(samples: Sequence[float], confidence: float = 0.99) -> CiSummary:
+    """Student-t confidence interval for the mean of ``samples``.
+
+    Requires at least two samples; the interval is exactly symmetric about
+    the mean.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    data = np.asarray(samples, dtype=np.float64)
+    n = len(data)
+    if n < 2:
+        raise ValueError(f"need at least 2 samples for an interval, got {n}")
+    if data.min() == data.max():
+        # mathematically zero variance: keep the interval exactly degenerate
+        value = float(data[0])
+        return CiSummary(mean=value, lower=value, upper=value,
+                         confidence=confidence, n=n)
+    mean = float(data.mean())
+    sd = float(data.std(ddof=1))
+    quantile = student_t_quantile(0.5 + confidence / 2.0, n - 1)
+    half_width = quantile * sd / math.sqrt(n)
+    return CiSummary(mean=mean, lower=mean - half_width,
+                     upper=mean + half_width, confidence=confidence, n=n)
+
+
+# --- Student-t distribution, computed numerically -------------------------
+
+def _betacf(a: float, b: float, x: float) -> float:
+    # continued fraction for the incomplete beta (modified Lentz)
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    result = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + coef * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + coef / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        result *= d * c
+        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + coef * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + coef / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        result *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return result
+
+
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function."""
+    if not (a > 0 and b > 0):
+        raise ValueError("shape parameters must be positive")
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log1p(-x))
+    front = math.exp(log_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def student_t_cdf(t: float, df: float) -> float:
+    """CDF of Student's t distribution with ``df`` degrees of freedom."""
+    if df <= 0:
+        raise ValueError(f"degrees of freedom must be > 0, got {df!r}")
+    if t == 0.0:
+        return 0.5
+    x = df / (df + t * t)
+    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
+    return 1.0 - tail if t > 0 else tail
+
+
+def student_t_quantile(p: float, df: float) -> float:
+    """Inverse CDF of Student's t, accurate to well under 1e-6.
+
+    Computed by bisection against :func:`student_t_cdf` on an expanding
+    bracket.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p!r}")
+    if df <= 0:
+        raise ValueError(f"degrees of freedom must be > 0, got {df!r}")
+    if p == 0.5:
+        return 0.0
+    if p < 0.5:
+        return -student_t_quantile(1.0 - p, df)
+    hi = 1.0
+    while student_t_cdf(hi, df) < p and hi < 1e12:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if student_t_cdf(mid, df) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)

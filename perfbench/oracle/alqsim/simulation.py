@@ -1,0 +1,325 @@
+"""Active-learning loop orchestration and multi-round aggregation.
+
+One round: generate and split a dataset, fit an initial model on the labeled
+seed pool, then repeatedly (score the unlabeled pool, select a batch with the
+configured strategy, reveal the selected instances' true labels, move them to
+the labeled pool, refit, evaluate on the held-out test pools).  True labels
+cross into the loop only at the reveal step; selectors see ids and predicted
+probabilities, nothing else.
+
+An experiment runs many independent rounds (seeds ``base_seed + i``) and
+aggregates every logged metric per query index into Student-t confidence
+intervals.  Rounds share no state, so they can execute in parallel with
+results identical to sequential execution.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+
+from .datagen import DataPool, DatasetConfig, generate_dataset, split_pools
+from .errors import AlqsimError, ConfigError
+from .glm import GlmHyperparams, GlmModel, fit, predict_proba
+from .metrics import (CiSummary, CostModel, MetricSample, auc, cost_efficiency,
+                      compute_phi, f1, mean_ci, positive_ratio)
+from .strategies import (QueryStrategy, ScoredCandidate, select_random,
+                         select_shifted_normal, select_uncertainty)
+
+METRIC_NAMES = ("lam", "zeta", "eta", "auc", "f1")
+
+
+class SimulationError(AlqsimError, RuntimeError):
+    """A round failed; the message carries the failing round's seed."""
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """Complete description of one experiment."""
+
+    dataset: DatasetConfig
+    strategy: QueryStrategy
+    n_queries: int = 20
+    batch_size: int = 2
+    cost: CostModel = CostModel()
+    glm: GlmHyperparams = GlmHyperparams()
+    rounds: int = 30
+    base_seed: int = 0
+    confidence: float = 0.99
+    shared_dataset: bool = False
+    record_phi: bool = False
+    phi_delta: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n_queries, int) or self.n_queries <= 0:
+            raise ConfigError(f"n_queries must be a positive integer, got {self.n_queries!r}")
+        if not isinstance(self.batch_size, int) or self.batch_size <= 0:
+            raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        if not isinstance(self.rounds, int) or self.rounds <= 0:
+            raise ConfigError(f"rounds must be a positive integer, got {self.rounds!r}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ConfigError(f"confidence must be in (0, 1), got {self.confidence!r}")
+        if not 0.0 < self.phi_delta < 0.5:
+            raise ConfigError(f"phi_delta must be in (0, 0.5), got {self.phi_delta!r}")
+        budget = self.n_queries * self.batch_size
+        if budget > self.dataset.unlabeled_size:
+            raise ConfigError(
+                f"query budget {self.n_queries} x {self.batch_size} = {budget} "
+                f"exceeds the unlabeled pool size {self.dataset.unlabeled_size}")
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+@dataclass(frozen=True)
+class QuerySnapshot:
+    """Per-query record: which instances were taken, and the metrics after refit."""
+
+    q: int
+    selected_ids: tuple[int, ...]
+    metrics: MetricSample
+    labeled_size: int
+
+
+@dataclass(frozen=True)
+class RoundResult:
+    """Everything one round produced.
+
+    ``initial_metrics`` is the q = 0 evaluation of the model fitted on the
+    seed pool alone.  The phi fields are populated only when the round ran
+    with phi recording enabled: ``interim_probs[q-1]`` maps every id that was
+    unlabeled at query q to its interim predicted probability, and
+    ``final_probs`` maps every id that was ever scored to the final model's
+    probability.
+    """
+
+    seed: int
+    initial_metrics: MetricSample
+    snapshots: tuple[QuerySnapshot, ...]
+    phi_trace: tuple[tuple[float, ...], ...] | None = None
+    interim_probs: tuple[dict[int, float], ...] | None = None
+    final_probs: dict[int, float] | None = None
+
+
+@dataclass(frozen=True)
+class ExperimentSummary:
+    """Per-query cross-round aggregates for every logged metric.
+
+    ``eta`` entries are None where fewer than two rounds produced a defined
+    efficiency value; ``eta_missing`` counts the undefined samples per query.
+    """
+
+    config: SimulationConfig
+    queries: tuple[int, ...]
+    labeled_sizes: tuple[int, ...]
+    lam: tuple[CiSummary, ...]
+    zeta: tuple[CiSummary, ...]
+    eta: tuple[CiSummary | None, ...]
+    auc: tuple[CiSummary, ...]
+    f1: tuple[CiSummary, ...]
+    eta_missing: tuple[int, ...]
+
+    def to_dict(self) -> dict:
+        def series(entries):
+            return {
+                "mean": [None if s is None else s.mean for s in entries],
+                "lower": [None if s is None else s.lower for s in entries],
+                "upper": [None if s is None else s.upper for s in entries],
+            }
+
+        payload = {
+            "config": self.config.to_dict(),
+            "confidence": self.config.confidence,
+            "rounds": self.config.rounds,
+            "queries": list(self.queries),
+            "labeled_sizes": list(self.labeled_sizes),
+            "lambda": series(self.lam),
+            "zeta": series(self.zeta),
+            "eta": series(self.eta),
+            "auc": series(self.auc),
+            "f1": series(self.f1),
+        }
+        payload["eta"]["n_missing"] = list(self.eta_missing)
+        return payload
+
+
+def _u64(seed: int) -> int:
+    # numpy seed sequences want non-negative entropy; fold negatives in
+    return seed & 0xFFFFFFFFFFFFFFFF
+
+
+def _evaluate(model: GlmModel, test_pools: list[DataPool],
+              labeled: "_GrowingPool", cost: CostModel) -> MetricSample:
+    aucs, f1s = [], []
+    for pool in test_pools:
+        probs = predict_proba(model, pool.features)
+        aucs.append(auc(probs, pool.labels))
+        f1s.append(f1(probs, pool.labels))
+    lam = float(np.mean(aucs))
+    zeta = labeled.n_positive / len(labeled)
+    eta = cost_efficiency(lam, zeta, cost) if zeta > 0 else None
+    return MetricSample(lam=lam, zeta=zeta, eta=eta,
+                        auc_per_test=tuple(aucs), f1_per_test=tuple(f1s))
+
+
+class _GrowingPool:
+    """Labeled-pool accumulator used inside the loop."""
+
+    def __init__(self, pool: DataPool) -> None:
+        self.ids = list(pool.ids)
+        self.rows = list(pool.features)
+        self.labels = list(pool.labels)
+
+    def add(self, instance_id: int, features: np.ndarray, label: int) -> None:
+        self.ids.append(instance_id)
+        self.rows.append(features)
+        self.labels.append(label)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def n_positive(self) -> int:
+        return int(sum(self.labels))
+
+    def as_pool(self) -> DataPool:
+        return DataPool(np.array(self.ids), np.stack(self.rows),
+                        np.array(self.labels), "labeled")
+
+
+def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
+    """Execute one active-learning round; pure function of (config, seed)."""
+    data_seed = config.base_seed if config.shared_dataset else round_seed
+    data_rng = np.random.default_rng([_u64(data_seed), 0])
+    query_rng = np.random.default_rng([_u64(round_seed), 1])
+
+    dataset = generate_dataset(config.dataset, data_rng)
+    labeled_pool, unlabeled_pool, test_pools = split_pools(
+        dataset, config.dataset, data_rng)
+
+    labeled = _GrowingPool(labeled_pool)
+    u_ids = unlabeled_pool.ids.copy()
+    u_features = unlabeled_pool.features
+    u_labels = unlabeled_pool.labels
+    alive = np.ones(len(u_ids), dtype=bool)
+    row_of = {int(i): k for k, i in enumerate(u_ids)}
+
+    strategy = config.strategy
+    beta_params = strategy.beta_params() if strategy.kind == "shifted-normal" else None
+    needs_scores = strategy.kind != "random"
+
+    model = fit(labeled.as_pool(), config.glm)
+    initial_metrics = _evaluate(model, test_pools, labeled, config.cost)
+
+    snapshots: list[QuerySnapshot] = []
+    interim_maps: list[dict[int, float]] = []
+    for q in range(1, config.n_queries + 1):
+        live_ids = u_ids[alive]
+        if needs_scores or config.record_phi:
+            live_probs = predict_proba(model, u_features[alive])
+        if config.record_phi:
+            interim_maps.append(
+                {int(i): float(p) for i, p in zip(live_ids, live_probs)})
+
+        if strategy.kind == "random":
+            selected = select_random(live_ids, config.batch_size, query_rng)
+        else:
+            candidates = [ScoredCandidate(int(i), float(p))
+                          for i, p in zip(live_ids, live_probs)]
+            if strategy.kind == "uncertainty":
+                selected = select_uncertainty(candidates, config.batch_size)
+            else:
+                selected = select_shifted_normal(
+                    candidates, config.batch_size, beta_params, query_rng)
+
+        for instance_id in selected:
+            row = row_of[instance_id]
+            alive[row] = False
+            # oracle reveal: the hidden true label enters the loop here
+            labeled.add(instance_id, u_features[row], int(u_labels[row]))
+
+        model = fit(labeled.as_pool(), config.glm)
+        metrics = _evaluate(model, test_pools, labeled, config.cost)
+        snapshots.append(QuerySnapshot(q=q, selected_ids=tuple(selected),
+                                       metrics=metrics, labeled_size=len(labeled)))
+
+    phi_trace = None
+    final_probs = None
+    if config.record_phi:
+        all_scored = sorted(interim_maps[0]) if interim_maps else []
+        final_all = predict_proba(
+            model, u_features[[row_of[i] for i in all_scored]])
+        final_probs = {i: float(p) for i, p in zip(all_scored, final_all)}
+        phi_trace = tuple(
+            tuple(compute_phi({i: final_probs[i] for i in interim},
+                              interim, config.phi_delta))
+            for interim in interim_maps)
+
+    return RoundResult(seed=round_seed, initial_metrics=initial_metrics,
+                       snapshots=tuple(snapshots), phi_trace=phi_trace,
+                       interim_probs=tuple(interim_maps) if config.record_phi else None,
+                       final_probs=final_probs)
+
+
+def run_rounds(config: SimulationConfig, jobs: int = 1) -> list[RoundResult]:
+    """All rounds of an experiment, in round order; optionally in parallel.
+
+    A failing round aborts the experiment with a :class:`SimulationError`
+    naming the failing round's seed.
+    """
+    seeds = [config.base_seed + i for i in range(config.rounds)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [(seed, pool.submit(run_round, config, seed))
+                       for seed in seeds]
+            return [_settle(seed, future.result) for seed, future in futures]
+    return [_settle(seed, lambda s=seed: run_round(config, s)) for seed in seeds]
+
+
+def _settle(seed: int, produce) -> RoundResult:
+    try:
+        return produce()
+    except Exception as exc:
+        raise SimulationError(f"round with seed {seed} failed: {exc}") from exc
+
+
+def aggregate(config: SimulationConfig,
+              results: list[RoundResult]) -> ExperimentSummary:
+    """Merge completed rounds into per-query confidence intervals.
+
+    Order-insensitive: any permutation of ``results`` yields the same
+    summary.
+    """
+    if len(results) < 2:
+        raise ConfigError("aggregation needs at least 2 rounds")
+    ordered = sorted(results, key=lambda r: r.seed)
+    queries = tuple(range(1, config.n_queries + 1))
+    labeled_sizes = tuple(s.labeled_size for s in ordered[0].snapshots)
+
+    lam_s, zeta_s, eta_s, auc_s, f1_s, missing = [], [], [], [], [], []
+    for qi in range(config.n_queries):
+        samples = [r.snapshots[qi].metrics for r in ordered]
+        lam_s.append(mean_ci([m.lam for m in samples], config.confidence))
+        zeta_s.append(mean_ci([m.zeta for m in samples], config.confidence))
+        etas = [m.eta for m in samples if m.eta is not None]
+        missing.append(len(samples) - len(etas))
+        eta_s.append(mean_ci(etas, config.confidence) if len(etas) >= 2 else None)
+        auc_s.append(mean_ci(
+            [a for m in samples for a in m.auc_per_test], config.confidence))
+        f1_s.append(mean_ci(
+            [v for m in samples for v in m.f1_per_test], config.confidence))
+
+    return ExperimentSummary(
+        config=config, queries=queries, labeled_sizes=labeled_sizes,
+        lam=tuple(lam_s), zeta=tuple(zeta_s), eta=tuple(eta_s),
+        auc=tuple(auc_s), f1=tuple(f1_s), eta_missing=tuple(missing))
+
+
+def run_experiment(config: SimulationConfig, jobs: int = 1) -> ExperimentSummary:
+    """Run all rounds and aggregate; see :func:`run_round` for the loop."""
+    if config.rounds < 2:
+        raise ConfigError("an experiment needs rounds >= 2 to form confidence intervals")
+    return aggregate(config, run_rounds(config, jobs))
