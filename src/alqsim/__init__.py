@@ -6,7 +6,7 @@ shifted-normal), and measures how efficiently each strategy buys model
 performance when positive labels cost more than negative ones.
 """
 
-from .datagen import (DataPool, DatasetConfig, Instance, generate_dataset,
+from .datagen import (DataPool, DatasetConfig, dataset_rng, generate_dataset,
                       split_pools, write_dataset_csv)
 from .errors import AlqsimError, ConfigError
 from .glm import GlmHyperparams, GlmModel, fit, predict_proba
@@ -16,18 +16,18 @@ from .metrics import (CiSummary, CostModel, MetricSample, auc, compute_phi,
 from .simulation import (ExperimentSummary, QuerySnapshot, RoundResult,
                          SimulationConfig, SimulationError, aggregate,
                          run_experiment, run_round, run_rounds)
-from .strategies import (BetaParams, QueryStrategy, ScoredCandidate,
-                         beta_from_mode, beta_pdf, beta_sample, select_random,
-                         select_shifted_normal, select_uncertainty)
+from .strategies import (BetaParams, QueryStrategy, beta_from_mode, beta_pdf,
+                         beta_sample, select_random, select_shifted_normal,
+                         select_uncertainty)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlqsimError", "ConfigError", "SimulationError",
-    "Instance", "DataPool", "DatasetConfig",
-    "generate_dataset", "split_pools", "write_dataset_csv",
+    "DataPool", "DatasetConfig",
+    "dataset_rng", "generate_dataset", "split_pools", "write_dataset_csv",
     "GlmHyperparams", "GlmModel", "fit", "predict_proba",
-    "BetaParams", "QueryStrategy", "ScoredCandidate",
+    "BetaParams", "QueryStrategy",
     "beta_from_mode", "beta_pdf", "beta_sample",
     "select_random", "select_shifted_normal", "select_uncertainty",
     "CostModel", "MetricSample", "CiSummary",

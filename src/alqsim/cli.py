@@ -13,9 +13,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .datagen import DatasetConfig, generate_dataset, write_dataset_csv
+from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
+                      write_dataset_csv)
 from .errors import AlqsimError, ConfigError
 from .metrics import CostModel
 from .simulation import (ExperimentSummary, RoundResult, SimulationConfig,
@@ -204,13 +203,12 @@ def _print_final_table(summaries: dict[str, ExperimentSummary]) -> None:
 def _cmd_dump_dataset(args) -> int:
     seed = _resolve_seed(args.seed)
     config = DatasetConfig(class_sep=args.class_sep, seed=seed)
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0])
-    instances = generate_dataset(config, rng)
+    features, labels = generate_dataset(config, dataset_rng(seed))
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    write_dataset_csv(instances, args.out)
-    print(f"wrote {len(instances)} instances to {args.out}")
+    write_dataset_csv((features, labels), args.out)
+    print(f"wrote {len(labels)} instances to {args.out}")
     return 0
 
 

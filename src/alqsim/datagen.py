@@ -4,35 +4,22 @@ Two unit-variance Gaussian clouds sit at opposite hypercube corners,
 ``(-class_sep, ..., -class_sep)`` for the negative class and
 ``(+class_sep, ..., +class_sep)`` for the positive class.  Shrinking
 ``class_sep`` increases the overlap between the classes and therefore the
-irreducible labeling noise.  A generated dataset is partitioned into a small
-labeled seed pool, a large unlabeled query pool, and several held-out test
-pools.
+irreducible labeling noise.  A generated dataset is a ``(features, labels)``
+pair of arrays whose row ``i`` is the instance with id ``i``; it is
+partitioned into a small labeled seed pool, a large unlabeled query pool, and
+several held-out test pools.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_non_finite
 
 POOL_ROLES = ("labeled", "unlabeled", "test")
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A single example: integer id, feature vector, binary label."""
-
-    id: int
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -47,9 +34,11 @@ class DatasetConfig:
     n_test_pools: int = 3
     test_pool_size: int = 1000
     positive_fraction: float = 0.5
+    # Not read by the generator (see dataset_rng); summary.json echoes it.
     seed: int = 0
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         for name in ("n_features", "labeled_size", "unlabeled_size",
                      "n_test_pools", "test_pool_size"):
             value = getattr(self, name)
@@ -96,36 +85,33 @@ class DataPool:
         self.labels = labels
         self.role = role
 
-    @classmethod
-    def from_instances(cls, instances: Iterable[Instance], role: str) -> "DataPool":
-        instances = list(instances)
-        if not instances:
-            raise ValueError("cannot build a pool from zero instances")
-        ids = np.array([inst.id for inst in instances], dtype=np.int64)
-        features = np.stack([inst.features for inst in instances])
-        labels = np.array([inst.label for inst in instances], dtype=np.int64)
-        return cls(ids, features, labels, role)
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[Instance]:
-        for i in range(len(self.ids)):
-            yield Instance(int(self.ids[i]), self.features[i], int(self.labels[i]))
 
     @property
     def n_positive(self) -> int:
         return int(self.labels.sum())
 
 
-def generate_dataset(config: DatasetConfig, rng: np.random.Generator) -> list[Instance]:
-    """Generate the full instance collection for one dataset.
+def dataset_rng(seed: int) -> np.random.Generator:
+    """The generator that draws the dataset of a round with this seed.
+
+    Negative seeds are folded into the unsigned 64-bit range that numpy seed
+    sequences accept; stream 0 keeps the data draws apart from a round's
+    query draws.
+    """
+    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0])
+
+
+def generate_dataset(config: DatasetConfig,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Generate one dataset as a ``(features, labels)`` pair.
 
     Exactly ``round(positive_fraction * total)`` instances are positive before
     label flipping; each label is then flipped independently with probability
     ``flip_y``.  Features are standard-normal offsets around the class
-    centroid.  The output order is shuffled by ``rng`` and ids are assigned
-    0..N-1 in that shuffled order.
+    centroid.  The rows are shuffled by ``rng``; row ``i`` of the result is
+    the instance with id ``i``.
     """
     n_total = config.total_size
     n_pos = round(config.positive_fraction * n_total)
@@ -139,34 +125,35 @@ def generate_dataset(config: DatasetConfig, rng: np.random.Generator) -> list[In
     labels = np.where(flips, 1 - labels, labels)
 
     perm = rng.permutation(n_total)
-    features = features[perm]
-    labels = labels[perm]
-    return [Instance(i, features[i], int(labels[i])) for i in range(n_total)]
+    return features[perm], labels[perm]
 
 
 def split_pools(
-    dataset: Sequence[Instance],
+    dataset: tuple[np.ndarray, np.ndarray],
     config: DatasetConfig,
     rng: np.random.Generator,
 ) -> tuple[DataPool, DataPool, list[DataPool]]:
-    """Randomly partition a dataset into (labeled, unlabeled, [test pools]).
+    """Randomly partition a ``(features, labels)`` dataset into
+    (labeled, unlabeled, [test pools]).
 
     The partition is disjoint, exhaustive, and deterministic for a given rng
-    state.  Raises :class:`ConfigError` if the dataset size does not match the
-    configured pool sizes.
+    state; a pool's ids are the dataset rows it holds.  Raises
+    :class:`ConfigError` if the dataset size does not match the configured
+    pool sizes.
     """
-    if len(dataset) != config.total_size:
+    features, labels = dataset
+    if not len(features) == len(labels) == config.total_size:
         raise ConfigError(
-            f"dataset has {len(dataset)} instances but the configuration "
-            f"requires {config.total_size}")
-    perm = rng.permutation(len(dataset))
+            f"dataset has {len(features)} feature rows and {len(labels)} labels "
+            f"but the configuration requires {config.total_size} instances")
+    perm = rng.permutation(len(labels))
     cursor = 0
 
     def take(count: int, role: str) -> DataPool:
         nonlocal cursor
-        chunk = [dataset[i] for i in perm[cursor:cursor + count]]
+        rows = perm[cursor:cursor + count]
         cursor += count
-        return DataPool.from_instances(chunk, role)
+        return DataPool(rows, features[rows], labels[rows], role)
 
     labeled = take(config.labeled_size, "labeled")
     unlabeled = take(config.unlabeled_size, "unlabeled")
@@ -174,19 +161,18 @@ def split_pools(
     return labeled, unlabeled, tests
 
 
-def write_dataset_csv(instances: Iterable[Instance], path) -> None:
-    """Dump instances as CSV with header ``id,f0,...,f{d-1},label``.
+def write_dataset_csv(dataset: tuple[np.ndarray, np.ndarray], path) -> None:
+    """Dump a ``(features, labels)`` dataset as CSV with header
+    ``id,f0,...,f{d-1},label``; the id of a row is its index.
 
     Floats are serialized with 9 significant digits.
     """
-    instances = list(instances)
-    if not instances:
-        raise ValueError("nothing to write: empty instance collection")
-    n_features = len(instances[0].features)
+    features, labels = dataset
+    if not len(labels):
+        raise ValueError("nothing to write: empty dataset")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f{j}" for j in range(n_features)] + ["label"])
-        for inst in instances:
-            writer.writerow([inst.id]
-                            + [f"{x:.9g}" for x in inst.features]
-                            + [inst.label])
+        writer.writerow(["id"] + [f"f{j}" for j in range(features.shape[1])]
+                        + ["label"])
+        for i, (row, label) in enumerate(zip(features, labels)):
+            writer.writerow([i] + [f"{x:.9g}" for x in row] + [int(label)])

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared config check."""
+
+import dataclasses
+import math
 
 
 class AlqsimError(Exception):
@@ -7,3 +10,18 @@ class AlqsimError(Exception):
 
 class ConfigError(AlqsimError, ValueError):
     """Invalid configuration or parameter value, detectable before a run starts."""
+
+
+def reject_non_finite(config) -> None:
+    """Raise :class:`ConfigError` naming the first float field of the
+    dataclass ``config`` that is NaN or infinite.
+
+    Range checks written as ``value > bound`` let ``inf`` through, and an
+    infinite separation, cost or concentration only fails mid-run (or not at
+    all), so every config dataclass calls this first.
+    """
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{type(config).__name__}.{field.name} must be "
+                              f"finite, got {value!r}")

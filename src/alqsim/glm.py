@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import DataPool
-from .errors import ConfigError
+from .errors import ConfigError, reject_non_finite
 
 _PROB_EPS = 1e-12
 
@@ -39,6 +39,7 @@ class GlmHyperparams:
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.l2_penalty < 0:
             raise ConfigError(f"l2_penalty must be >= 0, got {self.l2_penalty!r}")
         if not isinstance(self.max_iterations, int) or self.max_iterations <= 0:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .datagen import DataPool
-from .errors import ConfigError
+from .errors import ConfigError, reject_non_finite
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class CostModel:
     C: float = 1.0
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if not self.C >= 1.0:
             raise ConfigError(f"cost C must be >= 1, got {self.C!r}")
 

@@ -16,18 +16,20 @@ results identical to sequential execution.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import DataPool, DatasetConfig, generate_dataset, split_pools
-from .errors import AlqsimError, ConfigError
+from .datagen import (DataPool, DatasetConfig, dataset_rng, generate_dataset,
+                      split_pools)
+from .errors import AlqsimError, ConfigError, reject_non_finite
 from .glm import GlmHyperparams, GlmModel, fit, predict_proba
 from .metrics import (CiSummary, CostModel, MetricSample, auc, cost_efficiency,
-                      compute_phi, f1, mean_ci, positive_ratio)
-from .strategies import (QueryStrategy, ScoredCandidate, select_random,
-                         select_shifted_normal, select_uncertainty)
+                      compute_phi, f1, mean_ci)
+from .strategies import (QueryStrategy, select_random, select_shifted_normal,
+                         select_uncertainty)
 
 METRIC_NAMES = ("lam", "zeta", "eta", "auc", "f1")
 
@@ -54,6 +56,7 @@ class SimulationConfig:
     phi_delta: float = 0.05
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if not isinstance(self.n_queries, int) or self.n_queries <= 0:
             raise ConfigError(f"n_queries must be a positive integer, got {self.n_queries!r}")
         if not isinstance(self.batch_size, int) or self.batch_size <= 0:
@@ -148,11 +151,12 @@ class ExperimentSummary:
 
 def _u64(seed: int) -> int:
     # numpy seed sequences want non-negative entropy; fold negatives in
+    # (datagen.dataset_rng does the same for the data stream)
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
 def _evaluate(model: GlmModel, test_pools: list[DataPool],
-              labeled: "_GrowingPool", cost: CostModel) -> MetricSample:
+              labeled: DataPool, cost: CostModel) -> MetricSample:
     aucs, f1s = [], []
     for pool in test_pools:
         probs = predict_proba(model, pool.features)
@@ -165,54 +169,26 @@ def _evaluate(model: GlmModel, test_pools: list[DataPool],
                         auc_per_test=tuple(aucs), f1_per_test=tuple(f1s))
 
 
-class _GrowingPool:
-    """Labeled-pool accumulator used inside the loop."""
-
-    def __init__(self, pool: DataPool) -> None:
-        self.ids = list(pool.ids)
-        self.rows = list(pool.features)
-        self.labels = list(pool.labels)
-
-    def add(self, instance_id: int, features: np.ndarray, label: int) -> None:
-        self.ids.append(instance_id)
-        self.rows.append(features)
-        self.labels.append(label)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def n_positive(self) -> int:
-        return int(sum(self.labels))
-
-    def as_pool(self) -> DataPool:
-        return DataPool(np.array(self.ids), np.stack(self.rows),
-                        np.array(self.labels), "labeled")
-
-
 def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     """Execute one active-learning round; pure function of (config, seed)."""
     data_seed = config.base_seed if config.shared_dataset else round_seed
-    data_rng = np.random.default_rng([_u64(data_seed), 0])
+    data_rng = dataset_rng(data_seed)
     query_rng = np.random.default_rng([_u64(round_seed), 1])
 
-    dataset = generate_dataset(config.dataset, data_rng)
-    labeled_pool, unlabeled_pool, test_pools = split_pools(
-        dataset, config.dataset, data_rng)
+    features, labels = generate_dataset(config.dataset, data_rng)
+    seed_pool, unlabeled, test_pools = split_pools(
+        (features, labels), config.dataset, data_rng)
 
-    labeled = _GrowingPool(labeled_pool)
-    u_ids = unlabeled_pool.ids.copy()
-    u_features = unlabeled_pool.features
-    u_labels = unlabeled_pool.labels
+    u_ids, u_features = unlabeled.ids, unlabeled.features
     alive = np.ones(len(u_ids), dtype=bool)
-    row_of = {int(i): k for k, i in enumerate(u_ids)}
+    taken: list[int] = []  # queried ids, which are dataset rows, in selection order
 
     strategy = config.strategy
     beta_params = strategy.beta_params() if strategy.kind == "shifted-normal" else None
     needs_scores = strategy.kind != "random"
 
-    model = fit(labeled.as_pool(), config.glm)
-    initial_metrics = _evaluate(model, test_pools, labeled, config.cost)
+    model = fit(seed_pool, config.glm)
+    initial_metrics = _evaluate(model, test_pools, seed_pool, config.cost)
 
     snapshots: list[QuerySnapshot] = []
     interim_maps: list[dict[int, float]] = []
@@ -226,22 +202,21 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
 
         if strategy.kind == "random":
             selected = select_random(live_ids, config.batch_size, query_rng)
+        elif strategy.kind == "uncertainty":
+            selected = select_uncertainty(live_ids, live_probs, config.batch_size)
         else:
-            candidates = [ScoredCandidate(int(i), float(p))
-                          for i, p in zip(live_ids, live_probs)]
-            if strategy.kind == "uncertainty":
-                selected = select_uncertainty(candidates, config.batch_size)
-            else:
-                selected = select_shifted_normal(
-                    candidates, config.batch_size, beta_params, query_rng)
+            selected = select_shifted_normal(
+                live_ids, live_probs, config.batch_size, beta_params, query_rng)
 
-        for instance_id in selected:
-            row = row_of[instance_id]
-            alive[row] = False
-            # oracle reveal: the hidden true label enters the loop here
-            labeled.add(instance_id, u_features[row], int(u_labels[row]))
+        alive[np.isin(u_ids, selected)] = False
+        taken.extend(selected)
+        # oracle reveal: the hidden true labels enter the loop here.  Seed rows
+        # come first, then queried rows in selection order: fit's float sums
+        # run in this order, so it must not change.
+        rows = np.concatenate([seed_pool.ids, taken])
+        labeled = DataPool(rows, features[rows], labels[rows], "labeled")
 
-        model = fit(labeled.as_pool(), config.glm)
+        model = fit(labeled, config.glm)
         metrics = _evaluate(model, test_pools, labeled, config.cost)
         snapshots.append(QuerySnapshot(q=q, selected_ids=tuple(selected),
                                        metrics=metrics, labeled_size=len(labeled)))
@@ -250,8 +225,7 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     final_probs = None
     if config.record_phi:
         all_scored = sorted(interim_maps[0]) if interim_maps else []
-        final_all = predict_proba(
-            model, u_features[[row_of[i] for i in all_scored]])
+        final_all = predict_proba(model, features[all_scored])
         final_probs = {i: float(p) for i, p in zip(all_scored, final_all)}
         phi_trace = tuple(
             tuple(compute_phi({i: final_probs[i] for i in interim},
@@ -264,15 +238,28 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
                        final_probs=final_probs)
 
 
+def worker_count(jobs: int, rounds: int) -> int:
+    """Worker processes for ``rounds`` rounds at ``jobs``; 1 means sequential.
+
+    More workers than rounds or cores would only idle, and the pool starts
+    every worker at once, so ``jobs`` is an upper bound, not a request.
+    Raises :class:`ConfigError` unless ``jobs`` is a positive integer.
+    """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
+    return min(jobs, rounds, os.cpu_count() or 1)
+
+
 def run_rounds(config: SimulationConfig, jobs: int = 1) -> list[RoundResult]:
     """All rounds of an experiment, in round order; optionally in parallel.
 
     A failing round aborts the experiment with a :class:`SimulationError`
     naming the failing round's seed.
     """
+    workers = worker_count(jobs, config.rounds)
     seeds = [config.base_seed + i for i in range(config.rounds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(seed, pool.submit(run_round, config, seed))
                        for seed in seeds]
             return [_settle(seed, future.result) for seed, future in futures]

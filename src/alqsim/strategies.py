@@ -16,8 +16,8 @@ Three policies are provided:
 The Beta is parameterized by its interior mode and a concentration
 (``alpha + beta``) instead of raw shape parameters: the mode is the quantity
 with a meaningful default, the concentration is the single width knob.
-Selectors receive only ``(instance_id, predicted probability)`` pairs; true
-labels never enter a policy.
+Selectors receive only an ``ids`` array and the matching array of predicted
+probabilities; true labels never enter a policy.
 
 Beta variates are generated from the ratio of two Marsaglia-Tsang gamma
 variates (squeeze-accepted; exact, not approximate), which keeps every draw a
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_non_finite
 
 STRATEGY_KINDS = ("random", "uncertainty", "shifted-normal")
 
@@ -74,32 +74,19 @@ class QueryStrategy:
     concentration: float = DEFAULT_CONCENTRATION
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(
                 f"unknown strategy {self.kind!r}; valid kinds: {', '.join(STRATEGY_KINDS)}")
         if self.kind == "shifted-normal":
-            if not 0.0 < self.mode < 1.0:
-                raise ConfigError(f"mode must be in (0, 1), got {self.mode!r}")
-            if not self.concentration > 2.0:
-                raise ConfigError(
-                    f"concentration must be > 2, got {self.concentration!r}")
+            # build the Beta now, so a mode that rounds alpha or beta to 1
+            # fails here rather than inside a round
+            self.beta_params()
 
     def beta_params(self) -> BetaParams:
         if self.kind != "shifted-normal":
             raise ValueError(f"{self.kind!r} strategy has no Beta parameters")
         return beta_from_mode(self.mode, self.concentration)
-
-
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """An unlabeled instance as seen by a selector: id and predicted prob."""
-
-    instance_id: int
-    prob: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.prob < 1.0:
-            raise ValueError(f"prob must be strictly inside (0, 1), got {self.prob!r}")
 
 
 def beta_from_mode(mode: float, concentration: float) -> BetaParams:
@@ -116,6 +103,10 @@ def beta_from_mode(mode: float, concentration: float) -> BetaParams:
         raise ConfigError(f"concentration must be > 2, got {concentration!r}")
     alpha = 1.0 + mode * (concentration - 2.0)
     beta = 1.0 + (1.0 - mode) * (concentration - 2.0)
+    if not (alpha > 1 and beta > 1):
+        raise ConfigError(
+            f"mode {mode!r} with concentration {concentration!r} rounds a Beta "
+            f"shape parameter to 1 (alpha={alpha!r}, beta={beta!r})")
     return BetaParams(alpha, beta)
 
 
@@ -174,6 +165,24 @@ def _check_k(k: int, available: int) -> None:
         raise ValueError(f"cannot select {k} from {available} candidates")
 
 
+def _check_scored(ids: np.ndarray, probs: np.ndarray,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` and ``probs`` as arrays, after checking a selector's input.
+
+    Both must be 1-D and of equal length, and every prob strictly inside
+    (0, 1), which NaN is not.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    if ids.ndim != 1 or probs.shape != ids.shape:
+        raise ValueError(f"ids and probs must be 1-D arrays of equal length, got "
+                         f"shapes {ids.shape} and {probs.shape}")
+    if not ((probs > 0.0) & (probs < 1.0)).all():
+        raise ValueError("every prob must lie strictly inside (0, 1)")
+    _check_k(k, len(ids))
+    return ids, probs
+
+
 def select_random(pool_ids: Sequence[int], k: int,
                   rng: np.random.Generator) -> list[int]:
     """Uniform sample of ``k`` distinct ids, ignoring any model output."""
@@ -183,38 +192,30 @@ def select_random(pool_ids: Sequence[int], k: int,
     return [int(i) for i in chosen]
 
 
-def select_uncertainty(candidates: Sequence[ScoredCandidate], k: int) -> list[int]:
-    """The ``k`` candidates whose probability is closest to 0.5.
+def select_uncertainty(ids: np.ndarray, probs: np.ndarray, k: int) -> list[int]:
+    """The ``k`` ids whose probability is closest to 0.5.
 
-    Ties are broken by lower instance id, making the result a pure function
-    of the candidate *set* (order-independent).
+    Ties are broken by lower id, making the result a pure function of the
+    set of ``(id, prob)`` pairs (order-independent).
     """
-    _check_k(k, len(candidates))
-    ids = np.fromiter((c.instance_id for c in candidates), dtype=np.int64,
-                      count=len(candidates))
-    probs = np.fromiter((c.prob for c in candidates), dtype=np.float64,
-                        count=len(candidates))
+    ids, probs = _check_scored(ids, probs, k)
     order = np.lexsort((ids, np.abs(probs - 0.5)))
     return [int(i) for i in ids[order[:k]]]
 
 
-def select_shifted_normal(candidates: Sequence[ScoredCandidate], k: int,
+def select_shifted_normal(ids: np.ndarray, probs: np.ndarray, k: int,
                           params: BetaParams,
                           rng: np.random.Generator) -> list[int]:
-    """Select ``k`` candidates by matching Beta-distributed target probs.
+    """Select ``k`` ids by matching Beta-distributed target probs.
 
-    For each of ``k`` independent Beta draws, the remaining candidate whose
+    For each of ``k`` independent Beta draws, the remaining id whose
     probability is nearest the drawn target is taken (ties to the lower id).
     Matching targets rather than weighting by the density keeps the selection
     faithful to the target distribution even when the pool's probabilities
     are sparse or heavily skewed.
     """
-    _check_k(k, len(candidates))
-    ids = np.fromiter((c.instance_id for c in candidates), dtype=np.int64,
-                      count=len(candidates))
-    probs = np.fromiter((c.prob for c in candidates), dtype=np.float64,
-                        count=len(candidates))
-    available = np.ones(len(candidates), dtype=bool)
+    ids, probs = _check_scored(ids, probs, k)
+    available = np.ones(len(ids), dtype=bool)
     chosen: list[int] = []
     for _ in range(k):
         target = beta_sample(params, rng)

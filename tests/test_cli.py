@@ -1,14 +1,18 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from alqsim.cli import CSV_HEADER, main
 
 FAST = ["--rounds", "3", "--queries", "5", "--seed", "11"]
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def run_cli(args):
@@ -48,6 +52,22 @@ class TestRunCommand:
                         "--batch", "2", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--strategy", "shifted-normal", "--concentration", "inf"], "concentration"),
+        (["--strategy", "shifted-normal", "--mode", "1e-300"], "mode"),
+        (["--strategy", "random", "--class-sep", "inf"], "class_sep"),
+        (["--strategy", "random", "--cost-c", "inf"], "C must be finite"),
+        (["--strategy", "random", "--jobs", "0"], "jobs"),
+        (["--strategy", "random", "--jobs", "-3"], "jobs"),
+    ])
+    def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                flags, field):
+        code = run_cli(["run", *flags, "--rounds", "2", "--queries", "2",
+                        "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -181,3 +201,36 @@ class TestDeterminismAndSeeds:
         run_cli([*args, "--jobs", "3", "--out", str(parallel)])
         assert ((serial / "per_query.csv").read_bytes()
                 == (parallel / "per_query.csv").read_bytes())
+
+
+class TestOutputsMatchSeedPackage:
+    """Outputs equal those of the seed package in ``perfbench/oracle``.
+
+    The comparison is the benchmark's own (``check_outputs``: 1e-12
+    relative on every number, exact elsewhere), so a refactor that moves a
+    number fails here as well as in the benchmark.
+    """
+
+    def test_compare_and_dump_dataset_match(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", PERFBENCH / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+
+        names = ("per_query.csv", "summary.json", "phi.json", "dataset.csv")
+        dirs = {}
+        for side, package in (("program", bench.SRC), ("seed", bench.ORACLE_SRC)):
+            out = tmp_path / side
+            for args in (["compare", "--class-sep", "0.5", "--rounds", "3",
+                          "--queries", "4", "--phi", "--seed", "5",
+                          "--out", str(out)],
+                         ["dump-dataset", "--seed", "3",
+                          "--out", str(out / "dataset.csv")]):
+                proc = subprocess.run([sys.executable, "-m", "alqsim", *args],
+                                      env=bench.child_env(package),
+                                      capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+            dirs[side] = out
+        reference = bench.load_outputs(str(dirs["seed"]), names)
+        assert bench.check_outputs(str(dirs["program"]), reference) == []

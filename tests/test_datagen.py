@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from alqsim import ConfigError, DataPool, DatasetConfig, generate_dataset, split_pools
+from alqsim import (ConfigError, DataPool, DatasetConfig, dataset_rng,
+                    generate_dataset, split_pools)
 from alqsim.datagen import write_dataset_csv
 
 
@@ -22,6 +23,8 @@ class TestDatasetConfig:
         dict(class_sep=0.0), dict(class_sep=-1.0),
         dict(flip_y=1.0), dict(flip_y=-0.1),
         dict(positive_fraction=0.0), dict(positive_fraction=1.0),
+        dict(class_sep=float("inf")), dict(class_sep=float("nan")),
+        dict(flip_y=float("nan")), dict(positive_fraction=float("inf")),
     ])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -33,10 +36,8 @@ class TestGenerateDataset:
         """With class_sep=10 the midpoint hyperplane classifies perfectly."""
         config = small_config(class_sep=10.0)  # 100 instances total
         rng = np.random.default_rng(0)
-        instances = generate_dataset(config, rng)
-        assert len(instances) == 100
-        features = np.stack([inst.features for inst in instances])
-        labels = np.array([inst.label for inst in instances])
+        features, labels = generate_dataset(config, rng)
+        assert features.shape == (100, 4) and labels.shape == (100,)
         predicted = (features.sum(axis=1) > 0).astype(int)
         assert (predicted == labels).all()
 
@@ -45,9 +46,7 @@ class TestGenerateDataset:
         config = DatasetConfig(class_sep=1e-9, labeled_size=10,
                                unlabeled_size=2000, n_test_pools=1,
                                test_pool_size=10)
-        instances = generate_dataset(config, np.random.default_rng(3))
-        features = np.stack([i.features for i in instances])
-        labels = np.array([i.label for i in instances])
+        features, labels = generate_dataset(config, np.random.default_rng(3))
         scores = features.sum(axis=1)
         # Mann-Whitney by brute force on the ideal direction
         pos, neg = scores[labels == 1], scores[labels == 0]
@@ -56,44 +55,54 @@ class TestGenerateDataset:
 
     def test_positive_count_forced_by_rounding(self):
         config = DatasetConfig(class_sep=0.5, seed=7)  # 4010 instances
-        instances = generate_dataset(config, np.random.default_rng(7))
-        assert sum(inst.label for inst in instances) == 2005
+        _, labels = generate_dataset(config, np.random.default_rng(7))
+        assert labels.sum() == 2005
 
     @pytest.mark.parametrize("fraction,total_positive", [
         (0.5, 50), (0.25, 25), (0.333, 33),
     ])
     def test_label_balance_exact_without_flipping(self, fraction, total_positive):
         config = small_config(positive_fraction=fraction)  # 100 instances total
-        instances = generate_dataset(config, np.random.default_rng(1))
-        assert sum(inst.label for inst in instances) == total_positive
+        _, labels = generate_dataset(config, np.random.default_rng(1))
+        assert labels.sum() == total_positive
 
     def test_flip_rate_moves_counts(self):
         config = small_config(flip_y=0.5, unlabeled_size=4970)  # 5000 total
-        instances = generate_dataset(config, np.random.default_rng(5))
-        flipped_fraction = np.mean([inst.label for inst in instances])
+        _, labels = generate_dataset(config, np.random.default_rng(5))
+        flipped_fraction = labels.mean()
         # with flip probability 0.5 the expected positive share stays 0.5
         assert abs(flipped_fraction - 0.5) < 0.03
 
     def test_deterministic_given_seed(self):
         config = small_config()
-        a = generate_dataset(config, np.random.default_rng(99))
-        b = generate_dataset(config, np.random.default_rng(99))
-        assert [i.id for i in a] == [i.id for i in b]
-        assert all((x.features == y.features).all() and x.label == y.label
-                   for x, y in zip(a, b))
+        a_features, a_labels = generate_dataset(config, np.random.default_rng(99))
+        b_features, b_labels = generate_dataset(config, np.random.default_rng(99))
+        assert (a_features == b_features).all()
+        assert (a_labels == b_labels).all()
+
+    def test_dataset_rng_folds_negative_seeds(self):
+        """Seeds map to the unsigned 64-bit entropy numpy accepts, so a
+        negative seed draws the same data as its two's-complement value."""
+        config = small_config()
+        first = generate_dataset(config, dataset_rng(-3))
+        second = generate_dataset(config, dataset_rng(2**64 - 3))
+        assert (first[0] == second[0]).all() and (first[1] == second[1]).all()
 
     def test_ids_unique_and_dense(self):
-        instances = generate_dataset(small_config(), np.random.default_rng(2))
-        assert sorted(inst.id for inst in instances) == list(range(len(instances)))
+        """Ids are row indices: the split pools' ids cover 0..N-1 exactly once."""
+        config = small_config()
+        rng = np.random.default_rng(2)
+        features, labels = generate_dataset(config, rng)
+        pools = split_pools((features, labels), config, rng)
+        ids = np.concatenate([p.ids for p in [pools[0], pools[1], *pools[2]]])
+        assert sorted(ids.tolist()) == list(range(len(labels)))
 
     def test_centroid_distance_grows_with_class_sep(self):
         """Same seed, increasing separation: empirical centroids move apart."""
         distances = []
         for sep in (0.25, 0.5, 1.0, 2.0):
             config = small_config(class_sep=sep, unlabeled_size=990)
-            instances = generate_dataset(config, np.random.default_rng(11))
-            features = np.stack([i.features for i in instances])
-            labels = np.array([i.label for i in instances])
+            features, labels = generate_dataset(config, np.random.default_rng(11))
             mu1 = features[labels == 1].mean(axis=0)
             mu0 = features[labels == 0].mean(axis=0)
             distances.append(np.linalg.norm(mu1 - mu0))
@@ -120,8 +129,8 @@ class TestSplitPools:
         labeled, unlabeled, tests = split_pools(dataset, config, rng)
         pools = [labeled, unlabeled, *tests]
         all_ids = np.concatenate([p.ids for p in pools])
-        assert len(all_ids) == len(dataset)
-        assert set(all_ids.tolist()) == {inst.id for inst in dataset}
+        assert len(all_ids) == len(dataset[1])
+        assert set(all_ids.tolist()) == set(range(len(dataset[1])))
 
     def test_split_deterministic(self):
         config = small_config()
@@ -136,18 +145,19 @@ class TestSplitPools:
 
     def test_size_mismatch_rejected(self):
         config = small_config()
-        dataset = generate_dataset(config, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            split_pools(dataset[:-1], config, np.random.default_rng(0))
+        features, labels = generate_dataset(config, np.random.default_rng(0))
+        for truncated in ((features[:-1], labels[:-1]), (features[:-1], labels),
+                          (features, labels[:-1])):
+            with pytest.raises(ConfigError):
+                split_pools(truncated, config, np.random.default_rng(0))
 
     def test_unlabeled_pool_retains_hidden_labels(self):
         config = small_config()
         rng = np.random.default_rng(4)
-        dataset = generate_dataset(config, rng)
-        _, unlabeled, _ = split_pools(dataset, config, rng)
-        truth = {inst.id: inst.label for inst in dataset}
-        assert all(truth[int(i)] == int(l)
-                   for i, l in zip(unlabeled.ids, unlabeled.labels))
+        features, labels = generate_dataset(config, rng)
+        _, unlabeled, _ = split_pools((features, labels), config, rng)
+        assert (unlabeled.labels == labels[unlabeled.ids]).all()
+        assert (unlabeled.features == features[unlabeled.ids]).all()
 
 
 class TestDataPool:
@@ -163,34 +173,30 @@ class TestDataPool:
         with pytest.raises(ValueError, match="labels"):
             DataPool(np.array([1]), np.zeros((1, 4)), np.array([2]), "test")
 
-    def test_iteration_yields_instances(self):
+    def test_n_positive_counts_labels(self):
         pool = DataPool(np.array([3, 9]), np.arange(8.0).reshape(2, 4),
                         np.array([1, 0]), "test")
-        instances = list(pool)
-        assert [i.id for i in instances] == [3, 9]
-        assert instances[0].label == 1
         assert pool.n_positive == 1
 
 
 class TestCsvDump:
     def test_header_and_shape(self, tmp_path):
         config = small_config()
-        instances = generate_dataset(config, np.random.default_rng(0))
+        dataset = generate_dataset(config, np.random.default_rng(0))
         path = tmp_path / "data.csv"
-        write_dataset_csv(instances, path)
+        write_dataset_csv(dataset, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "id,f0,f1,f2,f3,label"
-        assert len(lines) == len(instances) + 1
+        assert len(lines) == len(dataset[1]) + 1
 
     def test_values_roundtrip_at_9_significant_digits(self, tmp_path):
         config = small_config()
-        instances = generate_dataset(config, np.random.default_rng(0))
+        features, labels = generate_dataset(config, np.random.default_rng(0))
         path = tmp_path / "data.csv"
-        write_dataset_csv(instances, path)
+        write_dataset_csv((features, labels), path)
         row = path.read_text().splitlines()[1].split(",")
-        inst = instances[0]
-        assert int(row[0]) == inst.id
-        assert int(row[-1]) == inst.label
-        for text, value in zip(row[1:-1], inst.features):
+        assert int(row[0]) == 0
+        assert int(row[-1]) == labels[0]
+        for text, value in zip(row[1:-1], features[0]):
             assert float(text) == pytest.approx(value, rel=1e-8)
             assert text == f"{value:.9g}"

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from alqsim import DataPool, GlmHyperparams, GlmModel, fit, predict_proba
+from alqsim import (ConfigError, DataPool, GlmHyperparams, GlmModel, fit,
+                    predict_proba)
 from alqsim.glm import nll_gradient, nll_loss
 
 
@@ -36,6 +37,19 @@ def descend(features, labels, l2, lr=5e-4, steps=400_000):
         grad[:d] += l2 * theta[:d]
         theta -= lr * grad
     return theta
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("bad,field", [
+        (dict(l2_penalty=-1.0), "l2_penalty"),
+        (dict(l2_penalty=float("nan")), "l2_penalty"),
+        (dict(l2_penalty=float("inf")), "l2_penalty"),
+        (dict(gradient_tolerance=float("inf")), "gradient_tolerance"),
+        (dict(max_iterations=0), "max_iterations"),
+    ])
+    def test_invalid_values_rejected(self, bad, field):
+        with pytest.raises(ConfigError, match=field):
+            GlmHyperparams(**bad)
 
 
 class TestFallback:

@@ -114,8 +114,9 @@ class TestCostEfficiency:
                     == cost_efficiency(lam, zeta, CostModel(C=1.0)) / C)
 
     def test_cost_below_one_rejected(self):
-        with pytest.raises(ConfigError):
-            CostModel(C=0.5)
+        for bad in (0.5, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="C must be"):
+                CostModel(C=bad)
 
 
 class TestComputePhi:

@@ -4,10 +4,11 @@ import pytest
 import alqsim.simulation as simulation_module
 from alqsim import (ConfigError, DatasetConfig, QueryStrategy,
                     SimulationConfig, SimulationError, aggregate,
-                    compute_phi, fit, predict_proba, run_experiment,
-                    run_round, run_rounds, select_uncertainty, split_pools)
+                    compute_phi, dataset_rng, fit, predict_proba,
+                    run_experiment, run_round, run_rounds, select_uncertainty,
+                    split_pools)
 from alqsim.datagen import generate_dataset
-from alqsim.strategies import ScoredCandidate
+from alqsim.simulation import worker_count
 
 
 def config_for(kind="random", cs=0.5, rounds=3, seed=0, **overrides):
@@ -34,7 +35,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("bad", [dict(n_queries=0), dict(batch_size=0),
                                      dict(rounds=0), dict(confidence=1.0),
-                                     dict(phi_delta=0.5)])
+                                     dict(phi_delta=0.5),
+                                     dict(confidence=float("nan")),
+                                     dict(phi_delta=float("inf"))])
     def test_bad_fields_rejected(self, bad):
         with pytest.raises(ConfigError):
             SimulationConfig(dataset=DatasetConfig(),
@@ -62,7 +65,7 @@ class TestRunRound:
         touch the seed pool or the test pools."""
         config = config_for(kind=kind)
         result = run_round(config, 5)
-        data_rng = np.random.default_rng([5, 0])
+        data_rng = dataset_rng(5)
         dataset = generate_dataset(config.dataset, data_rng)
         labeled, unlabeled, tests = split_pools(dataset, config.dataset, data_rng)
 
@@ -83,15 +86,13 @@ class TestRunRound:
         and the unlabeled features alone (no access to hidden labels)."""
         config = config_for(kind="uncertainty")
         result = run_round(config, 9)
-        data_rng = np.random.default_rng([9, 0])
+        data_rng = dataset_rng(9)
         dataset = generate_dataset(config.dataset, data_rng)
         labeled, unlabeled, _ = split_pools(dataset, config.dataset, data_rng)
         model = fit(labeled, config.glm)
         probs = predict_proba(model, unlabeled.features)
-        cands = [ScoredCandidate(int(i), float(p))
-                 for i, p in zip(unlabeled.ids, probs)]
         assert list(result.snapshots[0].selected_ids) == select_uncertainty(
-            cands, config.batch_size)
+            unlabeled.ids, probs, config.batch_size)
 
     def test_easy_separation_reaches_high_auc(self):
         config = config_for(kind="random", cs=10.0)
@@ -114,7 +115,7 @@ class TestRunRound:
                                   test_pool_size=100),
             strategy=QueryStrategy(kind="random"), n_queries=5, rounds=2)
         for seed in range(200):
-            data_rng = np.random.default_rng([seed, 0])
+            data_rng = dataset_rng(seed)
             dataset = generate_dataset(config.dataset, data_rng)
             labeled, _, _ = split_pools(dataset, config.dataset, data_rng)
             if labeled.n_positive == 0:
@@ -169,6 +170,28 @@ class TestRunExperiment:
         forward = aggregate(config, results)
         backward = aggregate(config, list(reversed(results)))
         assert forward == backward
+
+    @pytest.mark.parametrize("jobs,rounds,cores,expected", [
+        (1, 40, 2, 1), (2, 40, 2, 2), (3, 40, 2, 2), (10**9, 40, 2, 2),
+        (8, 3, 16, 3), (8, 40, 16, 8), (4, 40, None, 1),
+    ])
+    def test_worker_count_is_capped_by_rounds_and_cores(
+            self, monkeypatch, jobs, rounds, cores, expected):
+        monkeypatch.setattr(simulation_module.os, "cpu_count", lambda: cores)
+        assert worker_count(jobs, rounds) == expected
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.0, "2", None])
+    def test_worker_count_rejects_non_positive_or_non_integer(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            worker_count(jobs, 40)
+
+    def test_bad_jobs_rejected_before_any_round(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(simulation_module, "run_round", explode)
+        with pytest.raises(ConfigError, match="jobs"):
+            run_rounds(config_for(rounds=2), jobs=0)
 
     def test_parallel_equals_sequential(self):
         config = config_for(kind="uncertainty", rounds=4)

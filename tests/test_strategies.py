@@ -1,16 +1,43 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from alqsim import (BetaParams, ConfigError, QueryStrategy, ScoredCandidate,
-                    beta_from_mode, beta_pdf, beta_sample, select_random,
+from alqsim import (BetaParams, ConfigError, QueryStrategy, beta_from_mode,
+                    beta_pdf, beta_sample, select_random,
                     select_shifted_normal, select_uncertainty)
 from alqsim import strategies as strategies_module
 
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
-def candidates_from(probs, ids=None):
-    ids = range(len(probs)) if ids is None else ids
-    return [ScoredCandidate(i, p) for i, p in zip(ids, probs)]
+
+def scored(probs, ids=None):
+    """The ``(ids, probs)`` arrays a selector takes; ids default to 0..n-1."""
+    probs = np.asarray(probs, dtype=np.float64)
+    ids = np.arange(len(probs)) if ids is None else np.asarray(ids)
+    return ids, probs
+
+
+@st.composite
+def scored_pools(draw):
+    """Distinct ids, probs in (0, 1) with frequent ties, 1 <= k <= n, and a
+    permutation of the rows."""
+    ids = draw(st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=40,
+                        unique=True))
+    prob = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.sampled_from([0.25, 0.45, 0.5]))
+    probs = draw(st.lists(prob, min_size=len(ids), max_size=len(ids)))
+    k = draw(st.integers(1, len(ids)))
+    perm = draw(st.permutations(range(len(ids))))
+    return np.array(ids, dtype=np.int64), np.array(probs), k, np.array(perm)
+
+
+def assert_k_distinct_from(picked, ids, k):
+    assert len(picked) == k
+    assert len(set(picked)) == k
+    assert set(picked) <= set(ids.tolist())
 
 
 class TestBetaFromMode:
@@ -129,75 +156,97 @@ class TestSelectRandom:
 
 class TestSelectUncertainty:
     def test_closest_to_half_wins(self):
-        picked = select_uncertainty(
-            candidates_from([0.9, 0.51, 0.2], ids=[7, 8, 9]), 1)
+        picked = select_uncertainty(*scored([0.9, 0.51, 0.2], ids=[7, 8, 9]), 1)
         assert picked == [8]
 
     def test_tie_broken_by_lower_id(self):
-        picked = select_uncertainty(
-            candidates_from([0.4, 0.6], ids=[3, 5]), 1)
+        picked = select_uncertainty(*scored([0.4, 0.6], ids=[3, 5]), 1)
         assert picked == [3]
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
-            cands = candidates_from(rng.uniform(0.01, 0.99, size=50),
-                                    ids=rng.permutation(500)[:50])
-            expected = [c.instance_id for c in
-                        sorted(cands, key=lambda c: (abs(c.prob - 0.5),
-                                                     c.instance_id))][:5]
-            assert select_uncertainty(cands, 5) == expected
+            ids, probs = scored(rng.uniform(0.01, 0.99, size=50),
+                                ids=rng.permutation(500)[:50])
+            pairs = sorted(zip(ids.tolist(), probs.tolist()),
+                           key=lambda pair: (abs(pair[1] - 0.5), pair[0]))
+            expected = [i for i, _ in pairs][:5]
+            assert select_uncertainty(ids, probs, 5) == expected
 
-    def test_candidate_order_irrelevant(self):
-        rng = np.random.default_rng(4)
-        cands = candidates_from(rng.uniform(0.01, 0.99, size=30))
-        shuffled = [cands[i] for i in rng.permutation(30)]
-        assert select_uncertainty(cands, 4) == select_uncertainty(shuffled, 4)
+    @PROPERTY
+    @given(scored_pools())
+    def test_k_distinct_ids_from_pool(self, pool):
+        ids, probs, k, _ = pool
+        assert_k_distinct_from(select_uncertainty(ids, probs, k), ids, k)
+
+    @PROPERTY
+    @given(scored_pools())
+    def test_candidate_order_irrelevant(self, pool):
+        ids, probs, k, perm = pool
+        assert (select_uncertainty(ids, probs, k)
+                == select_uncertainty(ids[perm], probs[perm], k))
 
     def test_oversized_k_rejected(self):
         with pytest.raises(ValueError):
-            select_uncertainty(candidates_from([0.5]), 2)
+            select_uncertainty(*scored([0.5]), 2)
 
 
 class TestSelectShiftedNormal:
     PARAMS = BetaParams(5.5, 6.5)
 
     def test_single_candidate_forced(self):
-        cands = candidates_from([0.9], ids=[42])
-        assert select_shifted_normal(cands, 1, self.PARAMS,
+        assert select_shifted_normal(*scored([0.9], ids=[42]), 1, self.PARAMS,
                                      np.random.default_rng(0)) == [42]
 
     def test_mode_candidate_selected_most_often(self):
         """Over 10k single draws the 0.45 candidate dominates 0.1 and 0.9."""
-        cands = candidates_from([0.1, 0.45, 0.9])
+        ids, probs = scored([0.1, 0.45, 0.9])
         rng = np.random.default_rng(123)
         counts = np.zeros(3)
         for _ in range(10_000):
-            counts[select_shifted_normal(cands, 1, self.PARAMS, rng)[0]] += 1
+            counts[select_shifted_normal(ids, probs, 1, self.PARAMS, rng)[0]] += 1
         assert counts[1] == counts.max()
 
     def test_degenerate_targets_pick_nearest(self, monkeypatch):
         monkeypatch.setattr(strategies_module, "beta_sample",
                             lambda params, rng: 0.45)
-        cands = candidates_from([0.2, 0.5, 0.8], ids=[1, 2, 3])
+        ids, probs = scored([0.2, 0.5, 0.8], ids=[1, 2, 3])
         for _ in range(5):
             picked = strategies_module.select_shifted_normal(
-                cands, 1, self.PARAMS, np.random.default_rng(0))
+                ids, probs, 1, self.PARAMS, np.random.default_rng(0))
             assert picked == [2]
 
     def test_returns_distinct_ids_without_replacement(self):
         rng = np.random.default_rng(8)
-        cands = candidates_from(rng.uniform(0.01, 0.99, size=40))
-        picked = select_shifted_normal(cands, 10, self.PARAMS, rng)
-        assert len(set(picked)) == 10
-        assert set(picked) <= {c.instance_id for c in cands}
+        ids, probs = scored(rng.uniform(0.01, 0.99, size=40))
+        picked = select_shifted_normal(ids, probs, 10, self.PARAMS, rng)
+        assert_k_distinct_from(picked, ids, 10)
+
+    @PROPERTY
+    @given(scored_pools())
+    def test_k_distinct_ids_from_pool(self, pool):
+        ids, probs, k, _ = pool
+        picked = select_shifted_normal(ids, probs, k, self.PARAMS,
+                                       np.random.default_rng(0))
+        assert_k_distinct_from(picked, ids, k)
+
+    @PROPERTY
+    @given(scored_pools())
+    def test_candidate_order_irrelevant(self, pool):
+        """With the generator at a fixed seed, the targets are the same and
+        (distance, id) ranks every row the same way in any order."""
+        ids, probs, k, perm = pool
+        first = select_shifted_normal(ids, probs, k, self.PARAMS,
+                                      np.random.default_rng(5))
+        permuted = select_shifted_normal(ids[perm], probs[perm], k, self.PARAMS,
+                                         np.random.default_rng(5))
+        assert first == permuted
 
     def test_selection_histogram_peaks_at_mode(self):
         """10k selections over a uniform grid of probs: modal bin holds 0.45."""
-        grid = (np.arange(100) + 0.5) / 100
-        cands = candidates_from(grid)
+        ids, grid = scored((np.arange(100) + 0.5) / 100)
         rng = np.random.default_rng(31)
-        chosen_probs = [grid[select_shifted_normal(cands, 1, self.PARAMS, rng)[0]]
+        chosen_probs = [grid[select_shifted_normal(ids, grid, 1, self.PARAMS, rng)[0]]
                         for _ in range(10_000)]
         counts, edges = np.histogram(chosen_probs, bins=10, range=(0.0, 1.0))
         modal_bin = counts.argmax()
@@ -205,7 +254,7 @@ class TestSelectShiftedNormal:
 
     def test_oversized_k_rejected(self):
         with pytest.raises(ValueError):
-            select_shifted_normal(candidates_from([0.5]), 2, self.PARAMS,
+            select_shifted_normal(*scored([0.5]), 2, self.PARAMS,
                                   np.random.default_rng(0))
 
 
@@ -219,10 +268,22 @@ class TestQueryStrategy:
             QueryStrategy(kind="bogus")
 
     def test_shifted_normal_parameter_validation(self):
-        with pytest.raises(ConfigError):
-            QueryStrategy(kind="shifted-normal", mode=1.5)
-        with pytest.raises(ConfigError):
-            QueryStrategy(kind="shifted-normal", concentration=2.0)
+        for bad, field in [
+            (dict(mode=1.5), "mode"), (dict(concentration=2.0), "concentration"),
+            (dict(mode=float("nan")), "mode"),
+            (dict(concentration=float("inf")), "concentration"),
+            # alpha = 1 + 1e-300 * 148 rounds to exactly 1.0
+            (dict(mode=1e-300), "mode"),
+            # beta = 1 + (1 - mode) * 0.5 rounds to exactly 1.0
+            (dict(mode=np.nextafter(1.0, 0.0), concentration=2.5), "mode"),
+        ]:
+            with pytest.raises(ConfigError, match=field):
+                QueryStrategy(kind="shifted-normal", **bad)
+
+    def test_non_finite_rejected_for_every_kind(self):
+        for kind in ("random", "uncertainty"):
+            with pytest.raises(ConfigError, match="concentration"):
+                QueryStrategy(kind=kind, concentration=float("inf"))
 
     def test_beta_params_only_for_shifted_normal(self):
         strategy = QueryStrategy(kind="shifted-normal", mode=0.45, concentration=12.0)
@@ -231,8 +292,28 @@ class TestQueryStrategy:
         with pytest.raises(ValueError):
             QueryStrategy(kind="random").beta_params()
 
-    def test_scored_candidate_requires_open_interval(self):
-        with pytest.raises(ValueError):
-            ScoredCandidate(1, 0.0)
-        with pytest.raises(ValueError):
-            ScoredCandidate(1, 1.0)
+
+
+
+class TestScoredSelectorInput:
+    """Both scored selectors share one check on ``(ids, probs)``."""
+
+    PARAMS = BetaParams(5.5, 6.5)
+
+    def test_probs_must_lie_strictly_inside_open_interval(self):
+        for bad_prob in (0.0, 1.0, float("nan")):
+            ids, probs = scored([0.3, bad_prob, 0.7])
+            with pytest.raises(ValueError, match="strictly inside"):
+                select_uncertainty(ids, probs, 1)
+            with pytest.raises(ValueError, match="strictly inside"):
+                select_shifted_normal(ids, probs, 1, self.PARAMS,
+                                      np.random.default_rng(0))
+
+    def test_ids_and_probs_must_be_matching_1d_arrays(self):
+        for ids, probs in ((np.arange(3), np.full(2, 0.5)),
+                           (np.arange(4).reshape(2, 2), np.full((2, 2), 0.5))):
+            with pytest.raises(ValueError, match="equal length"):
+                select_uncertainty(ids, probs, 1)
+            with pytest.raises(ValueError, match="equal length"):
+                select_shifted_normal(ids, probs, 1, self.PARAMS,
+                                      np.random.default_rng(0))
