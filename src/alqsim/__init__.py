@@ -10,12 +10,11 @@ from .datagen import (DataPool, DatasetConfig, dataset_rng, generate_dataset,
                       split_pools, write_dataset_csv)
 from .errors import AlqsimError, ConfigError
 from .glm import GlmHyperparams, GlmModel, fit, predict_proba
-from .metrics import (CiSummary, CostModel, MetricSample, auc, compute_phi,
-                      cost_efficiency, f1, mean_ci, positive_ratio,
-                      student_t_quantile)
-from .simulation import (ExperimentSummary, QuerySnapshot, RoundResult,
-                         SimulationConfig, SimulationError, aggregate,
-                         run_experiment, run_round, run_rounds)
+from .metrics import (CiSummary, CostModel, auc, compute_phi, cost_efficiency,
+                      f1, mean_ci, positive_ratio, student_t_quantile)
+from .simulation import (ExperimentSummary, RoundResult, SimulationConfig,
+                         SimulationError, aggregate, run_experiment, run_round,
+                         run_rounds)
 from .strategies import (BetaParams, QueryStrategy, beta_from_mode, beta_pdf,
                          beta_sample, select_random, select_shifted_normal,
                          select_uncertainty)
@@ -30,9 +29,9 @@ __all__ = [
     "BetaParams", "QueryStrategy",
     "beta_from_mode", "beta_pdf", "beta_sample",
     "select_random", "select_shifted_normal", "select_uncertainty",
-    "CostModel", "MetricSample", "CiSummary",
+    "CostModel", "CiSummary",
     "auc", "f1", "positive_ratio", "cost_efficiency", "compute_phi",
     "mean_ci", "student_t_quantile",
-    "SimulationConfig", "QuerySnapshot", "RoundResult", "ExperimentSummary",
+    "SimulationConfig", "RoundResult", "ExperimentSummary",
     "run_round", "run_rounds", "run_experiment", "aggregate",
 ]

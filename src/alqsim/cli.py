@@ -17,8 +17,8 @@ from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       write_dataset_csv)
 from .errors import AlqsimError, ConfigError
 from .metrics import CostModel
-from .simulation import (ExperimentSummary, RoundResult, SimulationConfig,
-                         aggregate, run_rounds)
+from .simulation import (ExperimentSummary, SimulationConfig, aggregate,
+                         run_rounds)
 from .strategies import (DEFAULT_CONCENTRATION, DEFAULT_MODE, STRATEGY_KINDS,
                          QueryStrategy)
 
@@ -146,40 +146,34 @@ def _write_outputs(out_dir: str, summaries: dict[str, ExperimentSummary],
             fh.write("\n")
 
 
-def _phi_entry(results: list[RoundResult]) -> list[dict]:
-    return [{"seed": r.seed, "phi": [list(values) for values in r.phi_trace]}
-            for r in results]
-
-
-def _cmd_run(args) -> int:
-    config = _experiment_config(args, args.strategy)
-    results = run_rounds(config, jobs=args.jobs)
-    summary = aggregate(config, results)
-    phi_payload = None
-    if args.phi:
-        phi_payload = {"delta": config.phi_delta,
-                       "strategies": {args.strategy: _phi_entry(results)}}
-    _write_outputs(args.out, {args.strategy: summary}, phi_payload)
-    print(f"wrote {args.out}/per_query.csv and {args.out}/summary.json "
-          f"({config.rounds} rounds, strategy={args.strategy})")
-    return 0
-
-
-def _cmd_compare(args) -> int:
+def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, ExperimentSummary]:
+    """Run and aggregate each strategy kind in turn, then write the outputs."""
     summaries: dict[str, ExperimentSummary] = {}
     phi_entries: dict[str, list] = {}
-    for kind in STRATEGY_KINDS:
+    for kind in kinds:
         config = _experiment_config(args, kind)
         results = run_rounds(config, jobs=args.jobs)
         summaries[kind] = aggregate(config, results)
         if args.phi:
-            phi_entries[kind] = _phi_entry(results)
+            phi_entries[kind] = [
+                {"seed": r.seed, "phi": [list(values) for values in r.phi_trace]}
+                for r in results]
     phi_payload = None
     if args.phi:
-        phi_payload = {"delta": summaries[STRATEGY_KINDS[0]].config.phi_delta,
-                       "strategies": phi_entries}
+        phi_payload = {"delta": config.phi_delta, "strategies": phi_entries}
     _write_outputs(args.out, summaries, phi_payload)
-    _print_final_table(summaries)
+    return summaries
+
+
+def _cmd_run(args) -> int:
+    summary = _run_experiments(args, (args.strategy,))[args.strategy]
+    print(f"wrote {args.out}/per_query.csv and {args.out}/summary.json "
+          f"({summary.config.rounds} rounds, strategy={args.strategy})")
+    return 0
+
+
+def _cmd_compare(args) -> int:
+    _print_final_table(_run_experiments(args, STRATEGY_KINDS))
     return 0
 
 

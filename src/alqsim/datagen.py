@@ -93,14 +93,24 @@ class DataPool:
         return int(self.labels.sum())
 
 
+def _seed_stream(seed: int, stream: int) -> np.random.Generator:
+    # numpy seed sequences want non-negative entropy; fold negatives in
+    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, stream])
+
+
 def dataset_rng(seed: int) -> np.random.Generator:
     """The generator that draws the dataset of a round with this seed.
 
     Negative seeds are folded into the unsigned 64-bit range that numpy seed
     sequences accept; stream 0 keeps the data draws apart from a round's
-    query draws.
+    query draws (:func:`query_rng`, stream 1).
     """
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0])
+    return _seed_stream(seed, 0)
+
+
+def query_rng(seed: int) -> np.random.Generator:
+    """The generator that draws a round's query randomness for this seed."""
+    return _seed_stream(seed, 1)
 
 
 def generate_dataset(config: DatasetConfig,

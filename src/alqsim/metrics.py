@@ -39,21 +39,6 @@ class CostModel:
 
 
 @dataclass(frozen=True)
-class MetricSample:
-    """Metrics recorded after one model refit.
-
-    ``eta`` is None when zeta was zero (efficiency undefined); callers treat
-    that as a missing sample.
-    """
-
-    lam: float
-    zeta: float
-    eta: float | None
-    auc_per_test: tuple[float, ...]
-    f1_per_test: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class CiSummary:
     """Symmetric Student-t confidence interval around a sample mean."""
 

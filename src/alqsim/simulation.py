@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import (DataPool, DatasetConfig, dataset_rng, generate_dataset,
-                      split_pools)
+                      query_rng, split_pools)
 from .errors import AlqsimError, ConfigError, reject_non_finite
 from .glm import GlmHyperparams, GlmModel, fit, predict_proba
-from .metrics import (CiSummary, CostModel, MetricSample, auc, cost_efficiency,
-                      compute_phi, f1, mean_ci)
+from .metrics import (CiSummary, CostModel, auc, cost_efficiency, compute_phi,
+                      f1, mean_ci, positive_ratio)
 from .strategies import (QueryStrategy, select_random, select_shifted_normal,
                          select_uncertainty)
 
@@ -77,31 +77,31 @@ class SimulationConfig:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class QuerySnapshot:
-    """Per-query record: which instances were taken, and the metrics after refit."""
-
-    q: int
-    selected_ids: tuple[int, ...]
-    metrics: MetricSample
-    labeled_size: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundResult:
-    """Everything one round produced.
+    """Everything one round produced, one row per query.
 
-    ``initial_metrics`` is the q = 0 evaluation of the model fitted on the
-    seed pool alone.  The phi fields are populated only when the round ran
-    with phi recording enabled: ``interim_probs[q-1]`` maps every id that was
-    unlabeled at query q to its interim predicted probability, and
-    ``final_probs`` maps every id that was ever scored to the final model's
-    probability.
+    Row ``q - 1`` of each array belongs to query q and, for the metrics, to
+    the model refitted after it.  ``selected_ids`` is ``(n_queries, batch)``
+    in selection order.  ``lam``, ``zeta`` and ``eta`` are ``(n_queries,)``;
+    ``eta`` is NaN where zeta is 0 (efficiency undefined).  ``auc`` and
+    ``f1`` are ``(n_queries, n_test_pools)``.  Array fields would make a
+    generated ``==`` ambiguous, so results compare by identity; compare the
+    arrays instead.
+
+    The phi fields are populated only when the round ran with phi recording
+    enabled: ``interim_probs[q-1]`` maps every id that was unlabeled at query
+    q to its interim predicted probability, and ``final_probs`` maps every id
+    that was ever scored to the final model's probability.
     """
 
     seed: int
-    initial_metrics: MetricSample
-    snapshots: tuple[QuerySnapshot, ...]
+    selected_ids: np.ndarray
+    lam: np.ndarray
+    zeta: np.ndarray
+    eta: np.ndarray
+    auc: np.ndarray
+    f1: np.ndarray
     phi_trace: tuple[tuple[float, ...], ...] | None = None
     interim_probs: tuple[dict[int, float], ...] | None = None
     final_probs: dict[int, float] | None = None
@@ -149,31 +149,25 @@ class ExperimentSummary:
         return payload
 
 
-def _u64(seed: int) -> int:
-    # numpy seed sequences want non-negative entropy; fold negatives in
-    # (datagen.dataset_rng does the same for the data stream)
-    return seed & 0xFFFFFFFFFFFFFFFF
-
-
-def _evaluate(model: GlmModel, test_pools: list[DataPool],
-              labeled: DataPool, cost: CostModel) -> MetricSample:
+def _evaluate(model: GlmModel, test_pools: list[DataPool], labeled: DataPool,
+              cost: CostModel) -> tuple[float, float, float, list, list]:
+    """``(lam, zeta, eta, aucs, f1s)`` of one model; eta is NaN at zeta = 0."""
     aucs, f1s = [], []
     for pool in test_pools:
         probs = predict_proba(model, pool.features)
         aucs.append(auc(probs, pool.labels))
         f1s.append(f1(probs, pool.labels))
     lam = float(np.mean(aucs))
-    zeta = labeled.n_positive / len(labeled)
-    eta = cost_efficiency(lam, zeta, cost) if zeta > 0 else None
-    return MetricSample(lam=lam, zeta=zeta, eta=eta,
-                        auc_per_test=tuple(aucs), f1_per_test=tuple(f1s))
+    zeta = positive_ratio(labeled)
+    eta = cost_efficiency(lam, zeta, cost) if zeta > 0 else np.nan
+    return lam, zeta, eta, aucs, f1s
 
 
 def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     """Execute one active-learning round; pure function of (config, seed)."""
     data_seed = config.base_seed if config.shared_dataset else round_seed
     data_rng = dataset_rng(data_seed)
-    query_rng = np.random.default_rng([_u64(round_seed), 1])
+    rng = query_rng(round_seed)
 
     features, labels = generate_dataset(config.dataset, data_rng)
     seed_pool, unlabeled, test_pools = split_pools(
@@ -181,18 +175,17 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
 
     u_ids, u_features = unlabeled.ids, unlabeled.features
     alive = np.ones(len(u_ids), dtype=bool)
-    taken: list[int] = []  # queried ids, which are dataset rows, in selection order
+    selections: list[list[int]] = []  # queried ids, which are dataset rows
 
     strategy = config.strategy
     beta_params = strategy.beta_params() if strategy.kind == "shifted-normal" else None
     needs_scores = strategy.kind != "random"
 
     model = fit(seed_pool, config.glm)
-    initial_metrics = _evaluate(model, test_pools, seed_pool, config.cost)
 
-    snapshots: list[QuerySnapshot] = []
+    evaluations = []
     interim_maps: list[dict[int, float]] = []
-    for q in range(1, config.n_queries + 1):
+    for _ in range(config.n_queries):
         live_ids = u_ids[alive]
         if needs_scores or config.record_phi:
             live_probs = predict_proba(model, u_features[alive])
@@ -201,25 +194,23 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
                 {int(i): float(p) for i, p in zip(live_ids, live_probs)})
 
         if strategy.kind == "random":
-            selected = select_random(live_ids, config.batch_size, query_rng)
+            selected = select_random(live_ids, config.batch_size, rng)
         elif strategy.kind == "uncertainty":
             selected = select_uncertainty(live_ids, live_probs, config.batch_size)
         else:
             selected = select_shifted_normal(
-                live_ids, live_probs, config.batch_size, beta_params, query_rng)
+                live_ids, live_probs, config.batch_size, beta_params, rng)
 
         alive[np.isin(u_ids, selected)] = False
-        taken.extend(selected)
+        selections.append(selected)
         # oracle reveal: the hidden true labels enter the loop here.  Seed rows
         # come first, then queried rows in selection order: fit's float sums
         # run in this order, so it must not change.
-        rows = np.concatenate([seed_pool.ids, taken])
+        rows = np.concatenate([seed_pool.ids, *selections])
         labeled = DataPool(rows, features[rows], labels[rows], "labeled")
 
         model = fit(labeled, config.glm)
-        metrics = _evaluate(model, test_pools, labeled, config.cost)
-        snapshots.append(QuerySnapshot(q=q, selected_ids=tuple(selected),
-                                       metrics=metrics, labeled_size=len(labeled)))
+        evaluations.append(_evaluate(model, test_pools, labeled, config.cost))
 
     phi_trace = None
     final_probs = None
@@ -232,8 +223,11 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
                               interim, config.phi_delta))
             for interim in interim_maps)
 
-    return RoundResult(seed=round_seed, initial_metrics=initial_metrics,
-                       snapshots=tuple(snapshots), phi_trace=phi_trace,
+    lam, zeta, eta, aucs, f1s = (np.array(column) for column in zip(*evaluations))
+    return RoundResult(seed=round_seed,
+                       selected_ids=np.array(selections, dtype=np.int64),
+                       lam=lam, zeta=zeta, eta=eta, auc=aucs, f1=f1s,
+                       phi_trace=phi_trace,
                        interim_probs=tuple(interim_maps) if config.record_phi else None,
                        final_probs=final_probs)
 
@@ -284,25 +278,25 @@ def aggregate(config: SimulationConfig,
         raise ConfigError("aggregation needs at least 2 rounds")
     ordered = sorted(results, key=lambda r: r.seed)
     queries = tuple(range(1, config.n_queries + 1))
-    labeled_sizes = tuple(s.labeled_size for s in ordered[0].snapshots)
+    labeled_sizes = tuple(config.dataset.labeled_size + q * config.batch_size
+                          for q in queries)
 
-    lam_s, zeta_s, eta_s, auc_s, f1_s, missing = [], [], [], [], [], []
-    for qi in range(config.n_queries):
-        samples = [r.snapshots[qi].metrics for r in ordered]
-        lam_s.append(mean_ci([m.lam for m in samples], config.confidence))
-        zeta_s.append(mean_ci([m.zeta for m in samples], config.confidence))
-        etas = [m.eta for m in samples if m.eta is not None]
-        missing.append(len(samples) - len(etas))
-        eta_s.append(mean_ci(etas, config.confidence) if len(etas) >= 2 else None)
-        auc_s.append(mean_ci(
-            [a for m in samples for a in m.auc_per_test], config.confidence))
-        f1_s.append(mean_ci(
-            [v for m in samples for v in m.f1_per_test], config.confidence))
+    def per_query(name: str) -> np.ndarray:
+        # row qi holds every round's samples for query qi, round-major
+        stacked = np.stack([getattr(r, name) for r in ordered], axis=1)
+        return stacked.reshape(config.n_queries, -1)
 
+    def ci(samples: np.ndarray) -> CiSummary:
+        return mean_ci(samples, config.confidence)
+
+    lam, zeta, eta, aucs, f1s = (per_query(name) for name in METRIC_NAMES)
+    defined_eta = [row[~np.isnan(row)] for row in eta]
     return ExperimentSummary(
         config=config, queries=queries, labeled_sizes=labeled_sizes,
-        lam=tuple(lam_s), zeta=tuple(zeta_s), eta=tuple(eta_s),
-        auc=tuple(auc_s), f1=tuple(f1_s), eta_missing=tuple(missing))
+        lam=tuple(map(ci, lam)), zeta=tuple(map(ci, zeta)),
+        eta=tuple(ci(row) if len(row) >= 2 else None for row in defined_eta),
+        auc=tuple(map(ci, aucs)), f1=tuple(map(ci, f1s)),
+        eta_missing=tuple(len(ordered) - len(row) for row in defined_eta))
 
 
 def run_experiment(config: SimulationConfig, jobs: int = 1) -> ExperimentSummary:

@@ -66,7 +66,8 @@ class BetaParams:
 class QueryStrategy:
     """Tagged choice of query policy.
 
-    ``mode`` and ``concentration`` only apply to the shifted-normal kind.
+    ``mode`` and ``concentration`` only apply to the shifted-normal kind, but
+    they are checked for every kind, because ``summary.json`` records them.
     """
 
     kind: str
@@ -78,10 +79,9 @@ class QueryStrategy:
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(
                 f"unknown strategy {self.kind!r}; valid kinds: {', '.join(STRATEGY_KINDS)}")
-        if self.kind == "shifted-normal":
-            # build the Beta now, so a mode that rounds alpha or beta to 1
-            # fails here rather than inside a round
-            self.beta_params()
+        # build the Beta now, so a mode that rounds alpha or beta to 1
+        # fails here rather than inside a round
+        beta_from_mode(self.mode, self.concentration)
 
     def beta_params(self) -> BetaParams:
         if self.kind != "shifted-normal":

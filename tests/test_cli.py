@@ -60,6 +60,7 @@ class TestRunCommand:
         (["--strategy", "random", "--cost-c", "inf"], "C must be finite"),
         (["--strategy", "random", "--jobs", "0"], "jobs"),
         (["--strategy", "random", "--jobs", "-3"], "jobs"),
+        (["--strategy", "random", "--mode", "5", "--concentration", "1"], "mode"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 flags, field):

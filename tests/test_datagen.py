@@ -3,7 +3,7 @@ import pytest
 
 from alqsim import (ConfigError, DataPool, DatasetConfig, dataset_rng,
                     generate_dataset, split_pools)
-from alqsim.datagen import write_dataset_csv
+from alqsim.datagen import query_rng, write_dataset_csv
 
 
 def small_config(**overrides):
@@ -87,6 +87,10 @@ class TestGenerateDataset:
         first = generate_dataset(config, dataset_rng(-3))
         second = generate_dataset(config, dataset_rng(2**64 - 3))
         assert (first[0] == second[0]).all() and (first[1] == second[1]).all()
+        # the query stream folds the same way and stays apart from the data
+        draws = query_rng(-3).random(4)
+        assert (draws == query_rng(2**64 - 3).random(4)).all()
+        assert (draws != dataset_rng(-3).random(4)).all()
 
     def test_ids_unique_and_dense(self):
         """Ids are row indices: the split pools' ids cover 0..N-1 exactly once."""

@@ -1,14 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alqsim.simulation as simulation_module
-from alqsim import (ConfigError, DatasetConfig, QueryStrategy,
-                    SimulationConfig, SimulationError, aggregate,
-                    compute_phi, dataset_rng, fit, predict_proba,
-                    run_experiment, run_round, run_rounds, select_uncertainty,
-                    split_pools)
+from alqsim import (ConfigError, CostModel, DataPool, DatasetConfig,
+                    QueryStrategy, RoundResult, SimulationConfig,
+                    SimulationError, aggregate, compute_phi, dataset_rng, fit,
+                    predict_proba, run_experiment, run_round, run_rounds,
+                    select_uncertainty, split_pools)
 from alqsim.datagen import generate_dataset
 from alqsim.simulation import worker_count
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 def config_for(kind="random", cs=0.5, rounds=3, seed=0, **overrides):
@@ -19,6 +25,33 @@ def config_for(kind="random", cs=0.5, rounds=3, seed=0, **overrides):
         strategy=QueryStrategy(kind=kind),
         n_queries=overrides.pop("n_queries", 10),
         rounds=rounds, base_seed=seed, **overrides)
+
+
+def split_for(config, seed):
+    """The (labeled, unlabeled, tests) split a round with this data seed sees."""
+    data_rng = dataset_rng(seed)
+    dataset = generate_dataset(config.dataset, data_rng)
+    return split_pools(dataset, config.dataset, data_rng)
+
+
+def assert_same_round(first, second):
+    """Field-by-field equality; array fields compare with NaN equal to NaN."""
+    for field in dataclasses.fields(RoundResult):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert a == b, field.name
+
+
+def hand_built_round(seed, eta):
+    """A RoundResult with the given per-query eta and arbitrary other metrics."""
+    eta = np.asarray(eta, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    n = len(eta)
+    return RoundResult(seed=seed, selected_ids=np.zeros((n, 2), dtype=np.int64),
+                       lam=rng.random(n), zeta=rng.random(n), eta=eta,
+                       auc=rng.random((n, 3)), f1=rng.random((n, 3)))
 
 
 class TestConfigValidation:
@@ -49,15 +82,28 @@ class TestRunRound:
         config = SimulationConfig(dataset=DatasetConfig(class_sep=0.5),
                                   strategy=QueryStrategy(kind="random"))
         result = run_round(config, 0)
-        assert len(result.snapshots) == 20
-        assert result.snapshots[-1].labeled_size == 10 + 20 * 2
-        selected = [i for s in result.snapshots for i in s.selected_ids]
-        assert len(selected) == 40
+        assert result.selected_ids.shape == (20, 2)
+        assert len(set(result.selected_ids.ravel().tolist())) == 40
+        assert result.lam.shape == result.zeta.shape == result.eta.shape == (20,)
+        assert result.auc.shape == result.f1.shape == (20, 3)
+        # the final labeled pool is the 10 seed rows plus the 40 queried rows
+        seed_pool, _, _ = split_for(config, 0)
+        _, labels = generate_dataset(config.dataset, dataset_rng(0))
+        held = np.concatenate([seed_pool.ids, result.selected_ids.ravel()])
+        assert result.zeta[-1] == labels[held].sum() / 50
 
-    def test_labeled_size_grows_by_batch(self):
-        result = run_round(config_for(kind="uncertainty"), 1)
-        sizes = [s.labeled_size for s in result.snapshots]
-        assert sizes == [10 + 2 * q for q in range(1, 11)]
+    def test_labeled_size_grows_by_batch(self, monkeypatch):
+        sizes = []
+
+        def recording_fit(pool, hyper):
+            sizes.append(len(pool))
+            return fit(pool, hyper)
+
+        monkeypatch.setattr(simulation_module, "fit", recording_fit)
+        summary = run_experiment(config_for(kind="uncertainty", rounds=2))
+        per_round = [10 + 2 * q for q in range(0, 11)]
+        assert sizes == per_round * 2
+        assert summary.labeled_sizes == tuple(per_round[1:])
 
     @pytest.mark.parametrize("kind", ["random", "uncertainty", "shifted-normal"])
     def test_pool_conservation(self, kind):
@@ -65,11 +111,9 @@ class TestRunRound:
         touch the seed pool or the test pools."""
         config = config_for(kind=kind)
         result = run_round(config, 5)
-        data_rng = dataset_rng(5)
-        dataset = generate_dataset(config.dataset, data_rng)
-        labeled, unlabeled, tests = split_pools(dataset, config.dataset, data_rng)
+        labeled, unlabeled, tests = split_for(config, 5)
 
-        selected = [i for s in result.snapshots for i in s.selected_ids]
+        selected = result.selected_ids.ravel().tolist()
         assert len(selected) == len(set(selected))
         assert set(selected) <= set(unlabeled.ids.tolist())
         assert not set(selected) & set(labeled.ids.tolist())
@@ -79,52 +123,45 @@ class TestRunRound:
     @pytest.mark.parametrize("kind", ["random", "uncertainty", "shifted-normal"])
     def test_bit_identical_reruns(self, kind):
         config = config_for(kind=kind)
-        assert run_round(config, 3) == run_round(config, 3)
+        assert_same_round(run_round(config, 3), run_round(config, 3))
 
     def test_selection_driven_by_interim_probabilities_only(self):
         """The q=1 uncertainty batch is reproducible from the initial model
         and the unlabeled features alone (no access to hidden labels)."""
         config = config_for(kind="uncertainty")
         result = run_round(config, 9)
-        data_rng = dataset_rng(9)
-        dataset = generate_dataset(config.dataset, data_rng)
-        labeled, unlabeled, _ = split_pools(dataset, config.dataset, data_rng)
+        labeled, unlabeled, _ = split_for(config, 9)
         model = fit(labeled, config.glm)
         probs = predict_proba(model, unlabeled.features)
-        assert list(result.snapshots[0].selected_ids) == select_uncertainty(
+        assert result.selected_ids[0].tolist() == select_uncertainty(
             unlabeled.ids, probs, config.batch_size)
 
     def test_easy_separation_reaches_high_auc(self):
         config = config_for(kind="random", cs=10.0)
         result = run_round(config, 0)
-        assert result.snapshots[-1].metrics.lam > 0.95
+        assert result.lam[-1] > 0.95
 
-    def test_initial_metrics_paired_across_strategies(self):
-        """Same round seed: all strategies see the same dataset, so the q=0
-        evaluation of the seed-pool model is identical."""
-        initial = [run_round(config_for(kind=k, rounds=2), 7).initial_metrics
-                   for k in ("random", "uncertainty", "shifted-normal")]
-        assert initial[0] == initial[1] == initial[2]
+    def test_strategies_paired_on_one_dataset(self):
+        """Same round seed: all strategies score the unlabeled pool of the
+        split that dataset_rng draws for that seed."""
+        config = config_for(rounds=2)
+        _, unlabeled, _ = split_for(config, 7)
+        for kind in ("random", "uncertainty", "shifted-normal"):
+            result = run_round(config_for(kind=kind, rounds=2, record_phi=True), 7)
+            assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
 
-    def test_eta_missing_when_seed_pool_all_negative(self):
-        """A single-class seed pool starts with zeta = 0: eta is undefined
-        until the first positive is revealed."""
-        config = SimulationConfig(
-            dataset=DatasetConfig(class_sep=0.5, labeled_size=4,
-                                  unlabeled_size=100, n_test_pools=1,
-                                  test_pool_size=100),
-            strategy=QueryStrategy(kind="random"), n_queries=5, rounds=2)
-        for seed in range(200):
-            data_rng = dataset_rng(seed)
-            dataset = generate_dataset(config.dataset, data_rng)
-            labeled, _, _ = split_pools(dataset, config.dataset, data_rng)
-            if labeled.n_positive == 0:
-                result = run_round(config, seed)
-                assert result.initial_metrics.eta is None
-                assert result.initial_metrics.zeta == 0.0
-                assert result.initial_metrics.lam > 0.0
-                return
-        pytest.fail("no all-negative seed pool found in scan range")
+    def test_eta_is_nan_when_zeta_is_zero(self):
+        """With no positive label held, efficiency is undefined: eta is NaN
+        while lambda is still measured."""
+        config = config_for()
+        labeled, _, tests = split_for(config, 0)
+        negatives = labeled.labels == 0
+        pool = DataPool(labeled.ids[negatives], labeled.features[negatives],
+                        labeled.labels[negatives], "labeled")
+        lam, zeta, eta, aucs, _ = simulation_module._evaluate(
+            fit(pool, config.glm), tests, pool, CostModel())
+        assert zeta == 0.0 and np.isnan(eta)
+        assert lam == np.mean(aucs) > 0.0
 
 
 class TestPhiDiagnostics:
@@ -161,7 +198,7 @@ class TestRunExperiment:
         summary = run_experiment(config)
         rounds = run_rounds(config)
         for qi in range(config.n_queries):
-            values = [r.snapshots[qi].metrics.lam for r in rounds]
+            values = [r.lam[qi] for r in rounds]
             assert summary.lam[qi].mean == pytest.approx(np.mean(values), abs=1e-15)
 
     def test_aggregate_is_order_insensitive(self):
@@ -170,6 +207,32 @@ class TestRunExperiment:
         forward = aggregate(config, results)
         backward = aggregate(config, list(reversed(results)))
         assert forward == backward
+
+    @PROPERTY
+    @given(st.data())
+    def test_aggregate_is_invariant_to_any_round_permutation(self, data):
+        n_rounds = data.draw(st.integers(2, 6), label="rounds")
+        eta = st.one_of(st.just(np.nan), st.floats(0.1, 5.0))
+        results = [hand_built_round(seed, data.draw(st.lists(eta, min_size=3,
+                                                             max_size=3)))
+                   for seed in range(n_rounds)]
+        shuffled = data.draw(st.permutations(results), label="order")
+        config = config_for(n_queries=3, rounds=n_rounds)
+        assert aggregate(config, shuffled) == aggregate(config, results)
+
+    def test_undefined_eta_counted_missing(self):
+        """NaN eta samples are left out of the interval and counted; a query
+        with fewer than two defined samples has no eta interval."""
+        nan = np.nan
+        results = [hand_built_round(0, [nan, nan, nan, 1.0]),
+                   hand_built_round(1, [nan, 2.0, 3.0, 2.0]),
+                   hand_built_round(2, [nan, nan, 5.0, 6.0])]
+        summary = aggregate(config_for(n_queries=4, rounds=3), results)
+        assert summary.eta_missing == (3, 2, 1, 0)
+        assert summary.eta[0] is None and summary.eta[1] is None
+        assert (summary.eta[2].n, summary.eta[2].mean) == (2, 4.0)
+        assert (summary.eta[3].n, summary.eta[3].mean) == (3, 3.0)
+        assert summary.lam[0].n == 3
 
     @pytest.mark.parametrize("jobs,rounds,cores,expected", [
         (1, 40, 2, 1), (2, 40, 2, 2), (3, 40, 2, 2), (10**9, 40, 2, 2),
@@ -198,17 +261,23 @@ class TestRunExperiment:
         assert run_experiment(config, jobs=2) == run_experiment(config, jobs=1)
 
     def test_shared_dataset_mode_reuses_split(self):
-        config = config_for(kind="random", rounds=3, shared_dataset=True)
+        config = config_for(kind="random", rounds=3, shared_dataset=True,
+                            record_phi=True)
         results = run_rounds(config)
-        assert (results[0].initial_metrics == results[1].initial_metrics
-                == results[2].initial_metrics)
+        _, unlabeled, _ = split_for(config, config.base_seed)
+        for result in results:
+            assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
         # query randomness still differs round to round
-        assert (results[0].snapshots[0].selected_ids
-                != results[1].snapshots[0].selected_ids)
+        assert not np.array_equal(results[0].selected_ids[0],
+                                  results[1].selected_ids[0])
 
     def test_fresh_dataset_mode_differs_per_round(self):
-        results = run_rounds(config_for(kind="random", rounds=2))
-        assert results[0].initial_metrics != results[1].initial_metrics
+        config = config_for(kind="random", rounds=2, record_phi=True)
+        results = run_rounds(config)
+        for result in results:
+            _, unlabeled, _ = split_for(config, result.seed)
+            assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
+        assert list(results[0].final_probs) != list(results[1].final_probs)
 
     def test_single_round_cannot_form_intervals(self):
         with pytest.raises(ConfigError, match="rounds >= 2"):

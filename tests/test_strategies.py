@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from alqsim import (BetaParams, ConfigError, QueryStrategy, beta_from_mode,
                     beta_pdf, beta_sample, select_random,
                     select_shifted_normal, select_uncertainty)
 from alqsim import strategies as strategies_module
+from alqsim.strategies import STRATEGY_KINDS
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -268,7 +271,9 @@ class TestQueryStrategy:
             QueryStrategy(kind="bogus")
 
     def test_shifted_normal_parameter_validation(self):
-        for bad, field in [
+        """The Beta knobs are checked for every kind, since every kind's
+        summary records them."""
+        for (bad, field), kind in itertools.product([
             (dict(mode=1.5), "mode"), (dict(concentration=2.0), "concentration"),
             (dict(mode=float("nan")), "mode"),
             (dict(concentration=float("inf")), "concentration"),
@@ -276,9 +281,9 @@ class TestQueryStrategy:
             (dict(mode=1e-300), "mode"),
             # beta = 1 + (1 - mode) * 0.5 rounds to exactly 1.0
             (dict(mode=np.nextafter(1.0, 0.0), concentration=2.5), "mode"),
-        ]:
+        ], STRATEGY_KINDS):
             with pytest.raises(ConfigError, match=field):
-                QueryStrategy(kind="shifted-normal", **bad)
+                QueryStrategy(kind=kind, **bad)
 
     def test_non_finite_rejected_for_every_kind(self):
         for kind in ("random", "uncertainty"):
