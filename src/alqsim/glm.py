@@ -104,8 +104,14 @@ def fit(pool: DataPool, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
     """Fit the GLM on a labeled pool.
 
     Runs damped Newton steps until the gradient max-norm drops below
-    ``hp.gradient_tolerance`` or ``hp.max_iterations`` is reached.  Raises
-    ``ValueError`` on an empty pool.
+    ``hp.gradient_tolerance`` or ``hp.max_iterations`` is reached.  A step
+    that leaves both the parameters (byte for byte) and the loss unchanged
+    is an exact fixed point, so the fit stops there and reports what the
+    remaining iterations would: ``n_iterations == hp.max_iterations`` and
+    ``converged`` judged by the gradient.  The default tolerance 1e-8 lies
+    below what loss-based step halving can resolve, so about 0.5-0.7% of
+    fits on the paper's workloads stall near |gradient| 1e-8 to 2e-7 and end
+    unconverged.  Raises ``ValueError`` on an empty pool.
     """
     if len(pool) == 0:
         raise ValueError("cannot fit a model on an empty pool")
@@ -145,9 +151,15 @@ def fit(pool: DataPool, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
             if new_loss <= loss:
                 break
             scale *= 0.5
-        theta = theta - scale * step
+        new_theta = theta - scale * step
+        if new_theta.tobytes() == theta.tobytes() and new_loss == loss:
+            # (theta, loss) is the loop's whole state: every remaining
+            # iteration would repeat this one, so end as the full loop would
+            iterations = hp.max_iterations
+            break
+        theta = new_theta
         loss = new_loss
-    else:
+    if not converged:
         grad = nll_gradient(theta[:d], theta[d], X, y, hp.l2_penalty)
         converged = bool(np.max(np.abs(grad)) < hp.gradient_tolerance)
 

@@ -11,11 +11,14 @@ positive label relative to one negative label.
 
 Confidence intervals are Student-t based; the t quantile is computed
 numerically in-repo (regularized incomplete beta via continued fraction,
-inverted by bisection) rather than from shipped tables.
+inverted by bisection) rather than from shipped tables.  The quantile is
+memoized: it is a pure function of ``(p, df)``, and every ``mean_ci`` call of
+an aggregate asks for the same one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -76,8 +79,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [len(values)]])
     ranks = np.empty(len(values), dtype=np.float64)
-    for start, end in zip(starts, ends):
-        ranks[order[start:end]] = (start + end + 1) / 2.0
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 
 
@@ -230,11 +232,14 @@ def student_t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
+@functools.cache
 def student_t_quantile(p: float, df: float) -> float:
     """Inverse CDF of Student's t, accurate to well under 1e-6.
 
     Computed by bisection against :func:`student_t_cdf` on an expanding
-    bracket.
+    bracket, once per distinct ``(p, df)``: ``df`` 29 and 29.0 share a cache
+    entry and give the same float.  Bad arguments raise ``ValueError`` on
+    every call, since an exception is never cached.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p!r}")

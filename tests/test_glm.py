@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from alqsim import (ConfigError, DataPool, GlmHyperparams, GlmModel, fit,
-                    predict_proba)
+from alqsim import (ConfigError, DataPool, DatasetConfig, GlmHyperparams,
+                    GlmModel, QueryStrategy, SimulationConfig, fit,
+                    predict_proba, run_round)
+from alqsim import glm as glm_module
+from alqsim import simulation as simulation_module
 from alqsim.glm import nll_gradient, nll_loss
+from alqsim.strategies import STRATEGY_KINDS
 
 
 def make_pool(features, labels):
@@ -108,6 +112,69 @@ class TestFit:
         model = fit(pool, GlmHyperparams(l2_penalty=1e-3))
         assert model.converged
         assert np.isfinite(model.weights).all()
+
+
+@pytest.fixture(scope="module")
+def paper_pools():
+    """Every labelled pool fitted by ``compare --class-sep 0.5 --queries 20
+    --batch 2 --rounds 5 --seed 5`` (the benchmark's ``paper`` workload):
+    rounds 5..9 of each strategy, seed pools included."""
+    pools = []
+    real_fit = simulation_module.fit
+
+    def recording_fit(pool, hp):
+        pools.append(pool)
+        return real_fit(pool, hp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation_module, "fit", recording_fit)
+        for kind in STRATEGY_KINDS:
+            config = SimulationConfig(
+                dataset=DatasetConfig(class_sep=0.5, seed=5),
+                strategy=QueryStrategy(kind=kind), n_queries=20, batch_size=2,
+                rounds=5, base_seed=5)
+            for seed in range(5, 10):
+                run_round(config, seed)
+    return pools
+
+
+def fit_fields(model):
+    return (model.weights.tobytes(), np.float64(model.intercept).tobytes(),
+            model.converged, model.n_iterations, model.fallback_prior)
+
+
+class TestFixedPointExit:
+    """A fit that stalls at an exact fixed point stops early, yet returns
+    exactly what the full Newton loop of the seed package returns."""
+
+    def test_every_paper_fit_matches_seed_package(self, paper_pools, seed_package):
+        assert len(paper_pools) == 3 * 5 * 21
+        for pool in paper_pools:
+            assert fit_fields(fit(pool)) == fit_fields(seed_package.glm.fit(pool))
+
+    def test_some_paper_fits_end_unconverged(self, paper_pools):
+        stalled = [pool for pool in paper_pools if not fit(pool).converged]
+        assert stalled
+        assert all(fit(pool).n_iterations == GlmHyperparams().max_iterations
+                   for pool in stalled)
+
+    def test_stalled_fit_evaluates_the_loss_less_often(
+            self, paper_pools, seed_package, monkeypatch):
+        stalled = next(pool for pool in paper_pools if not fit(pool).converged)
+        assert (len(stalled), stalled.n_positive) == (12, 8)
+        calls = {"program": 0, "seed": 0}
+
+        def counting(side, loss):
+            def counted(*args):
+                calls[side] += 1
+                return loss(*args)
+            return counted
+
+        for side, module in (("program", glm_module), ("seed", seed_package.glm)):
+            monkeypatch.setattr(module, "nll_loss", counting(side, module.nll_loss))
+        assert (fit_fields(fit(stalled))
+                == fit_fields(seed_package.glm.fit(stalled)))
+        assert 0 < calls["program"] < calls["seed"]
 
 
 class TestGradient:

@@ -1,11 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from alqsim import (CiSummary, ConfigError, CostModel, DataPool, auc,
                     compute_phi, cost_efficiency, f1, mean_ci, positive_ratio,
                     student_t_quantile)
-from alqsim.metrics import regularized_incomplete_beta, student_t_cdf
+from alqsim.metrics import (_average_ranks, regularized_incomplete_beta,
+                            student_t_cdf)
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+# Few distinct values, both zeros among them, so ties are the rule.
+TIED_SCORE = st.sampled_from([-0.5, -0.0, 0.0, 0.1, 0.25, 0.5, 1.0])
+
+RANK_INPUTS = {
+    "random": np.random.default_rng(11).random(1000),
+    "tied_1_decimal": np.round(np.random.default_rng(12).random(1000), 1),
+    "tied_2_decimals": np.round(np.random.default_rng(13).random(1000), 2),
+    "constant": np.full(40, 0.3),
+    "length_1": np.array([0.7]),
+    "signed_zeros": np.array([0.0, -0.0, 0.2, -0.0, 0.0, -0.1, 0.0, -0.0]),
+}
 
 
 def pairwise_auc(scores, labels):
@@ -44,6 +62,14 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-12)
 
+    @PROPERTY
+    @given(st.lists(st.tuples(TIED_SCORE, st.integers(0, 1)), min_size=2,
+                    max_size=60).filter(
+                        lambda rows: len({label for _, label in rows}) == 2))
+    def test_equals_pair_counting_under_heavy_ties(self, rows):
+        scores, labels = (np.array(column) for column in zip(*rows))
+        assert auc(scores, labels) == pairwise_auc(scores, labels)
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(9)
         scores = rng.random(60)
@@ -60,6 +86,27 @@ class TestAuc:
         labels[:2] = (0, 1)
         assert auc(scores, labels) + auc(scores, 1 - labels) == pytest.approx(
             1.0, abs=1e-12)
+
+
+class TestAverageRanks:
+    """The vectorized ranks equal the seed package's per-group loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(RANK_INPUTS))
+    def test_matches_seed_loop(self, name, seed_package):
+        values = RANK_INPUTS[name]
+        assert (_average_ranks(values).tobytes()
+                == seed_package.metrics._average_ranks(values).tobytes())
+
+    def test_signed_zeros_share_one_tie_group(self):
+        ranks = _average_ranks(RANK_INPUTS["signed_zeros"])
+        assert ranks.tolist() == [4.5, 4.5, 8.0, 4.5, 4.5, 1.0, 4.5, 4.5]
+
+    @PROPERTY
+    @given(st.lists(TIED_SCORE, min_size=1, max_size=60))
+    def test_matches_seed_loop_on_any_tied_input(self, seed_package, values):
+        values = np.array(values)
+        assert (_average_ranks(values).tobytes()
+                == seed_package.metrics._average_ranks(values).tobytes())
 
 
 class TestF1:
@@ -251,6 +298,22 @@ class TestStudentT:
             student_t_quantile(0.5, 0)
         with pytest.raises(ValueError):
             student_t_cdf(1.0, -1)
+
+
+class TestQuantileMemo:
+    def test_cached_value_equals_a_fresh_bisection(self):
+        for df in (1, 2, 5, 29, 29.0, 2.5, 100.0):
+            for p in (0.005, 0.1, 0.5, 0.6, 0.975, 0.995):
+                fresh = student_t_quantile.__wrapped__(p, df)
+                assert student_t_quantile(p, df) == fresh
+                assert student_t_quantile(p, df) == fresh
+
+    def test_errors_are_never_cached(self):
+        for p, df in ((0.0, 5), (1.0, 5), (float("nan"), 5), (0.9, 0),
+                      (0.9, -2.0)):
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    student_t_quantile(p, df)
 
 
 class TestCiSummaryType:
