@@ -13,8 +13,7 @@ from .glm import GlmHyperparams, GlmModel, fit, predict_proba
 from .metrics import (CiSummary, CostModel, auc, compute_phi, cost_efficiency,
                       f1, mean_ci, positive_ratio, student_t_quantile)
 from .simulation import (ExperimentSummary, RoundResult, SimulationConfig,
-                         SimulationError, aggregate, run_experiment, run_round,
-                         run_rounds)
+                         SimulationError, aggregate, run_round, run_rounds)
 from .strategies import (BetaParams, QueryStrategy, beta_from_mode, beta_pdf,
                          beta_sample, select_random, select_shifted_normal,
                          select_uncertainty)
@@ -33,5 +32,5 @@ __all__ = [
     "auc", "f1", "positive_ratio", "cost_efficiency", "compute_phi",
     "mean_ci", "student_t_quantile",
     "SimulationConfig", "RoundResult", "ExperimentSummary",
-    "run_round", "run_rounds", "run_experiment", "aggregate",
+    "run_round", "run_rounds", "aggregate",
 ]

@@ -15,7 +15,7 @@ import sys
 
 from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       write_dataset_csv)
-from .errors import AlqsimError, ConfigError
+from .errors import ConfigError
 from .metrics import CostModel
 from .simulation import (ExperimentSummary, SimulationConfig, aggregate,
                          run_rounds)
@@ -214,10 +214,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AlqsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive catch-all
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, reject_non_finite
+from .errors import ConfigError, reject_non_finite, require_positive_int
 
 POOL_ROLES = ("labeled", "unlabeled", "test")
 
@@ -41,9 +41,7 @@ class DatasetConfig:
         reject_non_finite(self)
         for name in ("n_features", "labeled_size", "unlabeled_size",
                      "n_test_pools", "test_pool_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            require_positive_int(name, getattr(self, name))
         if not self.class_sep > 0:
             raise ConfigError(f"class_sep must be > 0, got {self.class_sep!r}")
         if not 0.0 <= self.flip_y < 1.0:

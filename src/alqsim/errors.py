@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the shared config check."""
+"""Exception types shared across the package, and the shared config checks."""
 
 import dataclasses
 import math
@@ -25,3 +25,9 @@ def reject_non_finite(config) -> None:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{type(config).__name__}.{field.name} must be "
                               f"finite, got {value!r}")
+
+
+def require_positive_int(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a positive ``int``."""
+    if not isinstance(value, int) or value <= 0:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")

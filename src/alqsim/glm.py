@@ -19,13 +19,12 @@ alive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import DataPool
-from .errors import ConfigError, reject_non_finite
+from .errors import ConfigError, reject_non_finite, require_positive_int
 
 _PROB_EPS = 1e-12
 
@@ -42,9 +41,7 @@ class GlmHyperparams:
         reject_non_finite(self)
         if self.l2_penalty < 0:
             raise ConfigError(f"l2_penalty must be >= 0, got {self.l2_penalty!r}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations <= 0:
-            raise ConfigError(
-                f"max_iterations must be a positive integer, got {self.max_iterations!r}")
+        require_positive_int("max_iterations", self.max_iterations)
         if not self.gradient_tolerance > 0:
             raise ConfigError(
                 f"gradient_tolerance must be > 0, got {self.gradient_tolerance!r}")
@@ -64,13 +61,6 @@ class GlmModel:
     converged: bool
     n_iterations: int
     fallback_prior: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "weights": [float(w) for w in self.weights],
-            "intercept": float(self.intercept),
-            "converged": bool(self.converged),
-        })
 
 
 def sigmoid(z):
@@ -103,15 +93,17 @@ def nll_gradient(weights, intercept, features, labels, l2_penalty) -> np.ndarray
 def fit(pool: DataPool, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
     """Fit the GLM on a labeled pool.
 
-    Runs damped Newton steps until the gradient max-norm drops below
-    ``hp.gradient_tolerance`` or ``hp.max_iterations`` is reached.  A step
+    Runs damped Newton steps.  Each pass first computes the gradient at the
+    current parameters; the loop ends there when its max-norm is below
+    ``hp.gradient_tolerance`` (``converged``) or ``hp.max_iterations`` steps
+    have been taken, and ``n_iterations`` counts the steps taken.  A step
     that leaves both the parameters (byte for byte) and the loss unchanged
     is an exact fixed point, so the fit stops there and reports what the
-    remaining iterations would: ``n_iterations == hp.max_iterations`` and
-    ``converged`` judged by the gradient.  The default tolerance 1e-8 lies
-    below what loss-based step halving can resolve, so about 0.5-0.7% of
-    fits on the paper's workloads stall near |gradient| 1e-8 to 2e-7 and end
-    unconverged.  Raises ``ValueError`` on an empty pool.
+    remaining iterations would: ``n_iterations == hp.max_iterations``, not
+    converged.  The default tolerance 1e-8 lies below what loss-based step
+    halving can resolve, so about 0.5-0.7% of fits on the paper's workloads
+    stall near |gradient| 1e-8 to 2e-7 and end unconverged.  Raises
+    ``ValueError`` on an empty pool.
     """
     if len(pool) == 0:
         raise ValueError("cannot fit a model on an empty pool")
@@ -124,19 +116,16 @@ def fit(pool: DataPool, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
         return GlmModel(weights=np.zeros(d), intercept=0.0, converged=True,
                         n_iterations=0, fallback_prior=prior)
 
+    Xb = np.hstack([X, np.ones((n, 1))])
     theta = np.zeros(d + 1)  # weights then intercept
     loss = nll_loss(theta[:d], theta[d], X, y, hp.l2_penalty)
-    converged = False
-    iterations = 0
-    for iterations in range(1, hp.max_iterations + 1):
+    for iterations in range(hp.max_iterations + 1):
         grad = nll_gradient(theta[:d], theta[d], X, y, hp.l2_penalty)
-        if np.max(np.abs(grad)) < hp.gradient_tolerance:
-            converged = True
-            iterations -= 1
+        converged = bool(np.max(np.abs(grad)) < hp.gradient_tolerance)
+        if converged or iterations == hp.max_iterations:
             break
         p = sigmoid(X @ theta[:d] + theta[d])
         s = p * (1.0 - p)
-        Xb = np.hstack([X, np.ones((n, 1))])
         hessian = (Xb.T * s) @ Xb
         hessian[np.arange(d), np.arange(d)] += hp.l2_penalty
         try:
@@ -154,14 +143,12 @@ def fit(pool: DataPool, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
         new_theta = theta - scale * step
         if new_theta.tobytes() == theta.tobytes() and new_loss == loss:
             # (theta, loss) is the loop's whole state: every remaining
-            # iteration would repeat this one, so end as the full loop would
+            # iteration would repeat this one, so end as the full loop would.
+            # converged is the gradient test at this theta, which failed.
             iterations = hp.max_iterations
             break
         theta = new_theta
         loss = new_loss
-    if not converged:
-        grad = nll_gradient(theta[:d], theta[d], X, y, hp.l2_penalty)
-        converged = bool(np.max(np.abs(grad)) < hp.gradient_tolerance)
 
     return GlmModel(weights=theta[:d].copy(), intercept=float(theta[d]),
                     converged=converged, n_iterations=iterations)

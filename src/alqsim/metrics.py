@@ -181,25 +181,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     result = d
     for m in range(1, 300):
         m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        result *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        result *= delta
+        # the even then the odd coefficient of term m; one Lentz step each
+        for coef in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                     -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + coef * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + coef / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            result *= delta
         if abs(delta - 1.0) < 1e-15:
             break
     return result

@@ -24,12 +24,13 @@ import numpy as np
 
 from .datagen import (DataPool, DatasetConfig, dataset_rng, generate_dataset,
                       query_rng, split_pools)
-from .errors import AlqsimError, ConfigError, reject_non_finite
+from .errors import (AlqsimError, ConfigError, reject_non_finite,
+                     require_positive_int)
 from .glm import GlmHyperparams, GlmModel, fit, predict_proba
 from .metrics import (CiSummary, CostModel, auc, cost_efficiency, compute_phi,
                       f1, mean_ci, positive_ratio)
-from .strategies import (QueryStrategy, select_random, select_shifted_normal,
-                         select_uncertainty)
+from .strategies import (QueryStrategy, beta_from_mode, select_random,
+                         select_shifted_normal, select_uncertainty)
 
 METRIC_NAMES = ("lam", "zeta", "eta", "auc", "f1")
 
@@ -57,12 +58,11 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         reject_non_finite(self)
-        if not isinstance(self.n_queries, int) or self.n_queries <= 0:
-            raise ConfigError(f"n_queries must be a positive integer, got {self.n_queries!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size <= 0:
-            raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not isinstance(self.rounds, int) or self.rounds <= 0:
-            raise ConfigError(f"rounds must be a positive integer, got {self.rounds!r}")
+        for name in ("n_queries", "batch_size", "rounds"):
+            require_positive_int(name, getattr(self, name))
+        if self.rounds < 2:
+            raise ConfigError(f"an experiment needs rounds >= 2 to form confidence "
+                              f"intervals, got {self.rounds!r}")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError(f"confidence must be in (0, 1), got {self.confidence!r}")
         if not 0.0 < self.phi_delta < 0.5:
@@ -178,7 +178,7 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     selections: list[list[int]] = []  # queried ids, which are dataset rows
 
     strategy = config.strategy
-    beta_params = strategy.beta_params() if strategy.kind == "shifted-normal" else None
+    beta_params = beta_from_mode(strategy.mode, strategy.concentration)
     needs_scores = strategy.kind != "random"
 
     model = fit(seed_pool, config.glm)
@@ -239,8 +239,7 @@ def worker_count(jobs: int, rounds: int) -> int:
     every worker at once, so ``jobs`` is an upper bound, not a request.
     Raises :class:`ConfigError` unless ``jobs`` is a positive integer.
     """
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
+    require_positive_int("jobs", jobs)
     return min(jobs, rounds, os.cpu_count() or 1)
 
 
@@ -297,10 +296,3 @@ def aggregate(config: SimulationConfig,
         eta=tuple(ci(row) if len(row) >= 2 else None for row in defined_eta),
         auc=tuple(map(ci, aucs)), f1=tuple(map(ci, f1s)),
         eta_missing=tuple(len(ordered) - len(row) for row in defined_eta))
-
-
-def run_experiment(config: SimulationConfig, jobs: int = 1) -> ExperimentSummary:
-    """Run all rounds and aggregate; see :func:`run_round` for the loop."""
-    if config.rounds < 2:
-        raise ConfigError("an experiment needs rounds >= 2 to form confidence intervals")
-    return aggregate(config, run_rounds(config, jobs))

@@ -57,10 +57,6 @@ class BetaParams:
     def mode(self) -> float:
         return (self.alpha - 1) / (self.alpha + self.beta - 2)
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
 
 @dataclass(frozen=True)
 class QueryStrategy:
@@ -82,11 +78,6 @@ class QueryStrategy:
         # build the Beta now, so a mode that rounds alpha or beta to 1
         # fails here rather than inside a round
         beta_from_mode(self.mode, self.concentration)
-
-    def beta_params(self) -> BetaParams:
-        if self.kind != "shifted-normal":
-            raise ValueError(f"{self.kind!r} strategy has no Beta parameters")
-        return beta_from_mode(self.mode, self.concentration)
 
 
 def beta_from_mode(mode: float, concentration: float) -> BetaParams:

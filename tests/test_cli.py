@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import alqsim.simulation as simulation_module
 from alqsim.cli import CSV_HEADER, main
 
 FAST = ["--rounds", "3", "--queries", "5", "--seed", "11"]
@@ -61,10 +62,12 @@ class TestRunCommand:
         (["--strategy", "random", "--jobs", "0"], "jobs"),
         (["--strategy", "random", "--jobs", "-3"], "jobs"),
         (["--strategy", "random", "--mode", "5", "--concentration", "1"], "mode"),
+        (["--strategy", "random", "--rounds", "1"], "rounds"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 flags, field):
-        code = run_cli(["run", *flags, "--rounds", "2", "--queries", "2",
+        # flags come last, so a case may override the small defaults
+        code = run_cli(["run", "--rounds", "2", "--queries", "2", *flags,
                         "--out", str(tmp_path / "x")])
         assert code == 2
         assert field in capsys.readouterr().err
@@ -99,6 +102,18 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
+    def test_single_round_exits_2_before_any_round(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(simulation_module, "run_round", explode)
+        code = run_cli(["compare", "--rounds", "1", "--queries", "2",
+                        "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "rounds >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_combined_csv_shape(self, tmp_path):
         out = tmp_path / "cmp"
         code = run_cli(["compare", "--class-sep", "1.0", *FAST,
@@ -207,9 +222,10 @@ class TestDeterminismAndSeeds:
 class TestOutputsMatchSeedPackage:
     """Outputs equal those of the seed package in ``perfbench/oracle``.
 
-    The comparison is the benchmark's own (``check_outputs``: 1e-12
-    relative on every number, exact elsewhere), so a refactor that moves a
-    number fails here as well as in the benchmark.
+    Every output file and each command's stdout must be byte-equal to the
+    seed package's.  The benchmark's own comparison (``check_outputs``:
+    1e-12 relative on every number, exact elsewhere) runs as well, so its
+    report names the first number that moved.
     """
 
     def test_compare_and_dump_dataset_match(self, tmp_path, monkeypatch):
@@ -220,18 +236,25 @@ class TestOutputsMatchSeedPackage:
         spec.loader.exec_module(bench)
 
         names = ("per_query.csv", "summary.json", "phi.json", "dataset.csv")
-        dirs = {}
+        commands = (["compare", "--class-sep", "0.5", "--rounds", "3",
+                     "--queries", "4", "--phi", "--seed", "5", "--out", "."],
+                    ["dump-dataset", "--seed", "3", "--out", "dataset.csv"])
+        dirs, stdouts = {}, {}
         for side, package in (("program", bench.SRC), ("seed", bench.ORACLE_SRC)):
             out = tmp_path / side
-            for args in (["compare", "--class-sep", "0.5", "--rounds", "3",
-                          "--queries", "4", "--phi", "--seed", "5",
-                          "--out", str(out)],
-                         ["dump-dataset", "--seed", "3",
-                          "--out", str(out / "dataset.csv")]):
+            out.mkdir()
+            for args in commands:
+                # relative paths, so stdout that echoes one is the same
                 proc = subprocess.run([sys.executable, "-m", "alqsim", *args],
-                                      env=bench.child_env(package),
-                                      capture_output=True, text=True)
-                assert proc.returncode == 0, proc.stderr
+                                      env=bench.child_env(package), cwd=out,
+                                      capture_output=True)
+                assert proc.returncode == 0, proc.stderr.decode()
+                stdouts[side, args[0]] = proc.stdout
             dirs[side] = out
         reference = bench.load_outputs(str(dirs["seed"]), names)
         assert bench.check_outputs(str(dirs["program"]), reference) == []
+        for name in names:
+            assert ((dirs["program"] / name).read_bytes()
+                    == (dirs["seed"] / name).read_bytes()), name
+        for args in commands:
+            assert stdouts["program", args[0]] == stdouts["seed", args[0]], args[0]

@@ -1,7 +1,7 @@
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alqsim import (ConfigError, DataPool, DatasetConfig, GlmHyperparams,
                     GlmModel, QueryStrategy, SimulationConfig, fit,
@@ -148,9 +148,17 @@ class TestFixedPointExit:
     exactly what the full Newton loop of the seed package returns."""
 
     def test_every_paper_fit_matches_seed_package(self, paper_pools, seed_package):
+        """At the default cap, and at caps small enough that most fits end by
+        exhaustion rather than convergence."""
         assert len(paper_pools) == 3 * 5 * 21
         for pool in paper_pools:
             assert fit_fields(fit(pool)) == fit_fields(seed_package.glm.fit(pool))
+        for cap in (1, 2, 5):
+            hp = GlmHyperparams(max_iterations=cap)
+            seed_hp = seed_package.glm.GlmHyperparams(max_iterations=cap)
+            for pool in paper_pools:
+                assert (fit_fields(fit(pool, hp))
+                        == fit_fields(seed_package.glm.fit(pool, seed_hp))), cap
 
     def test_some_paper_fits_end_unconverged(self, paper_pools):
         stalled = [pool for pool in paper_pools if not fit(pool).converged]
@@ -175,6 +183,35 @@ class TestFixedPointExit:
         assert (fit_fields(fit(stalled))
                 == fit_fields(seed_package.glm.fit(stalled)))
         assert 0 < calls["program"] < calls["seed"]
+
+
+@st.composite
+def two_class_pools(draw):
+    n = draw(st.integers(2, 12), label="n")
+    d = draw(st.integers(1, 3), label="d")
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    labels[0], labels[1] = 0, 1
+    coordinate = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+    features = draw(st.lists(coordinate, min_size=n * d, max_size=n * d))
+    return make_pool(np.reshape(features, (n, d)), labels)
+
+
+class TestFitReport:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(two_class_pools(), st.sampled_from([1, 2, 5, 200]),
+           st.sampled_from([1e-3, 1.0, 50.0]))
+    def test_converged_means_small_gradient(self, pool, cap, l2):
+        """A converged fit's gradient max-norm is below the tolerance, and
+        an unconverged fit reports the iteration cap."""
+        hp = GlmHyperparams(l2_penalty=l2, max_iterations=cap)
+        model = fit(pool, hp)
+        grad = nll_gradient(model.weights, model.intercept, pool.features,
+                            pool.labels.astype(np.float64), hp.l2_penalty)
+        if model.converged:
+            assert np.max(np.abs(grad)) < hp.gradient_tolerance
+            assert model.n_iterations <= cap
+        else:
+            assert model.n_iterations == cap
 
 
 class TestGradient:
@@ -256,9 +293,3 @@ class TestRegularizationLimit:
         assert predict_proba(strongest, np.zeros(4)) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(base_rate, abs=0.01)
 
-
-class TestSerialization:
-    def test_json_dump_fields(self):
-        model = GlmModel(np.array([0.5, -0.25]), 1.5, True, 7)
-        payload = json.loads(model.to_json())
-        assert payload == {"weights": [0.5, -0.25], "intercept": 1.5, "converged": True}

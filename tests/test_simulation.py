@@ -9,7 +9,7 @@ import alqsim.simulation as simulation_module
 from alqsim import (ConfigError, CostModel, DataPool, DatasetConfig,
                     QueryStrategy, RoundResult, SimulationConfig,
                     SimulationError, aggregate, compute_phi, dataset_rng, fit,
-                    predict_proba, run_experiment, run_round, run_rounds,
+                    predict_proba, run_round, run_rounds,
                     select_uncertainty, split_pools)
 from alqsim.datagen import generate_dataset
 from alqsim.simulation import worker_count
@@ -70,7 +70,8 @@ class TestConfigValidation:
                                      dict(rounds=0), dict(confidence=1.0),
                                      dict(phi_delta=0.5),
                                      dict(confidence=float("nan")),
-                                     dict(phi_delta=float("inf"))])
+                                     dict(phi_delta=float("inf")),
+                                     dict(rounds=1), dict(rounds=2.0)])
     def test_bad_fields_rejected(self, bad):
         with pytest.raises(ConfigError):
             SimulationConfig(dataset=DatasetConfig(),
@@ -100,7 +101,8 @@ class TestRunRound:
             return fit(pool, hyper)
 
         monkeypatch.setattr(simulation_module, "fit", recording_fit)
-        summary = run_experiment(config_for(kind="uncertainty", rounds=2))
+        config = config_for(kind="uncertainty", rounds=2)
+        summary = aggregate(config, run_rounds(config))
         per_round = [10 + 2 * q for q in range(0, 11)]
         assert sizes == per_round * 2
         assert summary.labeled_sizes == tuple(per_round[1:])
@@ -195,7 +197,7 @@ class TestPhiDiagnostics:
 class TestRunExperiment:
     def test_two_round_mean_is_exact_average(self):
         config = config_for(kind="random", rounds=2)
-        summary = run_experiment(config)
+        summary = aggregate(config, run_rounds(config))
         rounds = run_rounds(config)
         for qi in range(config.n_queries):
             values = [r.lam[qi] for r in rounds]
@@ -258,7 +260,8 @@ class TestRunExperiment:
 
     def test_parallel_equals_sequential(self):
         config = config_for(kind="uncertainty", rounds=4)
-        assert run_experiment(config, jobs=2) == run_experiment(config, jobs=1)
+        assert (aggregate(config, run_rounds(config, jobs=2))
+                == aggregate(config, run_rounds(config, jobs=1)))
 
     def test_shared_dataset_mode_reuses_split(self):
         config = config_for(kind="random", rounds=3, shared_dataset=True,
@@ -281,7 +284,10 @@ class TestRunExperiment:
 
     def test_single_round_cannot_form_intervals(self):
         with pytest.raises(ConfigError, match="rounds >= 2"):
-            run_experiment(config_for(rounds=1))
+            config_for(rounds=1)
+        with pytest.raises(ConfigError, match="at least 2 rounds"):
+            aggregate(config_for(n_queries=3, rounds=2),
+                      [hand_built_round(0, [1.0, 1.0, 1.0])])
 
     def test_failing_round_reports_seed(self, monkeypatch):
         def explode(*args, **kwargs):
@@ -293,7 +299,7 @@ class TestRunExperiment:
 
     def test_summary_shapes(self):
         config = config_for(kind="shifted-normal", rounds=3)
-        summary = run_experiment(config)
+        summary = aggregate(config, run_rounds(config))
         n = config.n_queries
         assert summary.queries == tuple(range(1, n + 1))
         assert len(summary.lam) == len(summary.zeta) == len(summary.eta) == n
@@ -306,7 +312,8 @@ class TestRunExperiment:
     def test_to_dict_roundtrips_through_json(self):
         import json
 
-        summary = run_experiment(config_for(kind="random", rounds=2))
+        config = config_for(kind="random", rounds=2)
+        summary = aggregate(config, run_rounds(config))
         payload = json.loads(json.dumps(summary.to_dict()))
         assert payload["rounds"] == 2
         assert payload["confidence"] == 0.99

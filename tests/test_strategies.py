@@ -46,9 +46,7 @@ def assert_k_distinct_from(picked, ids, k):
 class TestBetaFromMode:
     def test_reference_parameterization(self):
         params = beta_from_mode(0.45, 12.0)
-        assert params.alpha == pytest.approx(5.5, abs=1e-12)
-        assert params.beta == pytest.approx(6.5, abs=1e-12)
-        assert params.mode == pytest.approx(0.45, abs=1e-12)
+        assert (params.alpha, params.beta, params.mode) == (5.5, 6.5, 0.45)
 
     def test_symmetric_case(self):
         params = beta_from_mode(0.5, 4.0)
@@ -289,13 +287,6 @@ class TestQueryStrategy:
         for kind in ("random", "uncertainty"):
             with pytest.raises(ConfigError, match="concentration"):
                 QueryStrategy(kind=kind, concentration=float("inf"))
-
-    def test_beta_params_only_for_shifted_normal(self):
-        strategy = QueryStrategy(kind="shifted-normal", mode=0.45, concentration=12.0)
-        params = strategy.beta_params()
-        assert (params.alpha, params.beta) == (5.5, 6.5)
-        with pytest.raises(ValueError):
-            QueryStrategy(kind="random").beta_params()
 
 
 
