@@ -147,20 +147,17 @@ def _write_outputs(out_dir: str, summaries: dict[str, ExperimentSummary],
 
 
 def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, ExperimentSummary]:
-    """Run and aggregate each strategy kind in turn, then write the outputs."""
-    summaries: dict[str, ExperimentSummary] = {}
-    phi_entries: dict[str, list] = {}
-    for kind in kinds:
-        config = _experiment_config(args, kind)
-        results = run_rounds(config, jobs=args.jobs)
-        summaries[kind] = aggregate(config, results)
-        if args.phi:
-            phi_entries[kind] = [
-                {"seed": r.seed, "phi": [list(values) for values in r.phi_trace]}
-                for r in results]
+    """Run the strategy kinds paired, aggregate each, then write the outputs."""
+    configs = [_experiment_config(args, kind) for kind in kinds]
+    results = run_rounds(configs, jobs=args.jobs)
+    summaries = {kind: aggregate(config, lane)
+                 for kind, config, lane in zip(kinds, configs, results)}
     phi_payload = None
     if args.phi:
-        phi_payload = {"delta": config.phi_delta, "strategies": phi_entries}
+        phi_payload = {"delta": configs[0].phi_delta, "strategies": {
+            kind: [{"seed": r.seed, "phi": [list(values) for values in r.phi_trace]}
+                   for r in lane]
+            for kind, lane in zip(kinds, results)}}
     _write_outputs(args.out, summaries, phi_payload)
     return summaries
 

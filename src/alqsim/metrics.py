@@ -57,48 +57,77 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
     Equals P(score+ > score-) + 0.5 P(score+ = score-); ties are handled with
     average ranks.  Raises ``ValueError`` unless both classes are present.
+    The one-row call of :func:`auc_rows`.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-D and of equal length")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    return float(auc_rows(scores[None], labels[None])[0])
+
+
+def auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """:func:`auc` of every row: the last axis of ``scores`` holds one row's
+    scores, and ``labels`` broadcasts against ``scores``."""
+    positive = labels == 1
+    n_pos = positive.sum(axis=-1)
+    n_neg = (labels == 0).sum(axis=-1)
+    if not ((n_pos > 0) & (n_neg > 0)).all():
         raise ValueError("AUC is undefined when only one class is present")
-    ranks = _average_ranks(scores)
-    rank_sum_pos = ranks[labels == 1].sum()
-    return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # every rank is a half-integer, so this sum is exact in any order
+    rank_sum_pos = np.where(positive, _average_ranks(scores), 0.0).sum(axis=-1)
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    # 1-based ranks; tied values share the mean of their ordinal ranks
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(values)]])
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
+    # 1-based ranks along the last axis; tied values share the mean of their
+    # ordinal ranks, so the order a sort leaves ties in does not matter (NaN
+    # ties nothing, so NaNs rank last in no set order).  The rows are ranked
+    # as one flat run of sorted values in which each row's first value opens
+    # a tie group.
+    size = values.shape[-1]
+    if not values.size:
+        return np.zeros(values.shape)
+    order = np.argsort(values, axis=-1).reshape(-1, size)
+    flat = (order + np.arange(0, values.size, size)[:, None]).ravel()
+    sorted_vals = values.ravel()[flat]
+    opens = np.empty(values.size, dtype=bool)
+    opens[1:] = np.diff(sorted_vals) != 0
+    opens[::size] = True
+    starts = np.flatnonzero(opens)
+    lengths = np.diff(starts, append=values.size)
+    first = starts % size  # 0-based rank of each group's first value
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[flat] = np.repeat((2 * first + lengths + 1) / 2.0, lengths)
+    return ranks.reshape(values.shape)
 
 
 def f1(probs: Sequence[float], labels: Sequence[int],
        threshold: float = 0.5) -> float:
-    """F1 score of thresholded probabilities; degenerate cases return 0."""
+    """F1 score of thresholded probabilities; degenerate cases return 0.
+
+    The one-row call of :func:`f1_rows`.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.shape != labels.shape or probs.ndim != 1:
         raise ValueError("probs and labels must be 1-D and of equal length")
+    return float(f1_rows(probs[None], labels[None], threshold)[0])
+
+
+def f1_rows(probs: np.ndarray, labels: np.ndarray,
+            threshold: float = 0.5) -> np.ndarray:
+    """:func:`f1` of every row, laid out as for :func:`auc_rows`."""
     predicted = probs >= threshold
-    tp = int(np.sum(predicted & (labels == 1)))
-    fp = int(np.sum(predicted & (labels == 0)))
-    fn = int(np.sum(~predicted & (labels == 1)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    positive = labels == 1
+    tp = (predicted & positive).sum(axis=-1)
+    fp = (predicted & (labels == 0)).sum(axis=-1)
+    fn = (~predicted & positive).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        score = 2.0 * precision * recall / (precision + recall)
+    return np.where(precision + recall == 0.0, 0.0, score)
 
 
 def positive_ratio(labeled_pool: DataPool) -> float:

@@ -9,8 +9,15 @@ probabilities, nothing else.
 
 An experiment runs many independent rounds (seeds ``base_seed + i``) and
 aggregates every logged metric per query index into Student-t confidence
-intervals.  Rounds share no state, so they can execute in parallel with
-results identical to sequential execution.
+intervals.  Strategies compared on one experiment are paired: the rounds of
+every strategy at one seed run together as lanes, on one dataset generated
+and split once.  The lanes step through the queries in lock-step, since each
+holds the same number of labels at each query, so each query makes one
+stacked prediction, one stacked Newton fit and one stacked evaluation over
+all lanes, while each lane selects with its own query generator.  A process
+holds one seed's dataset and lanes at a time.  Seeds share no state, so
+they can execute in parallel with results identical to sequential
+execution.
 """
 
 from __future__ import annotations
@@ -22,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import (DataPool, DatasetConfig, dataset_rng, generate_dataset,
+from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       query_rng, split_pools)
 from .errors import (AlqsimError, ConfigError, reject_non_finite,
                      require_positive_int)
-from .glm import GlmHyperparams, GlmModel, fit, predict_proba
-from .metrics import (CiSummary, CostModel, auc, cost_efficiency, compute_phi,
-                      f1, mean_ci, positive_ratio)
+from .glm import GlmHyperparams, GlmModel, fit_lanes, predict_lanes
+from .metrics import (CiSummary, CostModel, auc_rows, cost_efficiency, f1_rows,
+                      mean_ci)
 from .strategies import (QueryStrategy, beta_from_mode, select_random,
                          select_shifted_normal, select_uncertainty)
 
@@ -89,10 +96,16 @@ class RoundResult:
     generated ``==`` ambiguous, so results compare by identity; compare the
     arrays instead.
 
-    The phi fields are populated only when the round ran with phi recording
-    enabled: ``interim_probs[q-1]`` maps every id that was unlabeled at query
-    q to its interim predicted probability, and ``final_probs`` maps every id
-    that was ever scored to the final model's probability.
+    The phi fields are set only when the round ran with phi recording
+    enabled.  ``phi_ids`` holds the unlabeled pool's ids in ascending order,
+    ``phi_interim[q-1, j]`` the interim probability of ``phi_ids[j]`` at
+    query q (NaN once it is labeled), and ``phi_final[j]`` its probability
+    under the final model.  ``phi_trace[q-1]`` lists, in ascending id order,
+    the final probabilities of the ids whose interim probability at query q
+    lay within ``phi_delta`` of 0.5.  The mappings ``interim_probs[q-1]``
+    (every id unlabeled at query q to its interim probability) and
+    ``final_probs`` (every scored id to its final probability) are built
+    from the arrays when read.
     """
 
     seed: int
@@ -103,8 +116,23 @@ class RoundResult:
     auc: np.ndarray
     f1: np.ndarray
     phi_trace: tuple[tuple[float, ...], ...] | None = None
-    interim_probs: tuple[dict[int, float], ...] | None = None
-    final_probs: dict[int, float] | None = None
+    phi_ids: np.ndarray | None = None
+    phi_interim: np.ndarray | None = None
+    phi_final: np.ndarray | None = None
+
+    @property
+    def interim_probs(self) -> tuple[dict[int, float], ...] | None:
+        if self.phi_interim is None:
+            return None
+        return tuple(dict(zip(self.phi_ids[live].tolist(), row[live].tolist()))
+                     for row, live in zip(self.phi_interim,
+                                          ~np.isnan(self.phi_interim)))
+
+    @property
+    def final_probs(self) -> dict[int, float] | None:
+        if self.phi_final is None:
+            return None
+        return dict(zip(self.phi_ids.tolist(), self.phi_final.tolist()))
 
 
 @dataclass(frozen=True)
@@ -149,87 +177,132 @@ class ExperimentSummary:
         return payload
 
 
-def _evaluate(model: GlmModel, test_pools: list[DataPool], labeled: DataPool,
-              cost: CostModel) -> tuple[float, float, float, list, list]:
-    """``(lam, zeta, eta, aucs, f1s)`` of one model; eta is NaN at zeta = 0."""
-    aucs, f1s = [], []
-    for pool in test_pools:
-        probs = predict_proba(model, pool.features)
-        aucs.append(auc(probs, pool.labels))
-        f1s.append(f1(probs, pool.labels))
-    lam = float(np.mean(aucs))
-    zeta = positive_ratio(labeled)
-    eta = cost_efficiency(lam, zeta, cost) if zeta > 0 else np.nan
+def _evaluate(models: list[GlmModel], test_features: np.ndarray,
+              test_labels: np.ndarray, held_labels: np.ndarray,
+              cost: CostModel) -> tuple[np.ndarray, ...]:
+    """``(lam, zeta, eta, aucs, f1s)`` of each lane's model, one row per lane.
+
+    ``test_features`` is ``(n_test_pools, m, d)`` and is scored by every
+    model; ``held_labels`` is ``(L, n)``, each lane's labeled set.  eta is NaN
+    at zeta = 0.
+    """
+    probs = predict_lanes(models, test_features[None])
+    aucs = auc_rows(probs, test_labels)
+    f1s = f1_rows(probs, test_labels)
+    lam = aucs.mean(axis=1)
+    zeta = held_labels.sum(axis=1) / held_labels.shape[1]
+    eta = np.array([cost_efficiency(l, z, cost) if z > 0 else np.nan
+                    for l, z in zip(lam, zeta)])
     return lam, zeta, eta, aucs, f1s
 
 
-def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
-    """Execute one active-learning round; pure function of (config, seed)."""
+def _shared_config(configs) -> SimulationConfig:
+    """The configuration shared by lanes that run together.
+
+    Raises :class:`ConfigError` unless there is at least one configuration
+    and they all differ only in ``strategy``.
+    """
+    if not configs:
+        raise ConfigError("no configurations to run")
+    shared = configs[0]
+    for config in configs[1:]:
+        if dataclasses.replace(config, strategy=shared.strategy) != shared:
+            raise ConfigError("configurations run together must differ only "
+                              "in strategy")
+    return shared
+
+
+def run_round(configs: list[SimulationConfig],
+              round_seed: int) -> list[RoundResult]:
+    """One round of every configuration at ``round_seed``, in lock-step.
+
+    Returns one :class:`RoundResult` per configuration.  Each is a pure
+    function of its own (config, seed), as if that round had run alone:
+    the lanes share the seed's dataset and split, and each draws its query
+    randomness from its own ``query_rng(round_seed)``.  Raises
+    :class:`ConfigError` unless the configurations differ only in strategy.
+    """
+    config = _shared_config(configs)
     data_seed = config.base_seed if config.shared_dataset else round_seed
     data_rng = dataset_rng(data_seed)
-    rng = query_rng(round_seed)
-
     features, labels = generate_dataset(config.dataset, data_rng)
     seed_pool, unlabeled, test_pools = split_pools(
         (features, labels), config.dataset, data_rng)
+    test_features = np.stack([pool.features for pool in test_pools])
+    test_labels = np.stack([pool.labels for pool in test_pools])
 
-    u_ids, u_features = unlabeled.ids, unlabeled.features
-    alive = np.ones(len(u_ids), dtype=bool)
-    selections: list[list[int]] = []  # queried ids, which are dataset rows
+    strategies = [c.strategy for c in configs]
+    rngs = [query_rng(round_seed) for _ in configs]
+    beta_params = [beta_from_mode(s.mode, s.concentration) for s in strategies]
+    needs_scores = config.record_phi or any(s.kind != "random" for s in strategies)
+    n_lanes, n_queries, batch = len(configs), config.n_queries, config.batch_size
 
-    strategy = config.strategy
-    beta_params = beta_from_mode(strategy.mode, strategy.concentration)
-    needs_scores = strategy.kind != "random"
+    u_ids = unlabeled.ids
+    position = np.empty(len(labels), dtype=np.int64)  # dataset row -> pool slot
+    position[u_ids] = np.arange(len(u_ids))
+    alive = np.ones((n_lanes, len(u_ids)), dtype=bool)
+    # each lane's labeled rows: seed rows first, then queried rows in
+    # selection order; fit's float sums run in this order, so it must not change
+    held = np.tile(seed_pool.ids, (n_lanes, 1))
+    selected = np.empty((n_lanes, n_queries, batch), dtype=np.int64)
+    lam, zeta, eta = (np.empty((n_lanes, n_queries)) for _ in range(3))
+    aucs, f1s = (np.empty((n_lanes, n_queries, len(test_pools)))
+                 for _ in range(2))
+    interim = (np.full((n_lanes, n_queries, len(u_ids)), np.nan)
+               if config.record_phi else None)
 
-    model = fit(seed_pool, config.glm)
-
-    evaluations = []
-    interim_maps: list[dict[int, float]] = []
-    for _ in range(config.n_queries):
-        live_ids = u_ids[alive]
-        if needs_scores or config.record_phi:
-            live_probs = predict_proba(model, u_features[alive])
+    models = fit_lanes(features[held], labels[held], config.glm)
+    for q in range(n_queries):
+        # every lane holds the same number of unlabeled slots
+        slots = np.nonzero(alive)[1].reshape(n_lanes, -1)
+        live_ids = u_ids[slots]
+        if needs_scores:
+            live_probs = predict_lanes(models, features[live_ids])
         if config.record_phi:
-            interim_maps.append(
-                {int(i): float(p) for i, p in zip(live_ids, live_probs)})
+            np.put_along_axis(interim[:, q], slots, live_probs, axis=1)
+        for k, strategy in enumerate(strategies):
+            if strategy.kind == "random":
+                chosen = select_random(live_ids[k], batch, rngs[k])
+            elif strategy.kind == "uncertainty":
+                chosen = select_uncertainty(live_ids[k], live_probs[k], batch)
+            else:
+                chosen = select_shifted_normal(live_ids[k], live_probs[k], batch,
+                                               beta_params[k], rngs[k])
+            selected[k, q] = chosen
+            alive[k, position[chosen]] = False
+        # oracle reveal: the hidden true labels enter the loop here
+        held = np.concatenate([held, selected[:, q]], axis=1)
+        held_labels = labels[held]
+        models = fit_lanes(features[held], held_labels, config.glm)
+        (lam[:, q], zeta[:, q], eta[:, q], aucs[:, q],
+         f1s[:, q]) = _evaluate(models, test_features, test_labels,
+                                held_labels, config.cost)
 
-        if strategy.kind == "random":
-            selected = select_random(live_ids, config.batch_size, rng)
-        elif strategy.kind == "uncertainty":
-            selected = select_uncertainty(live_ids, live_probs, config.batch_size)
-        else:
-            selected = select_shifted_normal(
-                live_ids, live_probs, config.batch_size, beta_params, rng)
+    phi = (_phi_fields(config, u_ids, interim, models, features)
+           if config.record_phi else [{}] * n_lanes)
+    return [RoundResult(seed=round_seed, selected_ids=selected[k], lam=lam[k],
+                        zeta=zeta[k], eta=eta[k], auc=aucs[k], f1=f1s[k],
+                        **phi[k])
+            for k in range(n_lanes)]
 
-        alive[np.isin(u_ids, selected)] = False
-        selections.append(selected)
-        # oracle reveal: the hidden true labels enter the loop here.  Seed rows
-        # come first, then queried rows in selection order: fit's float sums
-        # run in this order, so it must not change.
-        rows = np.concatenate([seed_pool.ids, *selections])
-        labeled = DataPool(rows, features[rows], labels[rows], "labeled")
 
-        model = fit(labeled, config.glm)
-        evaluations.append(_evaluate(model, test_pools, labeled, config.cost))
-
-    phi_trace = None
-    final_probs = None
-    if config.record_phi:
-        all_scored = sorted(interim_maps[0]) if interim_maps else []
-        final_all = predict_proba(model, features[all_scored])
-        final_probs = {i: float(p) for i, p in zip(all_scored, final_all)}
-        phi_trace = tuple(
-            tuple(compute_phi({i: final_probs[i] for i in interim},
-                              interim, config.phi_delta))
-            for interim in interim_maps)
-
-    lam, zeta, eta, aucs, f1s = (np.array(column) for column in zip(*evaluations))
-    return RoundResult(seed=round_seed,
-                       selected_ids=np.array(selections, dtype=np.int64),
-                       lam=lam, zeta=zeta, eta=eta, auc=aucs, f1=f1s,
-                       phi_trace=phi_trace,
-                       interim_probs=tuple(interim_maps) if config.record_phi else None,
-                       final_probs=final_probs)
+def _phi_fields(config: SimulationConfig, u_ids: np.ndarray,
+                interim: np.ndarray, models: list[GlmModel],
+                features: np.ndarray) -> list[dict]:
+    """Each lane's phi fields of :class:`RoundResult`, from its ``(n_queries,
+    len(u_ids))`` interim probabilities (in pool order, NaN once labeled) and
+    its final model."""
+    order = np.argsort(u_ids)
+    phi_ids = u_ids[order]
+    finals = predict_lanes(models, features[phi_ids][None])
+    lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
+    fields = []
+    for lane_interim, final in zip(interim[:, :, order], finals):
+        in_band = (lane_interim >= lo) & (lane_interim <= hi)
+        fields.append(dict(
+            phi_trace=tuple(tuple(final[band].tolist()) for band in in_band),
+            phi_ids=phi_ids, phi_interim=lane_interim, phi_final=final))
+    return fields
 
 
 def worker_count(jobs: int, rounds: int) -> int:
@@ -243,23 +316,32 @@ def worker_count(jobs: int, rounds: int) -> int:
     return min(jobs, rounds, os.cpu_count() or 1)
 
 
-def run_rounds(config: SimulationConfig, jobs: int = 1) -> list[RoundResult]:
-    """All rounds of an experiment, in round order; optionally in parallel.
+def run_rounds(configs: list[SimulationConfig],
+               jobs: int = 1) -> list[list[RoundResult]]:
+    """All rounds of an experiment, one list per configuration, each in
+    round order; the configurations run paired, one seed at a time, and
+    the seeds optionally in parallel.
 
-    A failing round aborts the experiment with a :class:`SimulationError`
+    Raises :class:`ConfigError` before any round runs unless ``jobs`` is a
+    positive integer and the configurations differ only in strategy.  A
+    failing round aborts the experiment with a :class:`SimulationError`
     naming the failing round's seed.
     """
+    config = _shared_config(configs)
     workers = worker_count(jobs, config.rounds)
     seeds = [config.base_seed + i for i in range(config.rounds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(seed, pool.submit(run_round, config, seed))
+            futures = [(seed, pool.submit(run_round, configs, seed))
                        for seed in seeds]
-            return [_settle(seed, future.result) for seed, future in futures]
-    return [_settle(seed, lambda s=seed: run_round(config, s)) for seed in seeds]
+            per_seed = [_settle(seed, future.result) for seed, future in futures]
+    else:
+        per_seed = [_settle(seed, lambda s=seed: run_round(configs, s))
+                    for seed in seeds]
+    return [list(lane) for lane in zip(*per_seed)]
 
 
-def _settle(seed: int, produce) -> RoundResult:
+def _settle(seed: int, produce) -> list[RoundResult]:
     try:
         return produce()
     except Exception as exc:

@@ -210,11 +210,10 @@ def select_shifted_normal(ids: np.ndarray, probs: np.ndarray, k: int,
     chosen: list[int] = []
     for _ in range(k):
         target = beta_sample(params, rng)
-        distance = np.abs(probs - target)
-        # mask out already-chosen candidates, then rank by (distance, id)
-        distance = np.where(available, distance, np.inf)
-        order = np.lexsort((ids, distance))
-        pick = order[0]
+        # the nearest not-yet-chosen candidate wins, ties to the lower id
+        distance = np.where(available, np.abs(probs - target), np.inf)
+        nearest = np.flatnonzero(distance == distance.min())
+        pick = nearest[np.argmin(ids[nearest])]
         available[pick] = False
         chosen.append(int(ids[pick]))
     return chosen

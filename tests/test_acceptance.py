@@ -219,7 +219,7 @@ class TestCriterion7Determinism:
             dataset=DatasetConfig(class_sep=0.5, seed=7),
             strategy=QueryStrategy(kind="shifted-normal"),
             n_queries=10, rounds=5, base_seed=7)
-        results = run_rounds(config)
+        results = run_rounds([config])[0]
         shuffled = [results[i] for i in (3, 0, 4, 1, 2)]
         permutation_ok = aggregate(config, results) == aggregate(config, shuffled)
 
@@ -254,7 +254,7 @@ class TestCriterion9PhiDiagnostic:
             dataset=DatasetConfig(class_sep=0.5, seed=21),
             strategy=QueryStrategy(kind="shifted-normal"),
             n_queries=5, rounds=3, base_seed=21, record_phi=True)
-        results = run_rounds(config)
+        results = run_rounds([config])[0]
         checked = 0
         all_ok = True
         for result in results:

@@ -114,6 +114,20 @@ class TestCompareCommand:
         assert "rounds >= 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_dataset_generated_once_per_seed(self, tmp_path, monkeypatch):
+        """The three strategies of a round share one generated dataset."""
+        calls = []
+        real_generate = simulation_module.generate_dataset
+
+        def counting(config, rng):
+            calls.append(config)
+            return real_generate(config, rng)
+
+        monkeypatch.setattr(simulation_module, "generate_dataset", counting)
+        code = run_cli(["compare", *FAST, "--out", str(tmp_path / "c")])
+        assert code == 0
+        assert len(calls) == 3  # FAST runs 3 rounds
+
     def test_combined_csv_shape(self, tmp_path):
         out = tmp_path / "cmp"
         code = run_cli(["compare", "--class-sep", "1.0", *FAST,
@@ -235,26 +249,41 @@ class TestOutputsMatchSeedPackage:
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
 
-        names = ("per_query.csv", "summary.json", "phi.json", "dataset.csv")
-        commands = (["compare", "--class-sep", "0.5", "--rounds", "3",
-                     "--queries", "4", "--phi", "--seed", "5", "--out", "."],
-                    ["dump-dataset", "--seed", "3", "--out", "dataset.csv"])
+        # each command writes to its own relative directory
+        commands = {
+            "compare": ["compare", "--class-sep", "0.5", "--rounds", "3",
+                        "--queries", "4", "--phi", "--seed", "5"],
+            "parallel": ["compare", "--class-sep", "1.0", "--queries", "2",
+                         "--batch", "2", "--rounds", "5", "--jobs", "2",
+                         "--phi", "--seed", "5"],
+            "shared": ["compare", "--rounds", "3", "--queries", "4",
+                       "--shared-dataset", "--seed", "205"],
+            "run": ["run", "--strategy", "shifted-normal", "--class-sep", "0.5",
+                    "--rounds", "3", "--queries", "5", "--seed", "7", "--phi"],
+        }
         dirs, stdouts = {}, {}
         for side, package in (("program", bench.SRC), ("seed", bench.ORACLE_SRC)):
             out = tmp_path / side
             out.mkdir()
-            for args in commands:
+            runs = [(name, [*args, "--out", name]) for name, args in commands.items()]
+            runs.append(("dump", ["dump-dataset", "--seed", "3",
+                                  "--out", "dump/dataset.csv"]))
+            for name, args in runs:
                 # relative paths, so stdout that echoes one is the same
                 proc = subprocess.run([sys.executable, "-m", "alqsim", *args],
                                       env=bench.child_env(package), cwd=out,
                                       capture_output=True)
                 assert proc.returncode == 0, proc.stderr.decode()
-                stdouts[side, args[0]] = proc.stdout
+                stdouts[side, name] = proc.stdout
             dirs[side] = out
-        reference = bench.load_outputs(str(dirs["seed"]), names)
-        assert bench.check_outputs(str(dirs["program"]), reference) == []
-        for name in names:
-            assert ((dirs["program"] / name).read_bytes()
-                    == (dirs["seed"] / name).read_bytes()), name
-        for args in commands:
-            assert stdouts["program", args[0]] == stdouts["seed", args[0]], args[0]
+        for name in [*commands, "dump"]:
+            assert stdouts["program", name] == stdouts["seed", name], name
+            program, seed = dirs["program"] / name, dirs["seed"] / name
+            files = sorted(path.name for path in seed.iterdir())
+            assert sorted(path.name for path in program.iterdir()) == files, name
+            if name != "dump":
+                reference = bench.load_outputs(str(seed), files)
+                assert bench.check_outputs(str(program), reference) == [], name
+            for file in files:
+                assert ((program / file).read_bytes()
+                        == (seed / file).read_bytes()), (name, file)

@@ -8,7 +8,7 @@ from alqsim import (ConfigError, DataPool, DatasetConfig, GlmHyperparams,
                     predict_proba, run_round)
 from alqsim import glm as glm_module
 from alqsim import simulation as simulation_module
-from alqsim.glm import nll_gradient, nll_loss
+from alqsim.glm import fit_lanes, nll_gradient, nll_loss
 from alqsim.strategies import STRATEGY_KINDS
 
 
@@ -118,24 +118,25 @@ class TestFit:
 def paper_pools():
     """Every labelled pool fitted by ``compare --class-sep 0.5 --queries 20
     --batch 2 --rounds 5 --seed 5`` (the benchmark's ``paper`` workload):
-    rounds 5..9 of each strategy, seed pools included."""
-    pools = []
-    real_fit = simulation_module.fit
+    rounds 5..9 of each strategy, seed pools included, strategy by
+    strategy."""
+    lane_pools = [[] for _ in STRATEGY_KINDS]
+    real_fit_lanes = simulation_module.fit_lanes
 
-    def recording_fit(pool, hp):
-        pools.append(pool)
-        return real_fit(pool, hp)
+    def recording_fit_lanes(features, labels, hp):
+        for pools, lane_features, lane_labels in zip(lane_pools, features, labels):
+            pools.append(make_pool(lane_features, lane_labels))
+        return real_fit_lanes(features, labels, hp)
 
+    configs = [SimulationConfig(
+        dataset=DatasetConfig(class_sep=0.5, seed=5),
+        strategy=QueryStrategy(kind=kind), n_queries=20, batch_size=2,
+        rounds=5, base_seed=5) for kind in STRATEGY_KINDS]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation_module, "fit", recording_fit)
-        for kind in STRATEGY_KINDS:
-            config = SimulationConfig(
-                dataset=DatasetConfig(class_sep=0.5, seed=5),
-                strategy=QueryStrategy(kind=kind), n_queries=20, batch_size=2,
-                rounds=5, base_seed=5)
-            for seed in range(5, 10):
-                run_round(config, seed)
-    return pools
+        mp.setattr(simulation_module, "fit_lanes", recording_fit_lanes)
+        for seed in range(5, 10):
+            run_round(configs, seed)
+    return [pool for pools in lane_pools for pool in pools]
 
 
 def fit_fields(model):
@@ -178,11 +179,76 @@ class TestFixedPointExit:
                 return loss(*args)
             return counted
 
-        for side, module in (("program", glm_module), ("seed", seed_package.glm)):
-            monkeypatch.setattr(module, "nll_loss", counting(side, module.nll_loss))
+        for side, module, name in (("program", glm_module, "_lane_losses"),
+                                   ("seed", seed_package.glm, "nll_loss")):
+            monkeypatch.setattr(module, name, counting(side, getattr(module, name)))
         assert (fit_fields(fit(stalled))
                 == fit_fields(seed_package.glm.fit(stalled)))
         assert 0 < calls["program"] < calls["seed"]
+
+
+def lane_stack(pools):
+    """``(L, n, d)`` features and ``(L, n)`` labels of equal-sized pools."""
+    return (np.stack([pool.features for pool in pools]),
+            np.stack([pool.labels for pool in pools]))
+
+
+class TestFitLanes:
+    """A stacked fit returns, on every lane, the one-lane fit bit for bit,
+    however each lane leaves the Newton loop."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 200])
+    def test_paper_pools_stacked_by_size(self, paper_pools, seed_package, cap):
+        """Each query's 15 same-sized paper pools as lanes, plus a
+        single-class lane: lanes converge at different iterations, stall at
+        the fixed point, fall back, or run out of iterations."""
+        hp = GlmHyperparams(max_iterations=cap)
+        seed_hp = seed_package.glm.GlmHyperparams(max_iterations=cap)
+        leaves = set()
+        for size in sorted({len(pool) for pool in paper_pools}):
+            lanes = [pool for pool in paper_pools if len(pool) == size]
+            lanes.insert(1, make_pool(lanes[0].features, np.zeros(size, dtype=int)))
+            models = fit_lanes(*lane_stack(lanes), hp)
+            assert len(models) == len(lanes) == 16
+            for model, pool in zip(models, lanes):
+                assert (fit_fields(model) == fit_fields(fit(pool, hp))
+                        == fit_fields(seed_package.glm.fit(pool, seed_hp))), size
+                leaves.add((model.converged, model.n_iterations,
+                            model.fallback_prior is not None))
+        assert (True, 0, True) in leaves
+        if cap == 200:
+            assert (False, cap, False) in leaves  # includes the fixed-point stall
+            assert len({it for conv, it, _ in leaves if conv}) > 3
+        else:
+            assert {(False, cap, False), (True, cap, False)} & leaves
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 200])
+    def test_singular_hessian_lane(self, seed_package, monkeypatch, cap):
+        """With no penalty, a duplicated feature makes a lane's Hessian
+        singular: that iteration is solved lane by lane, and the singular
+        lane by least squares, as a one-lane fit solves it."""
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 2, size=12)
+        labels[:2] = 0, 1
+        x = rng.standard_normal((12, 2)) + 0.5 * (2 * labels[:, None] - 1)
+        lanes = [make_pool(np.hstack([x, x[:, :1]]), labels),
+                 make_pool(rng.standard_normal((12, 3)), labels)]
+        hp = GlmHyperparams(l2_penalty=0.0, max_iterations=cap)
+        lstsq_calls = []
+        real_lstsq = np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            lstsq_calls.append(args)
+            return real_lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        models = fit_lanes(*lane_stack(lanes), hp)
+        assert lstsq_calls
+        monkeypatch.undo()
+        seed_hp = seed_package.glm.GlmHyperparams(l2_penalty=0.0, max_iterations=cap)
+        for model, pool in zip(models, lanes):
+            assert (fit_fields(model) == fit_fields(fit(pool, hp))
+                    == fit_fields(seed_package.glm.fit(pool, seed_hp)))
 
 
 @st.composite

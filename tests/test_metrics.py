@@ -7,8 +7,8 @@ from scipy import stats
 from alqsim import (CiSummary, ConfigError, CostModel, DataPool, auc,
                     compute_phi, cost_efficiency, f1, mean_ci, positive_ratio,
                     student_t_quantile)
-from alqsim.metrics import (_average_ranks, regularized_incomplete_beta,
-                            student_t_cdf)
+from alqsim.metrics import (_average_ranks, auc_rows, f1_rows,
+                            regularized_incomplete_beta, student_t_cdf)
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -107,6 +107,48 @@ class TestAverageRanks:
         values = np.array(values)
         assert (_average_ranks(values).tobytes()
                 == seed_package.metrics._average_ranks(values).tobytes())
+
+    @PROPERTY
+    @given(st.integers(1, 60).flatmap(lambda m: st.lists(
+        st.lists(TIED_SCORE, min_size=m, max_size=m), min_size=1, max_size=6)))
+    def test_rows_match_seed_loop_on_any_tied_input(self, seed_package, rows):
+        """Ranking an ``(R, M)`` array ranks each row on its own."""
+        values = np.array(rows)
+        ranks = _average_ranks(values)
+        assert ranks.shape == values.shape
+        for row, row_ranks in zip(values, ranks):
+            assert (row_ranks.tobytes()
+                    == seed_package.metrics._average_ranks(row).tobytes())
+
+
+class TestRowWiseScores:
+    @PROPERTY
+    @given(st.integers(2, 40).flatmap(lambda m: st.lists(
+        st.lists(st.tuples(TIED_SCORE, st.integers(0, 1)), min_size=m,
+                 max_size=m).filter(lambda r: len({y for _, y in r}) == 2),
+        min_size=1, max_size=5)))
+    def test_rows_equal_seed_package_one_row_calls(self, seed_package, rows):
+        scores = np.array([[s for s, _ in row] for row in rows])
+        labels = np.array([[y for _, y in row] for row in rows])
+        aucs, f1s = auc_rows(scores, labels), f1_rows(scores, labels)
+        for row_scores, row_labels, row_auc, row_f1 in zip(scores, labels,
+                                                            aucs, f1s):
+            assert row_auc == seed_package.metrics.auc(row_scores, row_labels)
+            assert row_f1 == seed_package.metrics.f1(row_scores, row_labels)
+
+    def test_labels_broadcast_across_leading_axes(self):
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 2, size=(3, 50))
+        scores = rng.random((2, 3, 50))
+        aucs = auc_rows(scores, labels)
+        assert aucs.shape == (2, 3)
+        for lane in range(2):
+            for pool in range(3):
+                assert aucs[lane, pool] == auc(scores[lane, pool], labels[pool])
+
+    def test_any_single_class_row_rejected(self):
+        with pytest.raises(ValueError, match="one class"):
+            auc_rows(np.array([[0.1, 0.9], [0.2, 0.8]]), np.array([[0, 1], [1, 1]]))
 
 
 class TestF1:

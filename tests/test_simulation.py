@@ -12,6 +12,7 @@ from alqsim import (ConfigError, CostModel, DataPool, DatasetConfig,
                     predict_proba, run_round, run_rounds,
                     select_uncertainty, split_pools)
 from alqsim.datagen import generate_dataset
+from alqsim.glm import fit_lanes
 from alqsim.simulation import worker_count
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -82,7 +83,7 @@ class TestRunRound:
     def test_pool_sizes_with_paper_defaults(self):
         config = SimulationConfig(dataset=DatasetConfig(class_sep=0.5),
                                   strategy=QueryStrategy(kind="random"))
-        result = run_round(config, 0)
+        result = run_round([config], 0)[0]
         assert result.selected_ids.shape == (20, 2)
         assert len(set(result.selected_ids.ravel().tolist())) == 40
         assert result.lam.shape == result.zeta.shape == result.eta.shape == (20,)
@@ -96,13 +97,13 @@ class TestRunRound:
     def test_labeled_size_grows_by_batch(self, monkeypatch):
         sizes = []
 
-        def recording_fit(pool, hyper):
-            sizes.append(len(pool))
-            return fit(pool, hyper)
+        def recording_fit(features, labels, hyper):
+            sizes.extend(len(lane) for lane in labels)
+            return fit_lanes(features, labels, hyper)
 
-        monkeypatch.setattr(simulation_module, "fit", recording_fit)
+        monkeypatch.setattr(simulation_module, "fit_lanes", recording_fit)
         config = config_for(kind="uncertainty", rounds=2)
-        summary = aggregate(config, run_rounds(config))
+        summary = aggregate(config, run_rounds([config])[0])
         per_round = [10 + 2 * q for q in range(0, 11)]
         assert sizes == per_round * 2
         assert summary.labeled_sizes == tuple(per_round[1:])
@@ -112,7 +113,7 @@ class TestRunRound:
         """Selected ids come from the unlabeled pool, never repeat, and never
         touch the seed pool or the test pools."""
         config = config_for(kind=kind)
-        result = run_round(config, 5)
+        result = run_round([config], 5)[0]
         labeled, unlabeled, tests = split_for(config, 5)
 
         selected = result.selected_ids.ravel().tolist()
@@ -125,13 +126,13 @@ class TestRunRound:
     @pytest.mark.parametrize("kind", ["random", "uncertainty", "shifted-normal"])
     def test_bit_identical_reruns(self, kind):
         config = config_for(kind=kind)
-        assert_same_round(run_round(config, 3), run_round(config, 3))
+        assert_same_round(run_round([config], 3)[0], run_round([config], 3)[0])
 
     def test_selection_driven_by_interim_probabilities_only(self):
         """The q=1 uncertainty batch is reproducible from the initial model
         and the unlabeled features alone (no access to hidden labels)."""
         config = config_for(kind="uncertainty")
-        result = run_round(config, 9)
+        result = run_round([config], 9)[0]
         labeled, unlabeled, _ = split_for(config, 9)
         model = fit(labeled, config.glm)
         probs = predict_proba(model, unlabeled.features)
@@ -140,7 +141,7 @@ class TestRunRound:
 
     def test_easy_separation_reaches_high_auc(self):
         config = config_for(kind="random", cs=10.0)
-        result = run_round(config, 0)
+        result = run_round([config], 0)[0]
         assert result.lam[-1] > 0.95
 
     def test_strategies_paired_on_one_dataset(self):
@@ -149,7 +150,8 @@ class TestRunRound:
         config = config_for(rounds=2)
         _, unlabeled, _ = split_for(config, 7)
         for kind in ("random", "uncertainty", "shifted-normal"):
-            result = run_round(config_for(kind=kind, rounds=2, record_phi=True), 7)
+            lane_config = config_for(kind=kind, rounds=2, record_phi=True)
+            result = run_round([lane_config], 7)[0]
             assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
 
     def test_eta_is_nan_when_zeta_is_zero(self):
@@ -161,15 +163,56 @@ class TestRunRound:
         pool = DataPool(labeled.ids[negatives], labeled.features[negatives],
                         labeled.labels[negatives], "labeled")
         lam, zeta, eta, aucs, _ = simulation_module._evaluate(
-            fit(pool, config.glm), tests, pool, CostModel())
-        assert zeta == 0.0 and np.isnan(eta)
-        assert lam == np.mean(aucs) > 0.0
+            [fit(pool, config.glm)], np.stack([t.features for t in tests]),
+            np.stack([t.labels for t in tests]), pool.labels[None], CostModel())
+        assert zeta.tolist() == [0.0] and np.isnan(eta).all()
+        assert lam[0] == np.mean(aucs[0]) > 0.0
+
+
+class TestLockStepLanes:
+    def test_each_lane_equals_its_round_run_alone(self):
+        """Pairing strategies on a seed changes no lane's result, phi
+        included."""
+        configs = [config_for(kind=kind, record_phi=True)
+                   for kind in ("shifted-normal", "random", "uncertainty",
+                                "shifted-normal")]
+        configs[3] = dataclasses.replace(
+            configs[3], strategy=QueryStrategy("shifted-normal", mode=0.3))
+        for seed in (4, 5):
+            lanes = run_round(configs, seed)
+            assert len(lanes) == len(configs)
+            for config, lane in zip(configs, lanes):
+                assert_same_round(lane, run_round([config], seed)[0])
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_queries", 9), ("batch_size", 3), ("rounds", 4), ("base_seed", 1),
+        ("record_phi", True), ("shared_dataset", True), ("cost", CostModel(C=2.0)),
+        ("dataset", DatasetConfig(class_sep=1.0, labeled_size=10,
+                                  unlabeled_size=200, test_pool_size=150)),
+    ])
+    def test_configs_differing_beyond_strategy_rejected(self, monkeypatch,
+                                                        field, value):
+        def explode(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        first = config_for(kind="random")
+        second = dataclasses.replace(config_for(kind="uncertainty"),
+                                     **{field: value})
+        with pytest.raises(ConfigError, match="differ only in strategy"):
+            run_round([first, second], 0)
+        monkeypatch.setattr(simulation_module, "run_round", explode)
+        with pytest.raises(ConfigError, match="differ only in strategy"):
+            run_rounds([first, second])
+
+    def test_no_configs_rejected(self):
+        with pytest.raises(ConfigError, match="no configurations"):
+            run_rounds([])
 
 
 class TestPhiDiagnostics:
     def test_trace_matches_brute_force(self):
         config = config_for(kind="shifted-normal", record_phi=True, rounds=3)
-        for result in run_rounds(config):
+        for result in run_rounds([config])[0]:
             assert result.phi_trace is not None
             assert len(result.phi_trace) == config.n_queries
             for interim, trace in zip(result.interim_probs, result.phi_trace):
@@ -183,12 +226,12 @@ class TestPhiDiagnostics:
 
     def test_interim_maps_shrink_with_queries(self):
         config = config_for(kind="random", record_phi=True)
-        result = run_round(config, 2)
+        result = run_round([config], 2)[0]
         sizes = [len(m) for m in result.interim_probs]
         assert sizes == [200 - 2 * q for q in range(config.n_queries)]
 
     def test_disabled_by_default(self):
-        result = run_round(config_for(), 0)
+        result = run_round([config_for()], 0)[0]
         assert result.phi_trace is None
         assert result.interim_probs is None
         assert result.final_probs is None
@@ -197,15 +240,15 @@ class TestPhiDiagnostics:
 class TestRunExperiment:
     def test_two_round_mean_is_exact_average(self):
         config = config_for(kind="random", rounds=2)
-        summary = aggregate(config, run_rounds(config))
-        rounds = run_rounds(config)
+        summary = aggregate(config, run_rounds([config])[0])
+        rounds = run_rounds([config])[0]
         for qi in range(config.n_queries):
             values = [r.lam[qi] for r in rounds]
             assert summary.lam[qi].mean == pytest.approx(np.mean(values), abs=1e-15)
 
     def test_aggregate_is_order_insensitive(self):
         config = config_for(kind="shifted-normal", rounds=4)
-        results = run_rounds(config)
+        results = run_rounds([config])[0]
         forward = aggregate(config, results)
         backward = aggregate(config, list(reversed(results)))
         assert forward == backward
@@ -256,17 +299,17 @@ class TestRunExperiment:
 
         monkeypatch.setattr(simulation_module, "run_round", explode)
         with pytest.raises(ConfigError, match="jobs"):
-            run_rounds(config_for(rounds=2), jobs=0)
+            run_rounds([config_for(rounds=2)], jobs=0)
 
     def test_parallel_equals_sequential(self):
         config = config_for(kind="uncertainty", rounds=4)
-        assert (aggregate(config, run_rounds(config, jobs=2))
-                == aggregate(config, run_rounds(config, jobs=1)))
+        assert (aggregate(config, run_rounds([config], jobs=2)[0])
+                == aggregate(config, run_rounds([config], jobs=1)[0]))
 
     def test_shared_dataset_mode_reuses_split(self):
         config = config_for(kind="random", rounds=3, shared_dataset=True,
                             record_phi=True)
-        results = run_rounds(config)
+        results = run_rounds([config])[0]
         _, unlabeled, _ = split_for(config, config.base_seed)
         for result in results:
             assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
@@ -276,7 +319,7 @@ class TestRunExperiment:
 
     def test_fresh_dataset_mode_differs_per_round(self):
         config = config_for(kind="random", rounds=2, record_phi=True)
-        results = run_rounds(config)
+        results = run_rounds([config])[0]
         for result in results:
             _, unlabeled, _ = split_for(config, result.seed)
             assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
@@ -293,13 +336,13 @@ class TestRunExperiment:
         def explode(*args, **kwargs):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(simulation_module, "fit", explode)
+        monkeypatch.setattr(simulation_module, "fit_lanes", explode)
         with pytest.raises(SimulationError, match="seed 11"):
-            run_rounds(config_for(seed=11, rounds=2))
+            run_rounds([config_for(seed=11, rounds=2)])
 
     def test_summary_shapes(self):
         config = config_for(kind="shifted-normal", rounds=3)
-        summary = aggregate(config, run_rounds(config))
+        summary = aggregate(config, run_rounds([config])[0])
         n = config.n_queries
         assert summary.queries == tuple(range(1, n + 1))
         assert len(summary.lam) == len(summary.zeta) == len(summary.eta) == n
@@ -313,7 +356,7 @@ class TestRunExperiment:
         import json
 
         config = config_for(kind="random", rounds=2)
-        summary = aggregate(config, run_rounds(config))
+        summary = aggregate(config, run_rounds([config])[0])
         payload = json.loads(json.dumps(summary.to_dict()))
         assert payload["rounds"] == 2
         assert payload["confidence"] == 0.99

@@ -192,6 +192,24 @@ class TestSelectUncertainty:
             select_uncertainty(*scored([0.5]), 2)
 
 
+def lexsort_picks(ids, probs, targets):
+    """Shifted-normal picks by a full (distance, id) sort for each target."""
+    available = np.ones(len(ids), dtype=bool)
+    chosen = []
+    for target in targets:
+        distance = np.where(available, np.abs(probs - target), np.inf)
+        pick = np.lexsort((ids, distance))[0]
+        available[pick] = False
+        chosen.append(int(ids[pick]))
+    return chosen
+
+
+# Probs in eighths and targets in sixteenths: every distance is exact, so a
+# target halfway between two probs ties them exactly.
+EIGHTHS = st.sampled_from([i / 8 for i in range(1, 8)])
+SIXTEENTHS = st.sampled_from([i / 16 for i in range(1, 16)])
+
+
 class TestSelectShiftedNormal:
     PARAMS = BetaParams(5.5, 6.5)
 
@@ -216,6 +234,25 @@ class TestSelectShiftedNormal:
             picked = strategies_module.select_shifted_normal(
                 ids, probs, 1, self.PARAMS, np.random.default_rng(0))
             assert picked == [2]
+
+    @PROPERTY
+    @given(st.data())
+    def test_matches_lexsort_reference(self, data):
+        """Exact distance ties go to the lower id, and a target nearest an
+        already-picked id takes the next one, as a full sort would."""
+        ids = np.array(data.draw(st.lists(st.integers(0, 100), min_size=1,
+                                          max_size=12, unique=True)))
+        probs = np.array(data.draw(st.lists(EIGHTHS, min_size=len(ids),
+                                            max_size=len(ids))))
+        k = data.draw(st.integers(1, len(ids)))
+        targets = data.draw(st.lists(SIXTEENTHS, min_size=k, max_size=k))
+        draws = iter(targets)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strategies_module, "beta_sample",
+                       lambda params, rng: next(draws))
+            picked = select_shifted_normal(ids, probs, k, self.PARAMS,
+                                           np.random.default_rng(0))
+        assert picked == lexsort_picks(ids, probs, targets)
 
     def test_returns_distinct_ids_without_replacement(self):
         rng = np.random.default_rng(8)
