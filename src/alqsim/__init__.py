@@ -6,12 +6,12 @@ shifted-normal), and measures how efficiently each strategy buys model
 performance when positive labels cost more than negative ones.
 """
 
-from .datagen import (DataPool, DatasetConfig, dataset_rng, generate_dataset,
-                      split_pools, write_dataset_csv)
+from .datagen import (DatasetConfig, dataset_rng, generate_dataset, split_pools,
+                      write_dataset_csv)
 from .errors import AlqsimError, ConfigError
 from .glm import GlmHyperparams, GlmModel, fit, predict_proba
 from .metrics import (CiSummary, CostModel, auc, compute_phi, cost_efficiency,
-                      f1, mean_ci, positive_ratio, student_t_quantile)
+                      f1, mean_ci, student_t_quantile)
 from .simulation import (ExperimentSummary, RoundResult, SimulationConfig,
                          SimulationError, aggregate, run_round, run_rounds)
 from .strategies import (BetaParams, QueryStrategy, beta_from_mode, beta_pdf,
@@ -22,14 +22,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlqsimError", "ConfigError", "SimulationError",
-    "DataPool", "DatasetConfig",
+    "DatasetConfig",
     "dataset_rng", "generate_dataset", "split_pools", "write_dataset_csv",
     "GlmHyperparams", "GlmModel", "fit", "predict_proba",
     "BetaParams", "QueryStrategy",
     "beta_from_mode", "beta_pdf", "beta_sample",
     "select_random", "select_shifted_normal", "select_uncertainty",
     "CostModel", "CiSummary",
-    "auc", "f1", "positive_ratio", "cost_efficiency", "compute_phi",
+    "auc", "f1", "cost_efficiency", "compute_phi",
     "mean_ci", "student_t_quantile",
     "SimulationConfig", "RoundResult", "ExperimentSummary",
     "run_round", "run_rounds", "aggregate",

@@ -96,14 +96,15 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _experiment_config(args, strategy_kind: str) -> SimulationConfig:
-    dataset = DatasetConfig(class_sep=args.class_sep, seed=_resolve_seed(args.seed))
+    seed = _resolve_seed(args.seed)
+    dataset = DatasetConfig(class_sep=args.class_sep, seed=seed)
     strategy = QueryStrategy(kind=strategy_kind, mode=args.mode,
                              concentration=args.concentration)
     return SimulationConfig(
         dataset=dataset, strategy=strategy,
         n_queries=args.queries, batch_size=args.batch,
         cost=CostModel(C=args.cost_c),
-        rounds=args.rounds, base_seed=_resolve_seed(args.seed),
+        rounds=args.rounds, base_seed=seed,
         shared_dataset=args.shared_dataset, record_phi=args.phi)
 
 

@@ -5,9 +5,9 @@ Two unit-variance Gaussian clouds sit at opposite hypercube corners,
 ``(+class_sep, ..., +class_sep)`` for the positive class.  Shrinking
 ``class_sep`` increases the overlap between the classes and therefore the
 irreducible labeling noise.  A generated dataset is a ``(features, labels)``
-pair of arrays whose row ``i`` is the instance with id ``i``; it is
-partitioned into a small labeled seed pool, a large unlabeled query pool, and
-several held-out test pools.
+pair of arrays whose row ``i`` is the instance with id ``i``.  Its row ids
+are partitioned into a small labeled seed pool, a large unlabeled query pool,
+and several held-out test pools; a pool is the array of the rows it holds.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, reject_non_finite, require_positive_int
-
-POOL_ROLES = ("labeled", "unlabeled", "test")
 
 
 @dataclass(frozen=True)
@@ -54,41 +52,6 @@ class DatasetConfig:
     def total_size(self) -> int:
         return (self.labeled_size + self.unlabeled_size
                 + self.n_test_pools * self.test_pool_size)
-
-
-class DataPool:
-    """An ordered, duplicate-free collection of instances with a pool role.
-
-    Storage is array-backed (ids, feature matrix, labels) so model fitting
-    and scoring work directly on contiguous numpy arrays.
-    """
-
-    def __init__(self, ids: np.ndarray, features: np.ndarray,
-                 labels: np.ndarray, role: str) -> None:
-        if role not in POOL_ROLES:
-            raise ValueError(f"role must be one of {POOL_ROLES}, got {role!r}")
-        ids = np.asarray(ids, dtype=np.int64)
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if ids.ndim != 1 or labels.ndim != 1 or features.ndim != 2:
-            raise ValueError("ids and labels must be 1-D, features 2-D")
-        if not (len(ids) == len(features) == len(labels)):
-            raise ValueError("ids, features and labels must have equal length")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("duplicate instance ids within a pool")
-        if len(labels) and not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
-        self.ids = ids
-        self.features = features
-        self.labels = labels
-        self.role = role
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def n_positive(self) -> int:
-        return int(self.labels.sum())
 
 
 def _seed_stream(seed: int, stream: int) -> np.random.Generator:
@@ -140,33 +103,26 @@ def split_pools(
     dataset: tuple[np.ndarray, np.ndarray],
     config: DatasetConfig,
     rng: np.random.Generator,
-) -> tuple[DataPool, DataPool, list[DataPool]]:
-    """Randomly partition a ``(features, labels)`` dataset into
-    (labeled, unlabeled, [test pools]).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Randomly partition a ``(features, labels)`` dataset's row ids into
+    ``(labeled_ids, unlabeled_ids, test_ids)``.
 
-    The partition is disjoint, exhaustive, and deterministic for a given rng
-    state; a pool's ids are the dataset rows it holds.  Raises
-    :class:`ConfigError` if the dataset size does not match the configured
-    pool sizes.
+    Each pool is the ``int64`` array of the dataset rows it holds;
+    ``test_ids`` is ``(n_test_pools, test_pool_size)``, one row per test
+    pool.  The partition is disjoint, exhaustive, and deterministic for a
+    given rng state.  Raises :class:`ConfigError` if the dataset size does
+    not match the configured pool sizes.
     """
     features, labels = dataset
     if not len(features) == len(labels) == config.total_size:
         raise ConfigError(
             f"dataset has {len(features)} feature rows and {len(labels)} labels "
             f"but the configuration requires {config.total_size} instances")
-    perm = rng.permutation(len(labels))
-    cursor = 0
-
-    def take(count: int, role: str) -> DataPool:
-        nonlocal cursor
-        rows = perm[cursor:cursor + count]
-        cursor += count
-        return DataPool(rows, features[rows], labels[rows], role)
-
-    labeled = take(config.labeled_size, "labeled")
-    unlabeled = take(config.unlabeled_size, "unlabeled")
-    tests = [take(config.test_pool_size, "test") for _ in range(config.n_test_pools)]
-    return labeled, unlabeled, tests
+    perm = rng.permutation(len(labels)).astype(np.int64, copy=False)
+    n_seed, n_query = config.labeled_size, config.unlabeled_size
+    return (perm[:n_seed], perm[n_seed:n_seed + n_query],
+            perm[n_seed + n_query:].reshape(config.n_test_pools,
+                                            config.test_pool_size))
 
 
 def write_dataset_csv(dataset: tuple[np.ndarray, np.ndarray], path) -> None:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import DataPool
 from .errors import ConfigError, reject_non_finite, require_positive_int
 
 _PROB_EPS = 1e-12
@@ -131,12 +130,22 @@ def _newton_steps(hessians, grads):
         return steps
 
 
-def fit(pool: DataPool, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
-    """Fit the GLM on a labeled pool: the one-lane call of :func:`fit_lanes`.
+def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
+    """Fit the GLM on one labeled pool: the one-lane call of :func:`fit_lanes`.
 
-    Raises ``ValueError`` on an empty pool.
+    ``features`` is ``(n, d)`` and ``labels`` the ``(n,)`` matching labels.
+    Raises ``ValueError`` unless the shapes match, every label is 0 or 1,
+    and the pool is non-empty.
     """
-    return fit_lanes(pool.features[None], pool.labels[None], hp)[0]
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if features.ndim != 2 or labels.ndim != 1 or len(labels) != len(features):
+        raise ValueError(f"features must be 2-D and labels 1-D with one label "
+                         f"per feature row, got shapes {features.shape} and "
+                         f"{labels.shape}")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return fit_lanes(features[None], labels[None], hp)[0]
 
 
 def fit_lanes(features, labels,

@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datagen import DataPool
 from .errors import ConfigError, reject_non_finite
 
 
@@ -128,13 +127,6 @@ def f1_rows(probs: np.ndarray, labels: np.ndarray,
         recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
         score = 2.0 * precision * recall / (precision + recall)
     return np.where(precision + recall == 0.0, 0.0, score)
-
-
-def positive_ratio(labeled_pool: DataPool) -> float:
-    """Fraction of positive labels in the pool (seed plus queried)."""
-    if len(labeled_pool) == 0:
-        raise ValueError("positive ratio is undefined for an empty pool")
-    return labeled_pool.n_positive / len(labeled_pool)
 
 
 def cost_efficiency(lam: float, zeta: float, cost: CostModel) -> float:

@@ -226,10 +226,9 @@ def run_round(configs: list[SimulationConfig],
     data_seed = config.base_seed if config.shared_dataset else round_seed
     data_rng = dataset_rng(data_seed)
     features, labels = generate_dataset(config.dataset, data_rng)
-    seed_pool, unlabeled, test_pools = split_pools(
+    seed_ids, u_ids, test_ids = split_pools(
         (features, labels), config.dataset, data_rng)
-    test_features = np.stack([pool.features for pool in test_pools])
-    test_labels = np.stack([pool.labels for pool in test_pools])
+    test_features, test_labels = features[test_ids], labels[test_ids]
 
     strategies = [c.strategy for c in configs]
     rngs = [query_rng(round_seed) for _ in configs]
@@ -237,16 +236,15 @@ def run_round(configs: list[SimulationConfig],
     needs_scores = config.record_phi or any(s.kind != "random" for s in strategies)
     n_lanes, n_queries, batch = len(configs), config.n_queries, config.batch_size
 
-    u_ids = unlabeled.ids
     position = np.empty(len(labels), dtype=np.int64)  # dataset row -> pool slot
     position[u_ids] = np.arange(len(u_ids))
     alive = np.ones((n_lanes, len(u_ids)), dtype=bool)
     # each lane's labeled rows: seed rows first, then queried rows in
     # selection order; fit's float sums run in this order, so it must not change
-    held = np.tile(seed_pool.ids, (n_lanes, 1))
+    held = np.tile(seed_ids, (n_lanes, 1))
     selected = np.empty((n_lanes, n_queries, batch), dtype=np.int64)
     lam, zeta, eta = (np.empty((n_lanes, n_queries)) for _ in range(3))
-    aucs, f1s = (np.empty((n_lanes, n_queries, len(test_pools)))
+    aucs, f1s = (np.empty((n_lanes, n_queries, len(test_ids)))
                  for _ in range(2))
     interim = (np.full((n_lanes, n_queries, len(u_ids)), np.nan)
                if config.record_phi else None)
@@ -334,7 +332,13 @@ def run_rounds(configs: list[SimulationConfig],
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(seed, pool.submit(run_round, configs, seed))
                        for seed in seeds]
-            per_seed = [_settle(seed, future.result) for seed, future in futures]
+            try:
+                per_seed = [_settle(seed, future.result)
+                            for seed, future in futures]
+            except SimulationError:
+                # the executor's exit waits for queued rounds; drop them
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         per_seed = [_settle(seed, lambda s=seed: run_round(configs, s))
                     for seed in seeds]

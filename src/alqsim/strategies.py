@@ -178,6 +178,8 @@ def select_random(pool_ids: Sequence[int], k: int,
                   rng: np.random.Generator) -> list[int]:
     """Uniform sample of ``k`` distinct ids, ignoring any model output."""
     ids = np.asarray(pool_ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError(f"ids must be a 1-D array, got shape {ids.shape}")
     _check_k(k, len(ids))
     chosen = rng.choice(ids, size=k, replace=False)
     return [int(i) for i in chosen]

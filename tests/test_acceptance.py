@@ -20,7 +20,6 @@ from scipy import integrate, stats
 from alqsim import (BetaParams, DatasetConfig, GlmHyperparams, QueryStrategy,
                     SimulationConfig, aggregate, auc, beta_from_mode,
                     beta_pdf, beta_sample, compute_phi, fit, run_rounds)
-from alqsim.datagen import DataPool
 from alqsim.glm import nll_gradient, nll_loss
 
 STRATEGIES = ("random", "uncertainty", "shifted-normal")
@@ -191,9 +190,8 @@ class TestCriterion6GlmGradient:
             worst = max(worst, rel.max())
         gradient_ok = worst < 1e-5
 
-        pool = DataPool(np.arange(10), rng.standard_normal((10, 4)),
-                        np.zeros(10, dtype=int), "labeled")
-        model = fit(pool, GlmHyperparams())
+        model = fit(rng.standard_normal((10, 4)), np.zeros(10, dtype=int),
+                    GlmHyperparams())
         fallback_ok = model.fallback_prior == (0 + 1) / (10 + 2)
 
         ok = gradient_ok and fallback_ok

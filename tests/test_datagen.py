@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alqsim import (ConfigError, DataPool, DatasetConfig, dataset_rng,
+from alqsim import (ConfigError, DatasetConfig, dataset_rng,
                     generate_dataset, split_pools)
 from alqsim.datagen import query_rng, write_dataset_csv
 
@@ -98,7 +98,7 @@ class TestGenerateDataset:
         rng = np.random.default_rng(2)
         features, labels = generate_dataset(config, rng)
         pools = split_pools((features, labels), config, rng)
-        ids = np.concatenate([p.ids for p in [pools[0], pools[1], *pools[2]]])
+        ids = np.concatenate([pools[0], pools[1], *pools[2]])
         assert sorted(ids.tolist()) == list(range(len(labels)))
 
     def test_centroid_distance_grows_with_class_sep(self):
@@ -122,9 +122,9 @@ class TestSplitPools:
         assert len(labeled) == 10
         assert len(unlabeled) == 1000
         assert [len(t) for t in tests] == [1000, 1000, 1000]
-        assert labeled.role == "labeled"
-        assert unlabeled.role == "unlabeled"
-        assert all(t.role == "test" for t in tests)
+        assert labeled.shape == (10,) and labeled.dtype == np.int64
+        assert unlabeled.shape == (1000,) and unlabeled.dtype == np.int64
+        assert tests.shape == (3, 1000) and tests.dtype == np.int64
 
     def test_partition_is_disjoint_and_exhaustive(self):
         config = small_config()
@@ -132,7 +132,7 @@ class TestSplitPools:
         dataset = generate_dataset(config, rng)
         labeled, unlabeled, tests = split_pools(dataset, config, rng)
         pools = [labeled, unlabeled, *tests]
-        all_ids = np.concatenate([p.ids for p in pools])
+        all_ids = np.concatenate(pools)
         assert len(all_ids) == len(dataset[1])
         assert set(all_ids.tolist()) == set(range(len(dataset[1])))
 
@@ -142,10 +142,8 @@ class TestSplitPools:
                             config, np.random.default_rng(12))
         second = split_pools(generate_dataset(config, np.random.default_rng(8)),
                              config, np.random.default_rng(12))
-        for pa, pb in zip([first[0], first[1], *first[2]],
-                          [second[0], second[1], *second[2]]):
-            assert (pa.ids == pb.ids).all()
-            assert (pa.labels == pb.labels).all()
+        for pa, pb in zip(first, second):
+            assert (pa == pb).all()
 
     def test_size_mismatch_rejected(self):
         config = small_config()
@@ -156,31 +154,15 @@ class TestSplitPools:
                 split_pools(truncated, config, np.random.default_rng(0))
 
     def test_unlabeled_pool_retains_hidden_labels(self):
+        """The split leaves the dataset as it was, so the unlabeled pool's
+        hidden labels are the dataset's labels at its ids."""
         config = small_config()
         rng = np.random.default_rng(4)
         features, labels = generate_dataset(config, rng)
+        original = features.copy(), labels.copy()
         _, unlabeled, _ = split_pools((features, labels), config, rng)
-        assert (unlabeled.labels == labels[unlabeled.ids]).all()
-        assert (unlabeled.features == features[unlabeled.ids]).all()
-
-
-class TestDataPool:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            DataPool(np.array([1, 1]), np.zeros((2, 4)), np.array([0, 1]), "labeled")
-
-    def test_bad_role_rejected(self):
-        with pytest.raises(ValueError, match="role"):
-            DataPool(np.array([1]), np.zeros((1, 4)), np.array([0]), "mystery")
-
-    def test_bad_labels_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            DataPool(np.array([1]), np.zeros((1, 4)), np.array([2]), "test")
-
-    def test_n_positive_counts_labels(self):
-        pool = DataPool(np.array([3, 9]), np.arange(8.0).reshape(2, 4),
-                        np.array([1, 0]), "test")
-        assert pool.n_positive == 1
+        assert (features == original[0]).all() and (labels == original[1]).all()
+        assert set(labels[unlabeled].tolist()) == {0, 1}
 
 
 class TestCsvDump:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alqsim import (ConfigError, DataPool, DatasetConfig, GlmHyperparams,
+from alqsim import (ConfigError, DatasetConfig, GlmHyperparams,
                     GlmModel, QueryStrategy, SimulationConfig, fit,
                     predict_proba, run_round)
 from alqsim import glm as glm_module
@@ -13,9 +13,17 @@ from alqsim.strategies import STRATEGY_KINDS
 
 
 def make_pool(features, labels):
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels)
-    return DataPool(np.arange(len(labels)), features, labels, "labeled")
+    """A labeled pool as the ``(features, labels)`` pair ``fit`` takes."""
+    return np.atleast_2d(np.asarray(features, dtype=float)), np.asarray(labels)
+
+
+def seed_fit(seed_package, pool, hp=None):
+    """The seed package's fit of a ``(features, labels)`` pool, which takes
+    the pool as its own ``DataPool``."""
+    features, labels = pool
+    seed_pool = seed_package.datagen.DataPool(
+        np.arange(len(labels)), features, labels, "labeled")
+    return seed_package.glm.fit(seed_pool, hp or seed_package.glm.GlmHyperparams())
 
 
 def random_pool(rng, n=30, d=4, sep=0.8):
@@ -60,7 +68,7 @@ class TestFallback:
     def test_all_negative_pool_uses_laplace_prior(self):
         pool = make_pool(np.random.default_rng(0).standard_normal((10, 4)),
                          np.zeros(10, dtype=int))
-        model = fit(pool)
+        model = fit(*pool)
         assert model.fallback_prior == pytest.approx(1 / 12)
         assert (model.weights == 0).all() and model.intercept == 0.0
         assert predict_proba(model, np.zeros(4)) == pytest.approx(1 / 12)
@@ -68,21 +76,31 @@ class TestFallback:
     def test_all_positive_pool_uses_laplace_prior(self):
         pool = make_pool(np.random.default_rng(0).standard_normal((10, 4)),
                          np.ones(10, dtype=int))
-        model = fit(pool)
+        model = fit(*pool)
         assert model.fallback_prior == pytest.approx(11 / 12)
 
     def test_empty_pool_rejected(self):
-        empty = DataPool(np.array([], dtype=int), np.zeros((0, 4)),
-                         np.array([], dtype=int), "labeled")
         with pytest.raises(ValueError, match="empty"):
-            fit(empty)
+            fit(np.zeros((0, 4)), np.array([], dtype=int))
+
+    @pytest.mark.parametrize("features,labels,match", [
+        (np.zeros((3, 2)), np.array([0, 1, 2]), "0 or 1"),
+        (np.zeros((3, 2)), np.array([0.0, 0.5, 1.0]), "0 or 1"),
+        (np.zeros((3, 2)), np.array([0, 1]), "one label per feature row"),
+        (np.zeros(3), np.array([0, 1, 0]), "2-D"),
+        (np.zeros((3, 2)), np.array([[0], [1], [0]]), "1-D"),
+    ], ids=["label-2", "label-half", "length-mismatch", "features-1d",
+            "labels-2d"])
+    def test_malformed_pool_rejected(self, features, labels, match):
+        with pytest.raises(ValueError, match=match):
+            fit(features, labels)
 
 
 class TestFit:
     def test_symmetric_1d_pool(self):
         """Antisymmetric data forces a positive slope and a zero intercept."""
         pool = make_pool([[-1.0], [1.0]], [0, 1])
-        model = fit(pool, GlmHyperparams(l2_penalty=1e-3))
+        model = fit(*pool, GlmHyperparams(l2_penalty=1e-3))
         assert model.converged
         assert model.weights[0] > 0
         assert abs(model.intercept) < 1e-6
@@ -91,16 +109,16 @@ class TestFit:
     @pytest.mark.parametrize("l2", [0.1, 1.0, 50.0])
     def test_matches_independent_gradient_descent(self, l2):
         rng = np.random.default_rng(42)
-        pool = random_pool(rng, n=50)
-        model = fit(pool, GlmHyperparams(l2_penalty=l2))
-        reference = descend(pool.features, pool.labels.astype(float), l2)
+        features, labels = random_pool(rng, n=50)
+        model = fit(features, labels, GlmHyperparams(l2_penalty=l2))
+        reference = descend(features, labels.astype(float), l2)
         assert np.abs(model.weights - reference[:-1]).max() < 1e-4
         assert abs(model.intercept - reference[-1]) < 1e-4
 
     def test_deterministic(self):
         pool = random_pool(np.random.default_rng(7))
-        a = fit(pool)
-        b = fit(pool)
+        a = fit(*pool)
+        b = fit(*pool)
         assert (a.weights == b.weights).all()
         assert a.intercept == b.intercept
         assert a.n_iterations == b.n_iterations
@@ -109,7 +127,7 @@ class TestFit:
         """Separable data must not diverge thanks to the weight penalty."""
         pool = make_pool([[-2.0, 0.0], [-1.5, 1.0], [1.5, 0.3], [2.0, -1.0]],
                          [0, 0, 1, 1])
-        model = fit(pool, GlmHyperparams(l2_penalty=1e-3))
+        model = fit(*pool, GlmHyperparams(l2_penalty=1e-3))
         assert model.converged
         assert np.isfinite(model.weights).all()
 
@@ -153,24 +171,24 @@ class TestFixedPointExit:
         exhaustion rather than convergence."""
         assert len(paper_pools) == 3 * 5 * 21
         for pool in paper_pools:
-            assert fit_fields(fit(pool)) == fit_fields(seed_package.glm.fit(pool))
+            assert fit_fields(fit(*pool)) == fit_fields(seed_fit(seed_package, pool))
         for cap in (1, 2, 5):
             hp = GlmHyperparams(max_iterations=cap)
             seed_hp = seed_package.glm.GlmHyperparams(max_iterations=cap)
             for pool in paper_pools:
-                assert (fit_fields(fit(pool, hp))
-                        == fit_fields(seed_package.glm.fit(pool, seed_hp))), cap
+                assert (fit_fields(fit(*pool, hp))
+                        == fit_fields(seed_fit(seed_package, pool, seed_hp))), cap
 
     def test_some_paper_fits_end_unconverged(self, paper_pools):
-        stalled = [pool for pool in paper_pools if not fit(pool).converged]
+        stalled = [pool for pool in paper_pools if not fit(*pool).converged]
         assert stalled
-        assert all(fit(pool).n_iterations == GlmHyperparams().max_iterations
+        assert all(fit(*pool).n_iterations == GlmHyperparams().max_iterations
                    for pool in stalled)
 
     def test_stalled_fit_evaluates_the_loss_less_often(
             self, paper_pools, seed_package, monkeypatch):
-        stalled = next(pool for pool in paper_pools if not fit(pool).converged)
-        assert (len(stalled), stalled.n_positive) == (12, 8)
+        stalled = next(pool for pool in paper_pools if not fit(*pool).converged)
+        assert (len(stalled[1]), stalled[1].sum()) == (12, 8)
         calls = {"program": 0, "seed": 0}
 
         def counting(side, loss):
@@ -182,15 +200,15 @@ class TestFixedPointExit:
         for side, module, name in (("program", glm_module, "_lane_losses"),
                                    ("seed", seed_package.glm, "nll_loss")):
             monkeypatch.setattr(module, name, counting(side, getattr(module, name)))
-        assert (fit_fields(fit(stalled))
-                == fit_fields(seed_package.glm.fit(stalled)))
+        assert (fit_fields(fit(*stalled))
+                == fit_fields(seed_fit(seed_package, stalled)))
         assert 0 < calls["program"] < calls["seed"]
 
 
 def lane_stack(pools):
     """``(L, n, d)`` features and ``(L, n)`` labels of equal-sized pools."""
-    return (np.stack([pool.features for pool in pools]),
-            np.stack([pool.labels for pool in pools]))
+    return (np.stack([features for features, _ in pools]),
+            np.stack([labels for _, labels in pools]))
 
 
 class TestFitLanes:
@@ -205,14 +223,14 @@ class TestFitLanes:
         hp = GlmHyperparams(max_iterations=cap)
         seed_hp = seed_package.glm.GlmHyperparams(max_iterations=cap)
         leaves = set()
-        for size in sorted({len(pool) for pool in paper_pools}):
-            lanes = [pool for pool in paper_pools if len(pool) == size]
-            lanes.insert(1, make_pool(lanes[0].features, np.zeros(size, dtype=int)))
+        for size in sorted({len(labels) for _, labels in paper_pools}):
+            lanes = [pool for pool in paper_pools if len(pool[1]) == size]
+            lanes.insert(1, make_pool(lanes[0][0], np.zeros(size, dtype=int)))
             models = fit_lanes(*lane_stack(lanes), hp)
             assert len(models) == len(lanes) == 16
             for model, pool in zip(models, lanes):
-                assert (fit_fields(model) == fit_fields(fit(pool, hp))
-                        == fit_fields(seed_package.glm.fit(pool, seed_hp))), size
+                assert (fit_fields(model) == fit_fields(fit(*pool, hp))
+                        == fit_fields(seed_fit(seed_package, pool, seed_hp))), size
                 leaves.add((model.converged, model.n_iterations,
                             model.fallback_prior is not None))
         assert (True, 0, True) in leaves
@@ -247,8 +265,8 @@ class TestFitLanes:
         monkeypatch.undo()
         seed_hp = seed_package.glm.GlmHyperparams(l2_penalty=0.0, max_iterations=cap)
         for model, pool in zip(models, lanes):
-            assert (fit_fields(model) == fit_fields(fit(pool, hp))
-                    == fit_fields(seed_package.glm.fit(pool, seed_hp)))
+            assert (fit_fields(model) == fit_fields(fit(*pool, hp))
+                    == fit_fields(seed_fit(seed_package, pool, seed_hp)))
 
 
 @st.composite
@@ -270,9 +288,10 @@ class TestFitReport:
         """A converged fit's gradient max-norm is below the tolerance, and
         an unconverged fit reports the iteration cap."""
         hp = GlmHyperparams(l2_penalty=l2, max_iterations=cap)
-        model = fit(pool, hp)
-        grad = nll_gradient(model.weights, model.intercept, pool.features,
-                            pool.labels.astype(np.float64), hp.l2_penalty)
+        features, labels = pool
+        model = fit(features, labels, hp)
+        grad = nll_gradient(model.weights, model.intercept, features,
+                            labels.astype(np.float64), hp.l2_penalty)
         if model.converged:
             assert np.max(np.abs(grad)) < hp.gradient_tolerance
             assert model.n_iterations <= cap
@@ -287,19 +306,19 @@ class TestGradient:
         step = 1e-5
         for _ in range(40):
             n = int(rng.integers(5, 40))
-            pool = random_pool(rng, n=n)
+            features, labels = random_pool(rng, n=n)
             l2 = float(rng.uniform(0.0, 30.0))
             theta = rng.standard_normal(5) * 0.8
-            grad = nll_gradient(theta[:4], theta[4], pool.features,
-                                pool.labels.astype(float), l2)
+            grad = nll_gradient(theta[:4], theta[4], features,
+                                labels.astype(float), l2)
             numeric = np.empty_like(grad)
             for j in range(5):
                 up, down = theta.copy(), theta.copy()
                 up[j] += step
                 down[j] -= step
                 numeric[j] = (
-                    nll_loss(up[:4], up[4], pool.features, pool.labels, l2)
-                    - nll_loss(down[:4], down[4], pool.features, pool.labels, l2)
+                    nll_loss(up[:4], up[4], features, labels, l2)
+                    - nll_loss(down[:4], down[4], features, labels, l2)
                 ) / (2 * step)
             scale = np.maximum(np.abs(grad), 1.0)
             assert (np.abs(grad - numeric) / scale).max() < 1e-5
@@ -346,15 +365,15 @@ class TestRegularizationLimit:
         """Huge penalties shrink weights to zero; the free intercept keeps
         tracking the pool's base rate."""
         rng = np.random.default_rng(2)
-        pool = random_pool(rng, n=40)
+        features, labels = random_pool(rng, n=40)
         norms, models = [], []
         for l2 in (1.0, 100.0, 10_000.0, 1_000_000.0):
-            model = fit(pool, GlmHyperparams(l2_penalty=l2))
+            model = fit(features, labels, GlmHyperparams(l2_penalty=l2))
             norms.append(np.linalg.norm(model.weights))
             models.append(model)
         assert all(a > b for a, b in zip(norms, norms[1:]))
         strongest = models[-1]
-        base_rate = pool.n_positive / len(pool)
+        base_rate = labels.sum() / len(labels)
         expected = 1.0 / (1.0 + np.exp(-strongest.intercept))
         assert predict_proba(strongest, np.zeros(4)) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(base_rate, abs=0.01)

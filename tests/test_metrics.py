@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from alqsim import (CiSummary, ConfigError, CostModel, DataPool, auc,
-                    compute_phi, cost_efficiency, f1, mean_ci, positive_ratio,
-                    student_t_quantile)
+from alqsim import (CiSummary, ConfigError, CostModel, auc, compute_phi,
+                    cost_efficiency, f1, mean_ci, student_t_quantile)
 from alqsim.metrics import (_average_ranks, auc_rows, f1_rows,
                             regularized_incomplete_beta, student_t_cdf)
 
@@ -163,23 +162,6 @@ class TestF1:
 
     def test_degenerate_all_negative_predictions(self):
         assert f1([0.2, 0.3], [0, 0]) == 0.0
-
-
-class TestPositiveRatio:
-    def test_simple_count(self):
-        pool = DataPool(np.arange(10), np.zeros((10, 4)),
-                        np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 0]), "labeled")
-        assert positive_ratio(pool) == pytest.approx(0.4)
-
-    def test_all_negative(self):
-        pool = DataPool(np.arange(3), np.zeros((3, 4)), np.zeros(3, int), "labeled")
-        assert positive_ratio(pool) == 0.0
-
-    def test_empty_pool_rejected(self):
-        empty = DataPool(np.array([], dtype=int), np.zeros((0, 4)),
-                         np.array([], dtype=int), "labeled")
-        with pytest.raises(ValueError, match="empty"):
-            positive_ratio(empty)
 
 
 class TestCostEfficiency:

@@ -1,4 +1,6 @@
+import concurrent.futures
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alqsim.simulation as simulation_module
-from alqsim import (ConfigError, CostModel, DataPool, DatasetConfig,
+from alqsim import (ConfigError, CostModel, DatasetConfig,
                     QueryStrategy, RoundResult, SimulationConfig,
                     SimulationError, aggregate, compute_phi, dataset_rng, fit,
                     predict_proba, run_round, run_rounds,
@@ -29,10 +31,11 @@ def config_for(kind="random", cs=0.5, rounds=3, seed=0, **overrides):
 
 
 def split_for(config, seed):
-    """The (labeled, unlabeled, tests) split a round with this data seed sees."""
+    """The ``(features, labels)`` dataset a round with this data seed sees,
+    and its (labeled, unlabeled, tests) row-id split."""
     data_rng = dataset_rng(seed)
     dataset = generate_dataset(config.dataset, data_rng)
-    return split_pools(dataset, config.dataset, data_rng)
+    return dataset, split_pools(dataset, config.dataset, data_rng)
 
 
 def assert_same_round(first, second):
@@ -89,9 +92,8 @@ class TestRunRound:
         assert result.lam.shape == result.zeta.shape == result.eta.shape == (20,)
         assert result.auc.shape == result.f1.shape == (20, 3)
         # the final labeled pool is the 10 seed rows plus the 40 queried rows
-        seed_pool, _, _ = split_for(config, 0)
-        _, labels = generate_dataset(config.dataset, dataset_rng(0))
-        held = np.concatenate([seed_pool.ids, result.selected_ids.ravel()])
+        (_, labels), (seed_ids, _, _) = split_for(config, 0)
+        held = np.concatenate([seed_ids, result.selected_ids.ravel()])
         assert result.zeta[-1] == labels[held].sum() / 50
 
     def test_labeled_size_grows_by_batch(self, monkeypatch):
@@ -114,14 +116,14 @@ class TestRunRound:
         touch the seed pool or the test pools."""
         config = config_for(kind=kind)
         result = run_round([config], 5)[0]
-        labeled, unlabeled, tests = split_for(config, 5)
+        _, (labeled, unlabeled, tests) = split_for(config, 5)
 
         selected = result.selected_ids.ravel().tolist()
         assert len(selected) == len(set(selected))
-        assert set(selected) <= set(unlabeled.ids.tolist())
-        assert not set(selected) & set(labeled.ids.tolist())
+        assert set(selected) <= set(unlabeled.tolist())
+        assert not set(selected) & set(labeled.tolist())
         for t in tests:
-            assert not set(selected) & set(t.ids.tolist())
+            assert not set(selected) & set(t.tolist())
 
     @pytest.mark.parametrize("kind", ["random", "uncertainty", "shifted-normal"])
     def test_bit_identical_reruns(self, kind):
@@ -133,11 +135,11 @@ class TestRunRound:
         and the unlabeled features alone (no access to hidden labels)."""
         config = config_for(kind="uncertainty")
         result = run_round([config], 9)[0]
-        labeled, unlabeled, _ = split_for(config, 9)
-        model = fit(labeled, config.glm)
-        probs = predict_proba(model, unlabeled.features)
+        (features, labels), (labeled, unlabeled, _) = split_for(config, 9)
+        model = fit(features[labeled], labels[labeled], config.glm)
+        probs = predict_proba(model, features[unlabeled])
         assert result.selected_ids[0].tolist() == select_uncertainty(
-            unlabeled.ids, probs, config.batch_size)
+            unlabeled, probs, config.batch_size)
 
     def test_easy_separation_reaches_high_auc(self):
         config = config_for(kind="random", cs=10.0)
@@ -148,23 +150,21 @@ class TestRunRound:
         """Same round seed: all strategies score the unlabeled pool of the
         split that dataset_rng draws for that seed."""
         config = config_for(rounds=2)
-        _, unlabeled, _ = split_for(config, 7)
+        _, (_, unlabeled, _) = split_for(config, 7)
         for kind in ("random", "uncertainty", "shifted-normal"):
             lane_config = config_for(kind=kind, rounds=2, record_phi=True)
             result = run_round([lane_config], 7)[0]
-            assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
+            assert list(result.final_probs) == sorted(unlabeled.tolist())
 
     def test_eta_is_nan_when_zeta_is_zero(self):
         """With no positive label held, efficiency is undefined: eta is NaN
         while lambda is still measured."""
         config = config_for()
-        labeled, _, tests = split_for(config, 0)
-        negatives = labeled.labels == 0
-        pool = DataPool(labeled.ids[negatives], labeled.features[negatives],
-                        labeled.labels[negatives], "labeled")
+        (features, labels), (labeled, _, tests) = split_for(config, 0)
+        negatives = labeled[labels[labeled] == 0]
         lam, zeta, eta, aucs, _ = simulation_module._evaluate(
-            [fit(pool, config.glm)], np.stack([t.features for t in tests]),
-            np.stack([t.labels for t in tests]), pool.labels[None], CostModel())
+            [fit(features[negatives], labels[negatives], config.glm)],
+            features[tests], labels[tests], labels[negatives][None], CostModel())
         assert zeta.tolist() == [0.0] and np.isnan(eta).all()
         assert lam[0] == np.mean(aucs[0]) > 0.0
 
@@ -310,9 +310,9 @@ class TestRunExperiment:
         config = config_for(kind="random", rounds=3, shared_dataset=True,
                             record_phi=True)
         results = run_rounds([config])[0]
-        _, unlabeled, _ = split_for(config, config.base_seed)
+        _, (_, unlabeled, _) = split_for(config, config.base_seed)
         for result in results:
-            assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
+            assert list(result.final_probs) == sorted(unlabeled.tolist())
         # query randomness still differs round to round
         assert not np.array_equal(results[0].selected_ids[0],
                                   results[1].selected_ids[0])
@@ -321,8 +321,8 @@ class TestRunExperiment:
         config = config_for(kind="random", rounds=2, record_phi=True)
         results = run_rounds([config])[0]
         for result in results:
-            _, unlabeled, _ = split_for(config, result.seed)
-            assert list(result.final_probs) == sorted(unlabeled.ids.tolist())
+            _, (_, unlabeled, _) = split_for(config, result.seed)
+            assert list(result.final_probs) == sorted(unlabeled.tolist())
         assert list(results[0].final_probs) != list(results[1].final_probs)
 
     def test_single_round_cannot_form_intervals(self):
@@ -339,6 +339,28 @@ class TestRunExperiment:
         monkeypatch.setattr(simulation_module, "fit_lanes", explode)
         with pytest.raises(SimulationError, match="seed 11"):
             run_rounds([config_for(seed=11, rounds=2)])
+
+    def test_failing_round_cancels_queued_rounds(self, monkeypatch):
+        """With a pool, the first failing round ends the experiment: the
+        rounds still queued behind it never run."""
+        ran = []
+
+        def counting_round(configs, seed):
+            ran.append(seed)
+            if seed == 11:
+                raise ValueError("synthetic failure")
+            time.sleep(0.2)
+            return [None]
+
+        # threads stand in for worker processes: same executor API, and the
+        # patched round stays visible to them
+        monkeypatch.setattr(simulation_module, "ProcessPoolExecutor",
+                            concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(simulation_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulation_module, "run_round", counting_round)
+        with pytest.raises(SimulationError, match="seed 11"):
+            run_rounds([config_for(seed=11, rounds=40)], jobs=2)
+        assert len(ran) < 10
 
     def test_summary_shapes(self):
         config = config_for(kind="shifted-normal", rounds=3)

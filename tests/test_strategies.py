@@ -329,7 +329,8 @@ class TestQueryStrategy:
 
 
 class TestScoredSelectorInput:
-    """Both scored selectors share one check on ``(ids, probs)``."""
+    """Both scored selectors share one check on ``(ids, probs)``; every
+    selector rejects ids that are not 1-D."""
 
     PARAMS = BetaParams(5.5, 6.5)
 
@@ -350,3 +351,6 @@ class TestScoredSelectorInput:
             with pytest.raises(ValueError, match="equal length"):
                 select_shifted_normal(ids, probs, 1, self.PARAMS,
                                       np.random.default_rng(0))
+        for ids in (np.arange(4).reshape(2, 2), np.array(3)):
+            with pytest.raises(ValueError, match="1-D"):
+                select_random(ids, 1, np.random.default_rng(0))
