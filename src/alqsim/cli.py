@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=_cmd_compare)
 
     dump_p = sub.add_parser("dump-dataset", help="write one generated dataset as CSV")
-    dump_p.add_argument("--class-sep", type=float, default=1.0)
+    dump_p.add_argument("--class-sep", type=float, default=DatasetConfig.class_sep)
     dump_p.add_argument("--seed", type=int, default=None,
                         help=f"dataset seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED}); "
                              "matches the dataset a round with this seed sees")
@@ -60,12 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--class-sep", type=float, default=1.0,
+    p.add_argument("--class-sep", type=float, default=DatasetConfig.class_sep,
                    help="class-centroid separation; smaller means more overlap")
-    p.add_argument("--queries", type=int, default=20, help="number of queries per round")
-    p.add_argument("--batch", type=int, default=2, help="instances labeled per query")
-    p.add_argument("--rounds", type=int, default=30, help="independent simulation rounds")
-    p.add_argument("--cost-c", type=float, default=1.0,
+    p.add_argument("--queries", type=int, default=SimulationConfig.n_queries,
+                   help="number of queries per round")
+    p.add_argument("--batch", type=int, default=SimulationConfig.batch_size,
+                   help="instances labeled per query")
+    p.add_argument("--rounds", type=int, default=SimulationConfig.rounds,
+                   help="independent simulation rounds")
+    p.add_argument("--cost-c", type=float, default=CostModel.C,
                    help="relative cost C of a positive label (C >= 1)")
     p.add_argument("--seed", type=int, default=None,
                    help=f"base seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")

@@ -40,8 +40,11 @@ class DatasetConfig:
         for name in ("n_features", "labeled_size", "unlabeled_size",
                      "n_test_pools", "test_pool_size"):
             require_positive_int(name, getattr(self, name))
-        if not self.class_sep > 0:
-            raise ConfigError(f"class_sep must be > 0, got {self.class_sep!r}")
+        # beyond about 1e153 the Newton Hessian overflows mid-round, and
+        # AUC is already 1.0 at class_sep 4
+        if not 0 < self.class_sep <= 1e6:
+            raise ConfigError(
+                f"class_sep must be in (0, 1e6], got {self.class_sep!r}")
         if not 0.0 <= self.flip_y < 1.0:
             raise ConfigError(f"flip_y must be in [0, 1), got {self.flip_y!r}")
         if not 0.0 < self.positive_fraction < 1.0:

@@ -28,6 +28,7 @@ def reject_non_finite(config) -> None:
 
 
 def require_positive_int(name: str, value) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is a positive ``int``."""
-    if not isinstance(value, int) or value <= 0:
+    """Raise :class:`ConfigError` unless ``value`` is a positive ``int``;
+    ``True`` is an ``int`` to Python but is rejected."""
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")

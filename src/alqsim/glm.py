@@ -158,70 +158,57 @@ def fit_lanes(features, labels,
 
     A lane holding a single class gets the Laplace-smoothed prior fallback.
     The others run damped Newton steps.  Each pass first computes a lane's
-    gradient at its current parameters; the lane leaves when the gradient's
+    gradient at its current parameters; the lane stops when the gradient's
     max-norm is below ``hp.gradient_tolerance`` (``converged``) or
     ``hp.max_iterations`` steps have been taken, and ``n_iterations`` counts
     the steps taken.  A step that leaves both a lane's parameters (byte for
-    byte) and its loss unchanged is an exact fixed point, so the lane leaves
+    byte) and its loss unchanged is an exact fixed point, so the lane stops
     there and reports what its remaining iterations would:
-    ``n_iterations == hp.max_iterations``, not converged.  The default
-    tolerance 1e-8 lies below what loss-based step halving can resolve, so
-    about 0.5-0.7% of fits on the paper's workloads stall near |gradient|
-    1e-8 to 2e-7 and end unconverged.  Raises ``ValueError`` when ``n`` is 0.
+    ``n_iterations == hp.max_iterations``, not converged.  A stopped lane
+    stays in the stack and takes zero steps, which leave its parameters and
+    loss exactly as they are.  The default tolerance 1e-8 lies below what
+    loss-based step halving can resolve, so about 0.5-0.7% of fits on the
+    paper's workloads stall near |gradient| 1e-8 to 2e-7 and end
+    unconverged.  Raises ``ValueError`` when ``n`` is 0.
     """
     X = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     n_lanes, n, d = X.shape
     if n == 0:
         raise ValueError("cannot fit a model on an empty pool")
-    models: list[GlmModel | None] = [None] * n_lanes
     n_positive = labels.sum(axis=1)
     single_class = (n_positive == 0) | (n_positive == n)
-    for k in np.flatnonzero(single_class):
-        models[k] = GlmModel(weights=np.zeros(d), intercept=0.0, converged=True,
-                             n_iterations=0,
-                             fallback_prior=(int(n_positive[k]) + 1) / (n + 2))
-
-    # the lanes still stepping, and their data; subset only when one leaves
-    lanes = np.flatnonzero(~single_class)
-    X = X[lanes]
-    y = labels[lanes].astype(np.float64)
-    Xb = np.concatenate([X, np.ones((len(lanes), n, 1))], axis=2)
-    theta = np.zeros((len(lanes), d + 1))  # weights then intercept
+    y = labels.astype(np.float64)
+    Xb = np.concatenate([X, np.ones((n_lanes, n, 1))], axis=2)
+    theta = np.zeros((n_lanes, d + 1))  # weights then intercept
     loss = _lane_losses(X, y, theta, hp.l2_penalty)
     diagonal = np.arange(d)
-
-    def leave(mask, converged, n_iterations):
-        nonlocal lanes, X, y, Xb, theta, loss
-        for j in np.flatnonzero(mask):
-            models[lanes[j]] = GlmModel(
-                weights=theta[j, :d].copy(), intercept=float(theta[j, d]),
-                converged=bool(converged[j]), n_iterations=n_iterations)
-        keep = ~mask
-        lanes, X, y, Xb, theta, loss = (
-            a[keep] for a in (lanes, X, y, Xb, theta, loss))
-        return keep
+    converged = single_class.copy()
+    n_iterations = np.zeros(n_lanes, dtype=np.int64)
+    stepping = ~single_class
+    fixed = np.zeros(n_lanes, dtype=bool)
 
     for iterations in range(hp.max_iterations + 1):
-        if not len(lanes):
-            break
         p = sigmoid(_lane_scores(X, theta))
         grad = _lane_gradients(X, y, theta, p, hp.l2_penalty)
-        converged = np.abs(grad).max(axis=1) < hp.gradient_tolerance
-        done = converged | (iterations == hp.max_iterations)
-        if done.any():
-            keep = leave(done, converged, iterations)
-            p, grad = p[keep], grad[keep]
-            if not len(lanes):
-                break
+        small = np.abs(grad).max(axis=1) < hp.gradient_tolerance
+        # a fixed lane fails the gradient test again at the same parameters;
+        # it ends as the full loop would, unconverged at the cap
+        stop = stepping & (small | fixed | (iterations == hp.max_iterations))
+        converged[stop] = small[stop]
+        n_iterations[stop] = np.where(fixed[stop], hp.max_iterations, iterations)
+        stepping &= ~stop
+        if not stepping.any():
+            break
         s = p * (1.0 - p)
         hessians = (Xb.transpose(0, 2, 1) * s[:, None, :]) @ Xb
         hessians[:, diagonal, diagonal] += hp.l2_penalty
-        step = _newton_steps(hessians, grad)
-        # halve each lane's step until its loss stops increasing; a lane that
-        # stopped keeps its scale, so recomputing its loss repeats it exactly
-        scale = np.ones(len(lanes))
-        pending = np.ones(len(lanes), dtype=bool)
+        step = np.where(stepping[:, None], _newton_steps(hessians, grad), 0.0)
+        # halve each lane's step until its loss stops increasing; an accepted
+        # lane keeps its scale and a stopped lane its zero step, so
+        # recomputing either lane's loss repeats it exactly
+        scale = np.ones(n_lanes)
+        pending = np.ones(n_lanes, dtype=bool)
         for _ in range(50):
             new_loss = _lane_losses(X, y, theta - scale[:, None] * step,
                                     hp.l2_penalty)
@@ -231,14 +218,16 @@ def fit_lanes(features, labels,
             scale[pending] *= 0.5
         new_theta = theta - scale[:, None] * step
         # (theta, loss) is a lane's whole state: at an exact fixed point every
-        # remaining iteration would repeat this one, so the lane ends as the
-        # full loop would; converged is the gradient test here, which failed.
+        # remaining iteration would repeat this one
         fixed = ((new_theta.view(np.int64) == theta.view(np.int64)).all(axis=1)
                  & (new_loss == loss))
         theta, loss = new_theta, new_loss
-        if fixed.any():
-            leave(fixed, np.zeros(len(lanes), dtype=bool), hp.max_iterations)
-    return models
+    return [GlmModel(weights=theta[k, :d].copy(), intercept=float(theta[k, d]),
+                     converged=bool(converged[k]),
+                     n_iterations=int(n_iterations[k]),
+                     fallback_prior=((int(n_positive[k]) + 1) / (n + 2)
+                                     if single_class[k] else None))
+            for k in range(n_lanes)]
 
 
 def predict_lanes(models, features) -> np.ndarray:

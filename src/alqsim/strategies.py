@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, reject_non_finite
+from .errors import ConfigError, reject_non_finite, require_positive_int
 
 STRATEGY_KINDS = ("random", "uncertainty", "shifted-normal")
 
@@ -150,8 +150,7 @@ def beta_sample(params: BetaParams, rng: np.random.Generator) -> float:
 
 
 def _check_k(k: int, available: int) -> None:
-    if not isinstance(k, int) or k <= 0:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    require_positive_int("k", k)
     if k > available:
         raise ValueError(f"cannot select {k} from {available} candidates")
 

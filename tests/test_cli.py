@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import alqsim.simulation as simulation_module
-from alqsim.cli import CSV_HEADER, main
+from alqsim import DatasetConfig, QueryStrategy, SimulationConfig
+from alqsim.cli import CSV_HEADER, _experiment_config, build_parser, main
+from alqsim.strategies import STRATEGY_KINDS
 
 FAST = ["--rounds", "3", "--queries", "5", "--seed", "11"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +65,7 @@ class TestRunCommand:
         (["--strategy", "random", "--jobs", "-3"], "jobs"),
         (["--strategy", "random", "--mode", "5", "--concentration", "1"], "mode"),
         (["--strategy", "random", "--rounds", "1"], "rounds"),
+        (["--strategy", "random", "--class-sep", "1e200"], "class_sep"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 flags, field):
@@ -153,6 +156,16 @@ class TestCompareCommand:
         payload = json.loads((out / "summary.json").read_text())
         assert set(payload["strategies"]) == {"random", "uncertainty",
                                               "shifted-normal"}
+
+    def test_flag_defaults_are_the_config_defaults(self, monkeypatch):
+        monkeypatch.delenv("ALQ_SEED", raising=False)
+        args = build_parser().parse_args(["compare"])
+        for kind in STRATEGY_KINDS:
+            assert _experiment_config(args, kind) == SimulationConfig(
+                dataset=DatasetConfig(seed=5), strategy=QueryStrategy(kind),
+                base_seed=5)
+        dump = build_parser().parse_args(["dump-dataset"])
+        assert dump.class_sep == DatasetConfig.class_sep
 
     def test_phi_flag_writes_diagnostics(self, tmp_path):
         out = tmp_path / "phi"

@@ -25,6 +25,7 @@ class TestDatasetConfig:
         dict(positive_fraction=0.0), dict(positive_fraction=1.0),
         dict(class_sep=float("inf")), dict(class_sep=float("nan")),
         dict(flip_y=float("nan")), dict(positive_fraction=float("inf")),
+        dict(n_features=True), dict(class_sep=1e7),
     ])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ConfigError):

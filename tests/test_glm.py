@@ -58,6 +58,7 @@ class TestHyperparams:
         (dict(l2_penalty=float("inf")), "l2_penalty"),
         (dict(gradient_tolerance=float("inf")), "gradient_tolerance"),
         (dict(max_iterations=0), "max_iterations"),
+        (dict(max_iterations=True), "max_iterations"),
     ])
     def test_invalid_values_rejected(self, bad, field):
         with pytest.raises(ConfigError, match=field):
@@ -267,6 +268,26 @@ class TestFitLanes:
         for model, pool in zip(models, lanes):
             assert (fit_fields(model) == fit_fields(fit(*pool, hp))
                     == fit_fields(seed_fit(seed_package, pool, seed_hp)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cap", [1, 2, 5, 200])
+    def test_singular_single_class_lane_beside_a_stepping_lane(self, cap):
+        """A single-class lane stays in the stack; with no penalty and a
+        duplicated feature its Hessian is singular, so every pass solves
+        lane by lane.  The stepping lane still equals its one-lane fit and
+        the single-class lane keeps the exact fallback prior."""
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 2, size=12)
+        labels[:2] = 0, 1
+        x = rng.standard_normal((12, 2))
+        lanes = [make_pool(rng.standard_normal((12, 3)), labels),
+                 make_pool(np.hstack([x, x[:, :1]]), np.zeros(12, dtype=int))]
+        hp = GlmHyperparams(l2_penalty=0.0, max_iterations=cap)
+        models = fit_lanes(*lane_stack(lanes), hp)
+        assert fit_fields(models[0]) == fit_fields(fit(*lanes[0], hp))
+        assert fit_fields(models[1]) == fit_fields(fit(*lanes[1], hp))
+        assert models[1].fallback_prior == 1 / 14
+        assert (models[1].weights == 0).all() and models[1].intercept == 0.0
 
 
 @st.composite

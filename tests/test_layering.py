@@ -1,5 +1,7 @@
-"""Module layering: the model, metric and selector layers work on plain
-arrays and know nothing of how a dataset is generated or split."""
+"""Module layering: the package's import graph, pinned module by module.
+The model, metric and selector layers work on plain arrays and know nothing
+of how a dataset is generated or split; only the engine and the CLI combine
+the layers."""
 
 import ast
 from pathlib import Path
@@ -24,8 +26,26 @@ def imported_modules(path):
     return names
 
 
-@pytest.mark.parametrize("module", ["glm", "metrics", "strategies"])
-def test_array_layers_do_not_import_datagen(module):
+# each module's in-package imports; a new module or edge is added here
+ALLOWED_IMPORTS = {
+    "errors": set(),
+    "datagen": {"errors"},
+    "glm": {"errors"},
+    "metrics": {"errors"},
+    "strategies": {"errors"},
+    "simulation": {"datagen", "errors", "glm", "metrics", "strategies"},
+    "cli": {"datagen", "errors", "metrics", "simulation", "strategies"},
+    "__main__": {"cli"},
+    "__init__": {"datagen", "errors", "glm", "metrics", "simulation",
+                 "strategies"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_IMPORTS))
+def test_package_imports_match_the_module_graph(module):
+    assert {path.stem for path in PACKAGE.glob("*.py")} == set(ALLOWED_IMPORTS)
     imports = imported_modules(PACKAGE / f"{module}.py")
-    assert imports, module  # the walk found the module's imports
-    assert not [name for name in imports if "datagen" in name.split(".")]
+    package_names = {"alqsim", *ALLOWED_IMPORTS}
+    internal = {name.split(".")[-1] for name in imports
+                if name.split(".")[0] in package_names}
+    assert internal == ALLOWED_IMPORTS[module]

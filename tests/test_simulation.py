@@ -75,7 +75,8 @@ class TestConfigValidation:
                                      dict(phi_delta=0.5),
                                      dict(confidence=float("nan")),
                                      dict(phi_delta=float("inf")),
-                                     dict(rounds=1), dict(rounds=2.0)])
+                                     dict(rounds=1), dict(rounds=2.0),
+                                     dict(n_queries=True, batch_size=True)])
     def test_bad_fields_rejected(self, bad):
         with pytest.raises(ConfigError):
             SimulationConfig(dataset=DatasetConfig(),
@@ -288,7 +289,7 @@ class TestRunExperiment:
         monkeypatch.setattr(simulation_module.os, "cpu_count", lambda: cores)
         assert worker_count(jobs, rounds) == expected
 
-    @pytest.mark.parametrize("jobs", [0, -3, 2.0, "2", None])
+    @pytest.mark.parametrize("jobs", [0, -3, 2.0, "2", None, True])
     def test_worker_count_rejects_non_positive_or_non_integer(self, jobs):
         with pytest.raises(ConfigError, match="jobs"):
             worker_count(jobs, 40)

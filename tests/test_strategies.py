@@ -145,6 +145,10 @@ class TestSelectRandom:
         with pytest.raises(ValueError):
             select_random([1, 2, 3], 4, np.random.default_rng(0))
 
+    def test_bool_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            select_random([1, 2, 3], True, np.random.default_rng(0))
+
     def test_single_draw_frequencies_uniform(self):
         """100k single selections from 10 ids: each lands near 1/10."""
         ids = list(range(10))
