@@ -129,20 +129,23 @@ def f1_rows(probs: np.ndarray, labels: np.ndarray,
     return np.where(precision + recall == 0.0, 0.0, score)
 
 
-def cost_efficiency(lam: float, zeta: float, cost: CostModel) -> float:
-    """Cost efficiency lam / (zeta * C); higher is better.
+def cost_efficiency(lam, zeta, cost: CostModel) -> float | np.ndarray:
+    """Cost efficiency lam / (zeta * C), elementwise; higher is better.
 
-    Raises ``ValueError`` when zeta is 0 (undefined); callers record the
-    sample as missing rather than substituting a sentinel.
+    A scalar call returns a ``float``.  Raises ``ValueError`` when any value
+    lies outside [0, 1] or any zeta is 0 (undefined); callers record such
+    samples as missing rather than substituting a sentinel.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"performance must lie in [0, 1], got {lam!r}")
-    if zeta < 0.0 or zeta > 1.0:
-        raise ValueError(f"zeta must lie in [0, 1], got {zeta!r}")
-    if zeta == 0.0:
+    lam, zeta = np.asarray(lam, dtype=np.float64), np.asarray(zeta, dtype=np.float64)
+    for name, values in (("performance", lam), ("zeta", zeta)):
+        outside = values[~((values >= 0.0) & (values <= 1.0))]
+        if outside.size:
+            raise ValueError(f"{name} must lie in [0, 1], got {outside[0].item()!r}")
+    if (zeta == 0.0).any():
         raise ValueError("cost efficiency is undefined at zeta = 0")
     # sequential division keeps eta(C) == eta(1) / C an exact float identity
-    return lam / zeta / cost.C
+    eta = lam / zeta / cost.C
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def compute_phi(final_probs: Mapping[int, float],

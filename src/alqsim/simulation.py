@@ -5,10 +5,12 @@ seed pool, then repeatedly (score the unlabeled pool, select a batch with the
 configured strategy, reveal the selected instances' true labels, move them to
 the labeled pool, refit, evaluate on the held-out test pools).  True labels
 cross into the loop only at the reveal step; selectors see ids and predicted
-probabilities, nothing else.
+probabilities, nothing else.  A round records lambda, AUC, F1 and the
+positive labels held after each query; it knows no labeling cost.
 
-An experiment runs many independent rounds (seeds ``base_seed + i``) and
-aggregates every logged metric per query index into Student-t confidence
+An experiment runs many independent rounds (seeds ``base_seed + i``);
+:func:`aggregate` derives zeta and eta from them under the configured cost
+and summarises every metric per query index in Student-t confidence
 intervals.  Strategies compared on one experiment are paired: the rounds of
 every strategy at one seed run together as lanes, on one dataset generated
 and split once.  The lanes step through the queries in lock-step, since each
@@ -38,9 +40,6 @@ from .metrics import (CiSummary, CostModel, auc_rows, cost_efficiency, f1_rows,
                       mean_ci)
 from .strategies import (QueryStrategy, beta_from_mode, select_random,
                          select_shifted_normal, select_uncertainty)
-
-METRIC_NAMES = ("lam", "zeta", "eta", "auc", "f1")
-
 
 class SimulationError(AlqsimError, RuntimeError):
     """A round failed; the message carries the failing round's seed."""
@@ -86,15 +85,15 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class RoundResult:
-    """Everything one round produced, one row per query.
+    """Everything one round observed, one row per query.
 
     Row ``q - 1`` of each array belongs to query q and, for the metrics, to
     the model refitted after it.  ``selected_ids`` is ``(n_queries, batch)``
-    in selection order.  ``lam``, ``zeta`` and ``eta`` are ``(n_queries,)``;
-    ``eta`` is NaN where zeta is 0 (efficiency undefined).  ``auc`` and
-    ``f1`` are ``(n_queries, n_test_pools)``.  Array fields would make a
-    generated ``==`` ambiguous, so results compare by identity; compare the
-    arrays instead.
+    in selection order.  ``lam`` and the int64 ``n_positive``, the positive
+    labels held after query q (seed rows included), are ``(n_queries,)``;
+    ``auc`` and ``f1`` are ``(n_queries, n_test_pools)``.  Array fields would
+    make a generated ``==`` ambiguous, so results compare by identity;
+    compare the arrays instead.
 
     The phi fields are set only when the round ran with phi recording
     enabled.  ``phi_ids`` holds the unlabeled pool's ids in ascending order,
@@ -111,8 +110,7 @@ class RoundResult:
     seed: int
     selected_ids: np.ndarray
     lam: np.ndarray
-    zeta: np.ndarray
-    eta: np.ndarray
+    n_positive: np.ndarray
     auc: np.ndarray
     f1: np.ndarray
     phi_trace: tuple[tuple[float, ...], ...] | None = None
@@ -137,10 +135,11 @@ class RoundResult:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Per-query cross-round aggregates for every logged metric.
+    """Per-query cross-round aggregates for every metric.
 
-    ``eta`` entries are None where fewer than two rounds produced a defined
-    efficiency value; ``eta_missing`` counts the undefined samples per query.
+    ``eta`` entries are None where fewer than two rounds held a positive
+    label (eta is undefined at zeta = 0); ``eta_missing`` counts the
+    undefined samples per query.
     """
 
     config: SimulationConfig
@@ -175,25 +174,6 @@ class ExperimentSummary:
         }
         payload["eta"]["n_missing"] = list(self.eta_missing)
         return payload
-
-
-def _evaluate(models: list[GlmModel], test_features: np.ndarray,
-              test_labels: np.ndarray, held_labels: np.ndarray,
-              cost: CostModel) -> tuple[np.ndarray, ...]:
-    """``(lam, zeta, eta, aucs, f1s)`` of each lane's model, one row per lane.
-
-    ``test_features`` is ``(n_test_pools, m, d)`` and is scored by every
-    model; ``held_labels`` is ``(L, n)``, each lane's labeled set.  eta is NaN
-    at zeta = 0.
-    """
-    probs = predict_lanes(models, test_features[None])
-    aucs = auc_rows(probs, test_labels)
-    f1s = f1_rows(probs, test_labels)
-    lam = aucs.mean(axis=1)
-    zeta = held_labels.sum(axis=1) / held_labels.shape[1]
-    eta = np.array([cost_efficiency(l, z, cost) if z > 0 else np.nan
-                    for l, z in zip(lam, zeta)])
-    return lam, zeta, eta, aucs, f1s
 
 
 def _shared_config(configs) -> SimulationConfig:
@@ -243,7 +223,7 @@ def run_round(configs: list[SimulationConfig],
     # selection order; fit's float sums run in this order, so it must not change
     held = np.tile(seed_ids, (n_lanes, 1))
     selected = np.empty((n_lanes, n_queries, batch), dtype=np.int64)
-    lam, zeta, eta = (np.empty((n_lanes, n_queries)) for _ in range(3))
+    n_positive = np.empty((n_lanes, n_queries), dtype=np.int64)
     aucs, f1s = (np.empty((n_lanes, n_queries, len(test_ids)))
                  for _ in range(2))
     interim = (np.full((n_lanes, n_queries, len(u_ids)), np.nan)
@@ -271,15 +251,17 @@ def run_round(configs: list[SimulationConfig],
         # oracle reveal: the hidden true labels enter the loop here
         held = np.concatenate([held, selected[:, q]], axis=1)
         held_labels = labels[held]
+        n_positive[:, q] = held_labels.sum(axis=1)
         models = fit_lanes(features[held], held_labels, config.glm)
-        (lam[:, q], zeta[:, q], eta[:, q], aucs[:, q],
-         f1s[:, q]) = _evaluate(models, test_features, test_labels,
-                                held_labels, config.cost)
+        probs = predict_lanes(models, test_features[None])
+        aucs[:, q] = auc_rows(probs, test_labels)
+        f1s[:, q] = f1_rows(probs, test_labels)
+    lam = aucs.mean(axis=2)
 
     phi = (_phi_fields(config, u_ids, interim, models, features)
            if config.record_phi else [{}] * n_lanes)
     return [RoundResult(seed=round_seed, selected_ids=selected[k], lam=lam[k],
-                        zeta=zeta[k], eta=eta[k], auc=aucs[k], f1=f1s[k],
+                        n_positive=n_positive[k], auc=aucs[k], f1=f1s[k],
                         **phi[k])
             for k in range(n_lanes)]
 
@@ -356,26 +338,40 @@ def aggregate(config: SimulationConfig,
               results: list[RoundResult]) -> ExperimentSummary:
     """Merge completed rounds into per-query confidence intervals.
 
-    Order-insensitive: any permutation of ``results`` yields the same
-    summary.
+    The one place that prices labels: a round's zeta is its held positives
+    over the labeled-set size, and its eta the ``cost_efficiency`` of its
+    lambda and zeta under ``config.cost``, undefined (counted in
+    ``eta_missing``) at zeta = 0.  Order-insensitive: any permutation of
+    ``results`` yields the same summary.  Raises :class:`ConfigError` unless
+    there is one result per configured round, each with ``config.n_queries``
+    rows.
     """
-    if len(results) < 2:
-        raise ConfigError("aggregation needs at least 2 rounds")
+    if len(results) != config.rounds:  # a config has rounds >= 2
+        raise ConfigError(f"aggregation needs at least 2 rounds, one per "
+                          f"configured round: {config.rounds} configured, "
+                          f"got {len(results)}")
     ordered = sorted(results, key=lambda r: r.seed)
     queries = tuple(range(1, config.n_queries + 1))
     labeled_sizes = tuple(config.dataset.labeled_size + q * config.batch_size
                           for q in queries)
 
     def per_query(name: str) -> np.ndarray:
+        rows = [getattr(r, name) for r in ordered]
+        if any(len(row) != config.n_queries for row in rows):
+            raise ConfigError(f"a round's {name} does not have "
+                              f"{config.n_queries} query rows")
         # row qi holds every round's samples for query qi, round-major
-        stacked = np.stack([getattr(r, name) for r in ordered], axis=1)
-        return stacked.reshape(config.n_queries, -1)
+        return np.stack(rows, axis=1).reshape(config.n_queries, -1)
 
     def ci(samples: np.ndarray) -> CiSummary:
         return mean_ci(samples, config.confidence)
 
-    lam, zeta, eta, aucs, f1s = (per_query(name) for name in METRIC_NAMES)
-    defined_eta = [row[~np.isnan(row)] for row in eta]
+    lam, n_positive, aucs, f1s = map(per_query, ("lam", "n_positive", "auc",
+                                                 "f1"))
+    zeta = n_positive / np.array(labeled_sizes)[:, None]
+    defined_eta = [cost_efficiency(lam_row[defined], zeta_row[defined],
+                                   config.cost)
+                   for lam_row, zeta_row, defined in zip(lam, zeta, zeta > 0)]
     return ExperimentSummary(
         config=config, queries=queries, labeled_sizes=labeled_sizes,
         lam=tuple(map(ci, lam)), zeta=tuple(map(ci, zeta)),

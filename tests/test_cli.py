@@ -273,6 +273,12 @@ class TestOutputsMatchSeedPackage:
                        "--shared-dataset", "--seed", "205"],
             "run": ["run", "--strategy", "shifted-normal", "--class-sep", "0.5",
                     "--rounds", "3", "--queries", "5", "--seed", "7", "--phi"],
+            # C != 1 and zeta 0: a round holds no positive label after query
+            # 1 (seed 580), or a random round after every query (seed 1283)
+            "cost-580": ["compare", "--rounds", "2", "--queries", "3",
+                         "--cost-c", "3", "--seed", "580"],
+            "cost-1283": ["compare", "--rounds", "2", "--queries", "3",
+                          "--cost-c", "3", "--seed", "1283"],
         }
         dirs, stdouts = {}, {}
         for side, package in (("program", bench.SRC), ("seed", bench.ORACLE_SRC)):

@@ -184,6 +184,41 @@ class TestCostEfficiency:
             assert (cost_efficiency(lam, zeta, CostModel(C=C))
                     == cost_efficiency(lam, zeta, CostModel(C=1.0)) / C)
 
+    def test_arrays_are_taken_elementwise(self):
+        lam, zeta = np.array([0.8, 0.9, 0.5]), np.array([0.5, 0.45, 0.25])
+        eta = cost_efficiency(lam, zeta, CostModel())
+        assert isinstance(eta, np.ndarray) and eta.shape == (3,)
+        assert eta.tolist() == [cost_efficiency(l, z, CostModel())
+                                for l, z in zip(lam.tolist(), zeta.tolist())]
+
+    def test_array_scaling_identity_exact(self):
+        rng = np.random.default_rng(2)
+        lam, zeta = rng.random(200), rng.uniform(0.01, 1.0, 200)
+        for C in rng.uniform(1.0, 10.0, 10):
+            np.testing.assert_array_equal(
+                cost_efficiency(lam, zeta, CostModel(C=C)),
+                cost_efficiency(lam, zeta, CostModel(C=1.0)) / C)
+
+    def test_one_zero_zeta_in_an_array_undefined(self):
+        with pytest.raises(ValueError, match="undefined"):
+            cost_efficiency([0.8, 0.9, 0.7], [0.5, 0.0, 0.25], CostModel())
+
+    @pytest.mark.parametrize("lam,zeta,name", [
+        ([0.8, 1.5], [0.5, 0.5], "performance"),
+        ([0.8, -0.1], [0.5, 0.5], "performance"),
+        ([0.8, np.nan], [0.5, 0.5], "performance"),
+        ([0.8, 0.9], [0.5, 1.25], "zeta"),
+        ([0.8, 0.9], [-0.5, 0.5], "zeta"),
+        ([0.8, 0.9], [0.5, np.nan], "zeta"),
+    ])
+    def test_one_value_out_of_range_rejected(self, lam, zeta, name):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            cost_efficiency(lam, zeta, CostModel())
+
+    def test_scalar_call_returns_float(self):
+        for lam, zeta in ((0.8, 0.5), (np.float64(0.8), np.float64(0.5))):
+            assert type(cost_efficiency(lam, zeta, CostModel())) is float
+
     def test_cost_below_one_rejected(self):
         for bad in (0.5, float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="C must be"):

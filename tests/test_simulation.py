@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import alqsim.simulation as simulation_module
 from alqsim import (ConfigError, CostModel, DatasetConfig,
                     QueryStrategy, RoundResult, SimulationConfig,
-                    SimulationError, aggregate, compute_phi, dataset_rng, fit,
-                    predict_proba, run_round, run_rounds,
-                    select_uncertainty, split_pools)
+                    SimulationError, aggregate, compute_phi, cost_efficiency,
+                    dataset_rng, fit, mean_ci, predict_proba, run_round,
+                    run_rounds, select_uncertainty, split_pools)
 from alqsim.datagen import generate_dataset
 from alqsim.glm import fit_lanes
 from alqsim.simulation import worker_count
@@ -48,13 +48,15 @@ def assert_same_round(first, second):
             assert a == b, field.name
 
 
-def hand_built_round(seed, eta):
-    """A RoundResult with the given per-query eta and arbitrary other metrics."""
-    eta = np.asarray(eta, dtype=np.float64)
+def hand_built_round(seed, n_positive, lam=None):
+    """A RoundResult with the given per-query held positives and lambda
+    (arbitrary if not given), and arbitrary other metrics."""
+    n_positive = np.asarray(n_positive, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    n = len(eta)
+    n = len(n_positive)
+    lam = rng.random(n) if lam is None else np.asarray(lam, dtype=np.float64)
     return RoundResult(seed=seed, selected_ids=np.zeros((n, 2), dtype=np.int64),
-                       lam=rng.random(n), zeta=rng.random(n), eta=eta,
+                       lam=lam, n_positive=n_positive,
                        auc=rng.random((n, 3)), f1=rng.random((n, 3)))
 
 
@@ -90,12 +92,14 @@ class TestRunRound:
         result = run_round([config], 0)[0]
         assert result.selected_ids.shape == (20, 2)
         assert len(set(result.selected_ids.ravel().tolist())) == 40
-        assert result.lam.shape == result.zeta.shape == result.eta.shape == (20,)
+        assert result.lam.shape == result.n_positive.shape == (20,)
+        assert result.n_positive.dtype == np.int64
         assert result.auc.shape == result.f1.shape == (20, 3)
+        np.testing.assert_array_equal(result.lam, result.auc.mean(axis=1))
         # the final labeled pool is the 10 seed rows plus the 40 queried rows
         (_, labels), (seed_ids, _, _) = split_for(config, 0)
         held = np.concatenate([seed_ids, result.selected_ids.ravel()])
-        assert result.zeta[-1] == labels[held].sum() / 50
+        assert result.n_positive[-1] == labels[held].sum()
 
     def test_labeled_size_grows_by_batch(self, monkeypatch):
         sizes = []
@@ -157,17 +161,26 @@ class TestRunRound:
             result = run_round([lane_config], 7)[0]
             assert list(result.final_probs) == sorted(unlabeled.tolist())
 
-    def test_eta_is_nan_when_zeta_is_zero(self):
-        """With no positive label held, efficiency is undefined: eta is NaN
-        while lambda is still measured."""
-        config = config_for()
-        (features, labels), (labeled, _, tests) = split_for(config, 0)
-        negatives = labeled[labels[labeled] == 0]
-        lam, zeta, eta, aucs, _ = simulation_module._evaluate(
-            [fit(features[negatives], labels[negatives], config.glm)],
-            features[tests], labels[tests], labels[negatives][None], CostModel())
-        assert zeta.tolist() == [0.0] and np.isnan(eta).all()
-        assert lam[0] == np.mean(aucs[0]) > 0.0
+    def test_eta_is_nan_when_zeta_is_zero(self, monkeypatch):
+        """With no positive label held, efficiency is undefined: every eta
+        sample is counted missing while lambda is still measured."""
+        def negatives_only_split(dataset, dataset_config, rng):
+            labeled, unlabeled, tests = split_pools(dataset, dataset_config, rng)
+            labels = dataset[1]
+            return (labeled[labels[labeled] == 0],
+                    unlabeled[labels[unlabeled] == 0], tests)
+
+        monkeypatch.setattr(simulation_module, "split_pools",
+                            negatives_only_split)
+        config = config_for(rounds=2)
+        results = [run_round([config], seed)[0] for seed in range(2)]
+        for result in results:
+            assert result.n_positive.tolist() == [0] * config.n_queries
+            assert (result.lam > 0.0).all()
+        summary = aggregate(config, results)
+        assert summary.eta == (None,) * config.n_queries
+        assert summary.eta_missing == (2,) * config.n_queries
+        assert all(ci.mean > 0.0 for ci in summary.lam)
 
 
 class TestLockStepLanes:
@@ -258,21 +271,25 @@ class TestRunExperiment:
     @given(st.data())
     def test_aggregate_is_invariant_to_any_round_permutation(self, data):
         n_rounds = data.draw(st.integers(2, 6), label="rounds")
-        eta = st.one_of(st.just(np.nan), st.floats(0.1, 5.0))
-        results = [hand_built_round(seed, data.draw(st.lists(eta, min_size=3,
-                                                             max_size=3)))
+        # at most the 12 labels held after query 1; 0 leaves eta undefined
+        n_positive = st.lists(st.integers(0, 12), min_size=3, max_size=3)
+        results = [hand_built_round(seed, data.draw(n_positive))
                    for seed in range(n_rounds)]
         shuffled = data.draw(st.permutations(results), label="order")
         config = config_for(n_queries=3, rounds=n_rounds)
         assert aggregate(config, shuffled) == aggregate(config, results)
 
     def test_undefined_eta_counted_missing(self):
-        """NaN eta samples are left out of the interval and counted; a query
-        with fewer than two defined samples has no eta interval."""
-        nan = np.nan
-        results = [hand_built_round(0, [nan, nan, nan, 1.0]),
-                   hand_built_round(1, [nan, 2.0, 3.0, 2.0]),
-                   hand_built_round(2, [nan, nan, 5.0, 6.0])]
+        """Samples with no positive label held (zeta 0) have no eta: they
+        are left out of the interval and counted, while lambda is still
+        summarised; a query with fewer than two defined samples has no eta
+        interval."""
+        # labeled sizes 12, 14, 16, 18; each defined eta is exact:
+        # 1.0 / (7 / 14) = 2, 0.75 / (4 / 16) = 3, 0.625 / (2 / 16) = 5,
+        # 0.5 / (9 / 18) = 1, 1.0 / (9 / 18) = 2, 1.0 / (3 / 18) = 6
+        results = [hand_built_round(0, [0, 0, 0, 9], [0.9, 0.9, 0.9, 0.5]),
+                   hand_built_round(1, [0, 7, 4, 9], [0.9, 1.0, 0.75, 1.0]),
+                   hand_built_round(2, [0, 0, 2, 3], [0.9, 0.9, 0.625, 1.0])]
         summary = aggregate(config_for(n_queries=4, rounds=3), results)
         assert summary.eta_missing == (3, 2, 1, 0)
         assert summary.eta[0] is None and summary.eta[1] is None
@@ -325,6 +342,51 @@ class TestRunExperiment:
             _, (_, unlabeled, _) = split_for(config, result.seed)
             assert list(result.final_probs) == sorted(unlabeled.tolist())
         assert list(results[0].final_probs) != list(results[1].final_probs)
+
+    def test_results_must_match_the_configured_rounds(self):
+        """Rounds short of or beyond the configuration are rejected, not
+        summarised under its round count."""
+        results = [hand_built_round(seed, [1, 2, 3]) for seed in range(2)]
+        with pytest.raises(ConfigError, match="5 configured, got 2"):
+            aggregate(config_for(n_queries=3, rounds=5), results)
+        with pytest.raises(ConfigError, match="2 configured, got 3"):
+            aggregate(config_for(n_queries=3, rounds=2),
+                      [*results, hand_built_round(2, [1, 2, 3])])
+
+    @pytest.mark.parametrize("n_queries", [4, 8])
+    def test_results_must_match_the_configured_queries(self, n_queries):
+        """A round with more or fewer query rows than the configuration is
+        rejected, not reshaped into other queries' samples."""
+        results = [hand_built_round(0, [1] * 8),
+                   hand_built_round(1, [1] * n_queries)]
+        with pytest.raises(ConfigError, match="query rows"):
+            aggregate(config_for(n_queries=4, rounds=2), results)
+
+    def test_rounds_do_not_depend_on_cost(self):
+        """One run serves any C: everything but eta is unchanged, and each eta
+        sample is exactly its C = 1 value / C.  The interval's mean and
+        bounds are sums over those samples, so they scale by 1 / C only to
+        within rounding."""
+        config = config_for(kind="shifted-normal", rounds=4)
+        results = run_rounds([config])[0]
+        unit = aggregate(config, results)
+        triple = aggregate(dataclasses.replace(config, cost=CostModel(C=3.0)),
+                           results)
+        for name in ("lam", "zeta", "auc", "f1", "eta_missing"):
+            assert getattr(unit, name) == getattr(triple, name), name
+        for qi, size in enumerate(unit.labeled_sizes):
+            held = [r for r in results if r.n_positive[qi] > 0]
+            lam = np.array([r.lam[qi] for r in held])
+            zeta = np.array([r.n_positive[qi] for r in held]) / size
+            samples = cost_efficiency(lam, zeta, CostModel(C=3.0))
+            np.testing.assert_array_equal(
+                samples, cost_efficiency(lam, zeta, CostModel()) / 3.0)
+            assert triple.eta[qi] == mean_ci(samples, config.confidence)
+        for base, scaled in zip(unit.eta, triple.eta):
+            assert scaled.n == base.n
+            for bound in ("mean", "lower", "upper"):
+                assert getattr(scaled, bound) == pytest.approx(
+                    getattr(base, bound) / 3.0, rel=1e-12, abs=0.0)
 
     def test_single_round_cannot_form_intervals(self):
         with pytest.raises(ConfigError, match="rounds >= 2"):
