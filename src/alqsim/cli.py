@@ -15,7 +15,7 @@ import sys
 
 from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       write_dataset_csv)
-from .errors import ConfigError
+from .errors import ConfigError, require_positive_int
 from .metrics import CostModel
 from .simulation import (ExperimentSummary, SimulationConfig, aggregate,
                          run_rounds)
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_p = sub.add_parser(
         "compare",
-        help="run all three strategies on paired per-round datasets")
+        help="run all three strategies on paired datasets")
     _add_experiment_flags(cmp_p)
     cmp_p.set_defaults(func=_cmd_compare)
 
@@ -128,7 +128,6 @@ def _csv_row(strategy: str, summary: ExperimentSummary, qi: int) -> list[str]:
 
 def _write_outputs(out_dir: str, summaries: dict[str, ExperimentSummary],
                    phi_payload: dict | None) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "per_query.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -151,8 +150,19 @@ def _write_outputs(out_dir: str, summaries: dict[str, ExperimentSummary],
 
 
 def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, ExperimentSummary]:
-    """Run the strategy kinds paired, aggregate each, then write the outputs."""
+    """Run the strategy kinds paired, aggregate each, then write the outputs.
+
+    Every input is checked and the output directory made before any round
+    runs, so bad input leaves no directory and an unusable ``--out`` costs
+    no work.
+    """
     configs = [_experiment_config(args, kind) for kind in kinds]
+    require_positive_int("jobs", args.jobs)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out!r} is not a usable directory: "
+                          f"{exc}") from exc
     results = run_rounds(configs, jobs=args.jobs)
     summaries = {kind: aggregate(config, lane)
                  for kind, config, lane in zip(kinds, configs, results)}

@@ -5,21 +5,22 @@ seed pool, then repeatedly (score the unlabeled pool, select a batch with the
 configured strategy, reveal the selected instances' true labels, move them to
 the labeled pool, refit, evaluate on the held-out test pools).  True labels
 cross into the loop only at the reveal step; selectors see ids and predicted
-probabilities, nothing else.  A round records lambda, AUC, F1 and the
-positive labels held after each query; it knows no labeling cost.
+probabilities, nothing else.  A round records what it observed after each
+query: the ids it selected, the positive labels it held, each test pool's
+AUC and F1 and, optionally, its phi trace; it knows no labeling cost.
 
 An experiment runs many independent rounds (seeds ``base_seed + i``);
-:func:`aggregate` derives zeta and eta from them under the configured cost
-and summarises every metric per query index in Student-t confidence
-intervals.  Strategies compared on one experiment are paired: the rounds of
-every strategy at one seed run together as lanes, on one dataset generated
-and split once.  The lanes step through the queries in lock-step, since each
-holds the same number of labels at each query, so each query makes one
-stacked prediction, one stacked Newton fit and one stacked evaluation over
-all lanes, while each lane selects with its own query generator.  A process
-holds one seed's dataset and lanes at a time.  Seeds share no state, so
-they can execute in parallel with results identical to sequential
-execution.
+:func:`aggregate` derives lambda, zeta and eta from them under the
+configured cost and summarises every metric per query index in Student-t
+confidence intervals.  Strategies compared on one experiment are paired:
+the rounds of every strategy at one seed run together as lanes, on one
+dataset generated and split once.  The lanes step through the queries in
+lock-step, since each holds the same number of labels at each query, so
+each query makes one stacked prediction, one stacked Newton fit and one
+stacked evaluation over all lanes, while each lane selects with its own
+query generator.  A process holds one seed's dataset and lanes at a time.
+Seeds share no state, so they can execute in parallel with results
+identical to sequential execution.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       query_rng, split_pools)
 from .errors import (AlqsimError, ConfigError, reject_non_finite,
                      require_positive_int)
-from .glm import GlmHyperparams, GlmModel, fit_lanes, predict_lanes
+from .glm import GlmHyperparams, fit_lanes, predict_lanes
 from .metrics import (CiSummary, CostModel, auc_rows, cost_efficiency, f1_rows,
                       mean_ci)
 from .strategies import (QueryStrategy, beta_from_mode, select_random,
@@ -89,48 +90,24 @@ class RoundResult:
 
     Row ``q - 1`` of each array belongs to query q and, for the metrics, to
     the model refitted after it.  ``selected_ids`` is ``(n_queries, batch)``
-    in selection order.  ``lam`` and the int64 ``n_positive``, the positive
-    labels held after query q (seed rows included), are ``(n_queries,)``;
-    ``auc`` and ``f1`` are ``(n_queries, n_test_pools)``.  Array fields would
-    make a generated ``==`` ambiguous, so results compare by identity;
-    compare the arrays instead.
+    in selection order.  The int64 ``n_positive``, the positive labels held
+    after query q (seed rows included), is ``(n_queries,)``; ``auc`` and
+    ``f1`` are ``(n_queries, n_test_pools)``.  Array fields would make a
+    generated ``==`` ambiguous, so results compare by identity; compare the
+    arrays instead.
 
-    The phi fields are set only when the round ran with phi recording
-    enabled.  ``phi_ids`` holds the unlabeled pool's ids in ascending order,
-    ``phi_interim[q-1, j]`` the interim probability of ``phi_ids[j]`` at
-    query q (NaN once it is labeled), and ``phi_final[j]`` its probability
-    under the final model.  ``phi_trace[q-1]`` lists, in ascending id order,
-    the final probabilities of the ids whose interim probability at query q
-    lay within ``phi_delta`` of 0.5.  The mappings ``interim_probs[q-1]``
-    (every id unlabeled at query q to its interim probability) and
-    ``final_probs`` (every scored id to its final probability) are built
-    from the arrays when read.
+    ``phi_trace`` is set only when the round ran with phi recording
+    enabled: ``phi_trace[q-1]`` lists, in ascending id order, the final
+    model's probabilities of the ids still unlabeled at query q whose
+    interim probability at query q lay within ``phi_delta`` of 0.5.
     """
 
     seed: int
     selected_ids: np.ndarray
-    lam: np.ndarray
     n_positive: np.ndarray
     auc: np.ndarray
     f1: np.ndarray
     phi_trace: tuple[tuple[float, ...], ...] | None = None
-    phi_ids: np.ndarray | None = None
-    phi_interim: np.ndarray | None = None
-    phi_final: np.ndarray | None = None
-
-    @property
-    def interim_probs(self) -> tuple[dict[int, float], ...] | None:
-        if self.phi_interim is None:
-            return None
-        return tuple(dict(zip(self.phi_ids[live].tolist(), row[live].tolist()))
-                     for row, live in zip(self.phi_interim,
-                                          ~np.isnan(self.phi_interim)))
-
-    @property
-    def final_probs(self) -> dict[int, float] | None:
-        if self.phi_final is None:
-            return None
-        return dict(zip(self.phi_ids.tolist(), self.phi_final.tolist()))
 
 
 @dataclass(frozen=True)
@@ -256,33 +233,21 @@ def run_round(configs: list[SimulationConfig],
         probs = predict_lanes(models, test_features[None])
         aucs[:, q] = auc_rows(probs, test_labels)
         f1s[:, q] = f1_rows(probs, test_labels)
-    lam = aucs.mean(axis=2)
 
-    phi = (_phi_fields(config, u_ids, interim, models, features)
-           if config.record_phi else [{}] * n_lanes)
-    return [RoundResult(seed=round_seed, selected_ids=selected[k], lam=lam[k],
+    traces = [None] * n_lanes
+    if config.record_phi:
+        # the trace lists ids in ascending order; NaN (labeled) is never in band
+        order = np.argsort(u_ids)
+        finals = predict_lanes(models, features[u_ids[order]][None])
+        by_id = interim[:, :, order]
+        lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
+        in_band = (by_id >= lo) & (by_id <= hi)
+        traces = [tuple(tuple(final[band].tolist()) for band in lane_band)
+                  for final, lane_band in zip(finals, in_band)]
+    return [RoundResult(seed=round_seed, selected_ids=selected[k],
                         n_positive=n_positive[k], auc=aucs[k], f1=f1s[k],
-                        **phi[k])
+                        phi_trace=traces[k])
             for k in range(n_lanes)]
-
-
-def _phi_fields(config: SimulationConfig, u_ids: np.ndarray,
-                interim: np.ndarray, models: list[GlmModel],
-                features: np.ndarray) -> list[dict]:
-    """Each lane's phi fields of :class:`RoundResult`, from its ``(n_queries,
-    len(u_ids))`` interim probabilities (in pool order, NaN once labeled) and
-    its final model."""
-    order = np.argsort(u_ids)
-    phi_ids = u_ids[order]
-    finals = predict_lanes(models, features[phi_ids][None])
-    lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
-    fields = []
-    for lane_interim, final in zip(interim[:, :, order], finals):
-        in_band = (lane_interim >= lo) & (lane_interim <= hi)
-        fields.append(dict(
-            phi_trace=tuple(tuple(final[band].tolist()) for band in in_band),
-            phi_ids=phi_ids, phi_interim=lane_interim, phi_final=final))
-    return fields
 
 
 def worker_count(jobs: int, rounds: int) -> int:
@@ -338,7 +303,8 @@ def aggregate(config: SimulationConfig,
               results: list[RoundResult]) -> ExperimentSummary:
     """Merge completed rounds into per-query confidence intervals.
 
-    The one place that prices labels: a round's zeta is its held positives
+    The one place that derives metrics from what rounds observed: a round's
+    lambda is its mean AUC over the test pools, its zeta its held positives
     over the labeled-set size, and its eta the ``cost_efficiency`` of its
     lambda and zeta under ``config.cost``, undefined (counted in
     ``eta_missing``) at zeta = 0.  Order-insensitive: any permutation of
@@ -346,10 +312,9 @@ def aggregate(config: SimulationConfig,
     there is one result per configured round, each with ``config.n_queries``
     rows.
     """
-    if len(results) != config.rounds:  # a config has rounds >= 2
-        raise ConfigError(f"aggregation needs at least 2 rounds, one per "
-                          f"configured round: {config.rounds} configured, "
-                          f"got {len(results)}")
+    if len(results) != config.rounds:
+        raise ConfigError(f"aggregation needs one result per configured round: "
+                          f"{config.rounds} configured, got {len(results)}")
     ordered = sorted(results, key=lambda r: r.seed)
     queries = tuple(range(1, config.n_queries + 1))
     labeled_sizes = tuple(config.dataset.labeled_size + q * config.batch_size
@@ -366,8 +331,8 @@ def aggregate(config: SimulationConfig,
     def ci(samples: np.ndarray) -> CiSummary:
         return mean_ci(samples, config.confidence)
 
-    lam, n_positive, aucs, f1s = map(per_query, ("lam", "n_positive", "auc",
-                                                 "f1"))
+    n_positive, aucs, f1s = map(per_query, ("n_positive", "auc", "f1"))
+    lam = aucs.reshape(config.n_queries, len(ordered), -1).mean(axis=2)
     zeta = n_positive / np.array(labeled_sizes)[:, None]
     defined_eta = [cost_efficiency(lam_row[defined], zeta_row[defined],
                                    config.cost)

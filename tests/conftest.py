@@ -7,9 +7,11 @@ and on ``PYTHONPATH`` (keeping any existing entries).  No install is needed.
 
 The ``seed_package`` fixture imports the frozen seed-commit package in
 ``perfbench/oracle`` under another name, so tests can hold a function up
-against the version it replaced.
+against the version it replaced; ``seed_round`` runs that package's round
+for a configuration of this one.
 """
 
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -43,3 +45,25 @@ def seed_package():
         finally:
             sys.dont_write_bytecode = write_bytecode
     return sys.modules[name]
+
+
+@pytest.fixture(scope="session")
+def seed_round(seed_package):
+    """``seed_round(config, seed)``: the seed package's ``run_round`` for a
+    ``SimulationConfig`` of this package, with its one strategy, at
+    ``seed``.  Its result keeps the per-query snapshots and the
+    ``interim_probs``/``final_probs`` maps of the seed-commit round."""
+    nested = {"dataset": seed_package.DatasetConfig,
+              "strategy": seed_package.QueryStrategy,
+              "cost": seed_package.CostModel,
+              "glm": seed_package.GlmHyperparams}
+
+    def run(config, seed):
+        values = {field.name: getattr(config, field.name)
+                  for field in dataclasses.fields(config)}
+        for name, seed_class in nested.items():
+            values[name] = seed_class(**dataclasses.asdict(values[name]))
+        return seed_package.simulation.run_round(
+            seed_package.SimulationConfig(**values), seed)
+
+    return run

@@ -247,7 +247,10 @@ class TestCriterion8CostScaling:
 
 
 class TestCriterion9PhiDiagnostic:
-    def test_phi_equals_brute_force_filter(self, tmp_path):
+    def test_phi_equals_brute_force_filter(self, tmp_path, seed_round):
+        """The brute-force filter reads the interim and final probability
+        maps of the seed package's round, not arrays of the code under
+        test."""
         config = SimulationConfig(
             dataset=DatasetConfig(class_sep=0.5, seed=21),
             strategy=QueryStrategy(kind="shifted-normal"),
@@ -256,12 +259,13 @@ class TestCriterion9PhiDiagnostic:
         checked = 0
         all_ok = True
         for result in results:
-            for interim, trace in zip(result.interim_probs, result.phi_trace):
+            reference = seed_round(config, result.seed)
+            for interim, trace in zip(reference.interim_probs, result.phi_trace):
                 lo = 0.5 - config.phi_delta
                 hi = 0.5 + config.phi_delta
-                brute = [result.final_probs[i] for i in sorted(interim)
+                brute = [reference.final_probs[i] for i in sorted(interim)
                          if lo <= interim[i] <= hi]
-                finals = {i: result.final_probs[i] for i in interim}
+                finals = {i: reference.final_probs[i] for i in interim}
                 all_ok &= (list(trace) == brute
                            == compute_phi(finals, interim, config.phi_delta))
                 checked += 1

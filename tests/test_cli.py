@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import alqsim.cli as cli_module
 import alqsim.simulation as simulation_module
 from alqsim import DatasetConfig, QueryStrategy, SimulationConfig
 from alqsim.cli import CSV_HEADER, _experiment_config, build_parser, main
@@ -76,12 +77,15 @@ class TestRunCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_runtime_failure_exits_1(self, tmp_path, capsys):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
+    def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def explode(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(simulation_module, "fit_lanes", explode)
         code = run_cli(["run", "--strategy", "random", *FAST,
-                        "--out", str(blocker / "sub")])
+                        "--out", str(tmp_path / "x")])
         assert code == 1
+        assert "synthetic failure" in capsys.readouterr().err
 
     def test_float_cells_use_9_significant_digits(self, tmp_path):
         out = tmp_path / "fmt"
@@ -116,6 +120,21 @@ class TestCompareCommand:
         assert code == 2
         assert "rounds >= 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_unusable_out_exits_2_before_any_round(self, tmp_path, capsys,
+                                                   monkeypatch, out):
+        def explode(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(cli_module, "run_rounds", explode)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code = run_cli(["compare", "--rounds", "30",
+                        "--out", str(tmp_path / out)])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
 
     def test_dataset_generated_once_per_seed(self, tmp_path, monkeypatch):
         """The three strategies of a round share one generated dataset."""
@@ -270,7 +289,7 @@ class TestOutputsMatchSeedPackage:
                          "--batch", "2", "--rounds", "5", "--jobs", "2",
                          "--phi", "--seed", "5"],
             "shared": ["compare", "--rounds", "3", "--queries", "4",
-                       "--shared-dataset", "--seed", "205"],
+                       "--shared-dataset", "--phi", "--seed", "205"],
             "run": ["run", "--strategy", "shifted-normal", "--class-sep", "0.5",
                     "--rounds", "3", "--queries", "5", "--seed", "7", "--phi"],
             # C != 1 and zeta 0: a round holds no positive label after query

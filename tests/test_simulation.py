@@ -48,16 +48,33 @@ def assert_same_round(first, second):
             assert a == b, field.name
 
 
+def assert_matches_seed_round(result, seed_result):
+    """``result`` observed what the seed package's round did: the same ids
+    selected, positives held, per-pool AUC and F1, lambda and phi trace."""
+    snapshots = seed_result.snapshots
+    assert result.selected_ids.tolist() == [list(s.selected_ids)
+                                            for s in snapshots]
+    assert result.n_positive.tolist() == [round(s.metrics.zeta * s.labeled_size)
+                                          for s in snapshots]
+    assert result.auc.tolist() == [list(s.metrics.auc_per_test)
+                                   for s in snapshots]
+    assert result.f1.tolist() == [list(s.metrics.f1_per_test)
+                                  for s in snapshots]
+    assert result.auc.mean(axis=1).tolist() == [s.metrics.lam for s in snapshots]
+    assert result.phi_trace == seed_result.phi_trace
+
+
 def hand_built_round(seed, n_positive, lam=None):
-    """A RoundResult with the given per-query held positives and lambda
-    (arbitrary if not given), and arbitrary other metrics."""
+    """A RoundResult with the given per-query held positives, AUC rows whose
+    mean is lambda (arbitrary if not given; exact for dyadic values), and
+    arbitrary other metrics."""
     n_positive = np.asarray(n_positive, dtype=np.int64)
     rng = np.random.default_rng(seed)
     n = len(n_positive)
-    lam = rng.random(n) if lam is None else np.asarray(lam, dtype=np.float64)
+    auc = (rng.random((n, 3)) if lam is None
+           else np.repeat(np.asarray(lam, dtype=np.float64)[:, None], 3, axis=1))
     return RoundResult(seed=seed, selected_ids=np.zeros((n, 2), dtype=np.int64),
-                       lam=lam, n_positive=n_positive,
-                       auc=rng.random((n, 3)), f1=rng.random((n, 3)))
+                       n_positive=n_positive, auc=auc, f1=rng.random((n, 3)))
 
 
 class TestConfigValidation:
@@ -92,10 +109,9 @@ class TestRunRound:
         result = run_round([config], 0)[0]
         assert result.selected_ids.shape == (20, 2)
         assert len(set(result.selected_ids.ravel().tolist())) == 40
-        assert result.lam.shape == result.n_positive.shape == (20,)
+        assert result.n_positive.shape == (20,)
         assert result.n_positive.dtype == np.int64
         assert result.auc.shape == result.f1.shape == (20, 3)
-        np.testing.assert_array_equal(result.lam, result.auc.mean(axis=1))
         # the final labeled pool is the 10 seed rows plus the 40 queried rows
         (_, labels), (seed_ids, _, _) = split_for(config, 0)
         held = np.concatenate([seed_ids, result.selected_ids.ravel()])
@@ -149,17 +165,19 @@ class TestRunRound:
     def test_easy_separation_reaches_high_auc(self):
         config = config_for(kind="random", cs=10.0)
         result = run_round([config], 0)[0]
-        assert result.lam[-1] > 0.95
+        assert result.auc.mean(axis=1)[-1] > 0.95
 
-    def test_strategies_paired_on_one_dataset(self):
-        """Same round seed: all strategies score the unlabeled pool of the
-        split that dataset_rng draws for that seed."""
-        config = config_for(rounds=2)
-        _, (_, unlabeled, _) = split_for(config, 7)
-        for kind in ("random", "uncertainty", "shifted-normal"):
-            lane_config = config_for(kind=kind, rounds=2, record_phi=True)
-            result = run_round([lane_config], 7)[0]
-            assert list(result.final_probs) == sorted(unlabeled.tolist())
+    def test_strategies_paired_on_one_dataset(self, seed_round):
+        """Same round seed: all strategies select from the unlabeled pool of
+        the split that dataset_rng draws for that seed, and each lane
+        observes what the seed package's round at that seed did."""
+        configs = [config_for(kind=kind, rounds=2, record_phi=True)
+                   for kind in ("random", "uncertainty", "shifted-normal")]
+        _, (_, unlabeled, _) = split_for(configs[0], 7)
+        for config, result in zip(configs, run_round(configs, 7)):
+            assert set(result.selected_ids.ravel().tolist()) <= set(
+                unlabeled.tolist())
+            assert_matches_seed_round(result, seed_round(config, 7))
 
     def test_eta_is_nan_when_zeta_is_zero(self, monkeypatch):
         """With no positive label held, efficiency is undefined: every eta
@@ -176,7 +194,7 @@ class TestRunRound:
         results = [run_round([config], seed)[0] for seed in range(2)]
         for result in results:
             assert result.n_positive.tolist() == [0] * config.n_queries
-            assert (result.lam > 0.0).all()
+            assert (result.auc.mean(axis=1) > 0.0).all()
         summary = aggregate(config, results)
         assert summary.eta == (None,) * config.n_queries
         assert summary.eta_missing == (2,) * config.n_queries
@@ -224,41 +242,38 @@ class TestLockStepLanes:
 
 
 class TestPhiDiagnostics:
-    def test_trace_matches_brute_force(self):
+    def test_trace_matches_brute_force(self, seed_round):
+        """Each query's trace is the brute-force filter of the seed
+        package's interim and final probability maps for that round."""
         config = config_for(kind="shifted-normal", record_phi=True, rounds=3)
+        lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
         for result in run_rounds([config])[0]:
+            reference = seed_round(config, result.seed)
             assert result.phi_trace is not None
             assert len(result.phi_trace) == config.n_queries
-            for interim, trace in zip(result.interim_probs, result.phi_trace):
-                lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
-                expected = [result.final_probs[i] for i in sorted(interim)
+            for interim, trace in zip(reference.interim_probs, result.phi_trace):
+                expected = [reference.final_probs[i] for i in sorted(interim)
                             if lo <= interim[i] <= hi]
                 assert list(trace) == expected
-                finals = {i: result.final_probs[i] for i in interim}
+                finals = {i: reference.final_probs[i] for i in interim}
                 assert list(trace) == compute_phi(finals, interim,
                                                   config.phi_delta)
-
-    def test_interim_maps_shrink_with_queries(self):
-        config = config_for(kind="random", record_phi=True)
-        result = run_round([config], 2)[0]
-        sizes = [len(m) for m in result.interim_probs]
-        assert sizes == [200 - 2 * q for q in range(config.n_queries)]
 
     def test_disabled_by_default(self):
         result = run_round([config_for()], 0)[0]
         assert result.phi_trace is None
-        assert result.interim_probs is None
-        assert result.final_probs is None
 
 
 class TestRunExperiment:
     def test_two_round_mean_is_exact_average(self):
+        """lambda is each round's mean AUC over the test pools."""
         config = config_for(kind="random", rounds=2)
         summary = aggregate(config, run_rounds([config])[0])
         rounds = run_rounds([config])[0]
         for qi in range(config.n_queries):
-            values = [r.lam[qi] for r in rounds]
+            values = [r.auc.mean(axis=1)[qi] for r in rounds]
             assert summary.lam[qi].mean == pytest.approx(np.mean(values), abs=1e-15)
+            assert summary.lam[qi] == mean_ci(np.array(values), config.confidence)
 
     def test_aggregate_is_order_insensitive(self):
         config = config_for(kind="shifted-normal", rounds=4)
@@ -323,25 +338,39 @@ class TestRunExperiment:
         config = config_for(kind="uncertainty", rounds=4)
         assert (aggregate(config, run_rounds([config], jobs=2)[0])
                 == aggregate(config, run_rounds([config], jobs=1)[0]))
+        # every round, phi trace included, crosses the pool unchanged
+        configs = [config_for(kind=kind, rounds=4, record_phi=True)
+                   for kind in ("random", "uncertainty", "shifted-normal")]
+        parallel, sequential = (run_rounds(configs, jobs=jobs) for jobs in (2, 1))
+        for parallel_lane, sequential_lane in zip(parallel, sequential):
+            assert len(parallel_lane) == len(sequential_lane) == 4
+            for first, second in zip(parallel_lane, sequential_lane):
+                assert first.phi_trace is not None
+                assert_same_round(first, second)
 
-    def test_shared_dataset_mode_reuses_split(self):
+    def test_shared_dataset_mode_reuses_split(self, seed_round):
         config = config_for(kind="random", rounds=3, shared_dataset=True,
                             record_phi=True)
         results = run_rounds([config])[0]
         _, (_, unlabeled, _) = split_for(config, config.base_seed)
         for result in results:
-            assert list(result.final_probs) == sorted(unlabeled.tolist())
+            assert set(result.selected_ids.ravel().tolist()) <= set(
+                unlabeled.tolist())
+            assert_matches_seed_round(result, seed_round(config, result.seed))
         # query randomness still differs round to round
         assert not np.array_equal(results[0].selected_ids[0],
                                   results[1].selected_ids[0])
 
-    def test_fresh_dataset_mode_differs_per_round(self):
+    def test_fresh_dataset_mode_differs_per_round(self, seed_round):
         config = config_for(kind="random", rounds=2, record_phi=True)
         results = run_rounds([config])[0]
-        for result in results:
-            _, (_, unlabeled, _) = split_for(config, result.seed)
-            assert list(result.final_probs) == sorted(unlabeled.tolist())
-        assert list(results[0].final_probs) != list(results[1].final_probs)
+        pools = [set(split_for(config, result.seed)[1][1].tolist())
+                 for result in results]
+        for result, unlabeled in zip(results, pools):
+            assert set(result.selected_ids.ravel().tolist()) <= unlabeled
+            assert_matches_seed_round(result, seed_round(config, result.seed))
+        # round 1 did not select from round 0's pool
+        assert not set(results[1].selected_ids.ravel().tolist()) <= pools[0]
 
     def test_results_must_match_the_configured_rounds(self):
         """Rounds short of or beyond the configuration are rejected, not
@@ -376,7 +405,7 @@ class TestRunExperiment:
             assert getattr(unit, name) == getattr(triple, name), name
         for qi, size in enumerate(unit.labeled_sizes):
             held = [r for r in results if r.n_positive[qi] > 0]
-            lam = np.array([r.lam[qi] for r in held])
+            lam = np.array([r.auc.mean(axis=1)[qi] for r in held])
             zeta = np.array([r.n_positive[qi] for r in held]) / size
             samples = cost_efficiency(lam, zeta, CostModel(C=3.0))
             np.testing.assert_array_equal(
@@ -391,7 +420,7 @@ class TestRunExperiment:
     def test_single_round_cannot_form_intervals(self):
         with pytest.raises(ConfigError, match="rounds >= 2"):
             config_for(rounds=1)
-        with pytest.raises(ConfigError, match="at least 2 rounds"):
+        with pytest.raises(ConfigError, match="2 configured, got 1"):
             aggregate(config_for(n_queries=3, rounds=2),
                       [hand_built_round(0, [1.0, 1.0, 1.0])])
 
