@@ -1,14 +1,19 @@
 """Command-line front end: run experiments, compare strategies, dump datasets.
 
+This module owns every output file's layout; the simulation writes nothing.
+``summary.json`` holds one payload per strategy, from which ``per_query.csv``
+and ``compare``'s final table are read.
+
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage or validation
-errors.  Outputs are deterministic: the same command line and seed produce
-byte-identical CSV and JSON files.
+errors (an unusable ``--out`` included).  Outputs are deterministic: the
+same command line and seed produce byte-identical CSV and JSON files.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -19,8 +24,7 @@ from .errors import ConfigError, require_positive_int
 from .metrics import CostModel
 from .simulation import (ExperimentSummary, SimulationConfig, aggregate,
                          run_rounds)
-from .strategies import (DEFAULT_CONCENTRATION, DEFAULT_MODE, STRATEGY_KINDS,
-                         QueryStrategy)
+from .strategies import STRATEGY_KINDS, QueryStrategy
 
 DEFAULT_SEED = 5
 SEED_ENV_VAR = "ALQ_SEED"
@@ -30,6 +34,9 @@ CSV_HEADER = ["strategy", "q", "labeled_size",
               "zeta_mean", "zeta_lo", "zeta_hi",
               "eta_mean", "eta_lo", "eta_hi",
               "auc_mean", "f1_mean", "n_missing_eta"]
+BOUNDS = ("mean", "lower", "upper")
+# what every run writes into --out; --phi adds "phi.json"
+RESULT_FILES = ("per_query.csv", "summary.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,9 +80,9 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"base seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--mode", type=float, default=DEFAULT_MODE,
+    p.add_argument("--mode", type=float, default=QueryStrategy.mode,
                    help="peak of the shifted-normal target distribution")
-    p.add_argument("--concentration", type=float, default=DEFAULT_CONCENTRATION,
+    p.add_argument("--concentration", type=float, default=QueryStrategy.concentration,
                    help="width knob of the shifted-normal target distribution "
                         "(larger is narrower; must exceed 2)")
     p.add_argument("--shared-dataset", action="store_true",
@@ -111,75 +118,93 @@ def _experiment_config(args, strategy_kind: str) -> SimulationConfig:
         shared_dataset=args.shared_dataset, record_phi=args.phi)
 
 
-def _csv_row(strategy: str, summary: ExperimentSummary, qi: int) -> list[str]:
-    def fmt(value) -> str:
-        return "" if value is None else format(value, ".9g")
-
-    eta = summary.eta[qi]
-    return [strategy, str(summary.queries[qi]), str(summary.labeled_sizes[qi]),
-            fmt(summary.lam[qi].mean), fmt(summary.lam[qi].lower), fmt(summary.lam[qi].upper),
-            fmt(summary.zeta[qi].mean), fmt(summary.zeta[qi].lower), fmt(summary.zeta[qi].upper),
-            fmt(None if eta is None else eta.mean),
-            fmt(None if eta is None else eta.lower),
-            fmt(None if eta is None else eta.upper),
-            fmt(summary.auc[qi].mean), fmt(summary.f1[qi].mean),
-            str(summary.eta_missing[qi])]
-
-
-def _write_outputs(out_dir: str, summaries: dict[str, ExperimentSummary],
-                   phi_payload: dict | None) -> None:
-    with open(os.path.join(out_dir, "per_query.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for strategy, summary in summaries.items():
-            for qi in range(len(summary.queries)):
-                writer.writerow(_csv_row(strategy, summary, qi))
-
-    if len(summaries) == 1:
-        payload = next(iter(summaries.values())).to_dict()
-    else:
-        payload = {"strategies": {name: s.to_dict() for name, s in summaries.items()}}
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-    if phi_payload is not None:
-        with open(os.path.join(out_dir, "phi.json"), "w") as fh:
-            json.dump(phi_payload, fh, indent=2)
-            fh.write("\n")
+def _output_paths(directory: str, names: tuple[str, ...]) -> dict[str, str]:
+    """Make ``directory`` and return the path of each name in it; creates no
+    file.  Raises :class:`ConfigError` if the directory cannot be made or a
+    name exists as anything but a regular file this process can write."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the --out directory {directory!r}: "
+                          f"{exc}") from exc
+    paths = {name: os.path.join(directory, name) for name in names}
+    for path in paths.values():
+        if os.path.lexists(path) and not (os.path.isfile(path)
+                                          and os.access(path, os.W_OK)):
+            raise ConfigError(f"--out file {path!r} exists but is not a "
+                              f"regular file this process can write")
+    return paths
 
 
-def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, ExperimentSummary]:
-    """Run the strategy kinds paired, aggregate each, then write the outputs.
+def _summary_payload(summary: ExperimentSummary) -> dict:
+    """One strategy's object in ``summary.json``; ``per_query.csv`` and the
+    final table read their cells from it, so an undefined eta is decided
+    here once, as None."""
+    def series(entries) -> dict:
+        return {bound: [None if ci is None else getattr(ci, bound)
+                        for ci in entries]
+                for bound in BOUNDS}
 
-    Every input is checked and the output directory made before any round
-    runs, so bad input leaves no directory and an unusable ``--out`` costs
-    no work.
-    """
+    return {
+        "config": dataclasses.asdict(summary.config),
+        "confidence": summary.config.confidence,
+        "rounds": summary.config.rounds,
+        "queries": summary.queries,
+        "labeled_sizes": summary.labeled_sizes,
+        "lambda": series(summary.lam),
+        "zeta": series(summary.zeta),
+        "eta": {**series(summary.eta), "n_missing": summary.eta_missing},
+        "auc": series(summary.auc),
+        "f1": series(summary.f1),
+    }
+
+
+def _write_csv(fh, payloads: dict[str, dict]) -> None:
+    """``per_query.csv``: one row per strategy and query."""
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    for name, payload in payloads.items():
+        columns = [payload[metric][bound] for metric in ("lambda", "zeta", "eta")
+                   for bound in BOUNDS]
+        columns += [payload["auc"]["mean"], payload["f1"]["mean"]]
+        for q, size, *values, missing in zip(
+                payload["queries"], payload["labeled_sizes"], *columns,
+                payload["eta"]["n_missing"]):
+            cells = ["" if v is None else format(v, ".9g") for v in values]
+            writer.writerow([name, q, size, *cells, missing])
+
+
+def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:
+    """Run the strategy kinds paired, write the outputs and return each
+    kind's ``summary.json`` payload.  Every input and output path is
+    checked before any round runs, so bad input costs no work."""
     configs = [_experiment_config(args, kind) for kind in kinds]
     require_positive_int("jobs", args.jobs)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {args.out!r} is not a usable directory: "
-                          f"{exc}") from exc
+    paths = _output_paths(args.out,
+                          RESULT_FILES + (("phi.json",) if args.phi else ()))
     results = run_rounds(configs, jobs=args.jobs)
-    summaries = {kind: aggregate(config, lane)
-                 for kind, config, lane in zip(kinds, configs, results)}
-    phi_payload = None
+    payloads = {kind: _summary_payload(aggregate(config, lane))
+                for kind, config, lane in zip(kinds, configs, results)}
+    documents = {"summary.json": (payloads[kinds[0]] if len(kinds) == 1
+                                  else {"strategies": payloads})}
     if args.phi:
-        phi_payload = {"delta": configs[0].phi_delta, "strategies": {
-            kind: [{"seed": r.seed, "phi": [list(values) for values in r.phi_trace]}
-                   for r in lane]
+        documents["phi.json"] = {"delta": configs[0].phi_delta, "strategies": {
+            kind: [{"seed": r.seed, "phi": r.phi_trace} for r in lane]
             for kind, lane in zip(kinds, results)}}
-    _write_outputs(args.out, summaries, phi_payload)
-    return summaries
+    with open(paths["per_query.csv"], "w", newline="") as fh:
+        _write_csv(fh, payloads)
+    for name, document in documents.items():
+        with open(paths[name], "w") as fh:
+            json.dump(document, fh, indent=2)
+            fh.write("\n")
+    return payloads
 
 
 def _cmd_run(args) -> int:
-    summary = _run_experiments(args, (args.strategy,))[args.strategy]
-    print(f"wrote {args.out}/per_query.csv and {args.out}/summary.json "
-          f"({summary.config.rounds} rounds, strategy={args.strategy})")
+    payload = _run_experiments(args, (args.strategy,))[args.strategy]
+    written = " and ".join(f"{args.out}/{name}" for name in RESULT_FILES)
+    print(f"wrote {written} ({payload['rounds']} rounds, "
+          f"strategy={args.strategy})")
     return 0
 
 
@@ -188,31 +213,29 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _print_final_table(summaries: dict[str, ExperimentSummary]) -> None:
+def _print_final_table(payloads: dict[str, dict]) -> None:
     print("final-query means with confidence bounds:")
     header = f"{'strategy':<16} {'lambda':<28} {'zeta':<28} {'eta':<28}"
     print(header)
     print("-" * len(header))
-    for name, summary in summaries.items():
+    for name, payload in payloads.items():
         cells = []
-        for series in (summary.lam, summary.zeta, summary.eta):
-            entry = series[-1]
-            if entry is None:
-                cells.append(f"{'undefined':<28}")
-            else:
-                cells.append(f"{entry.mean:.4f} [{entry.lower:.4f}, {entry.upper:.4f}]"
-                             .ljust(28))
-        print(f"{name:<16} {cells[0]} {cells[1]} {cells[2]}")
+        for metric in ("lambda", "zeta", "eta"):
+            mean, lower, upper = (payload[metric][bound][-1] for bound in BOUNDS)
+            cells.append("undefined" if mean is None
+                         else f"{mean:.4f} [{lower:.4f}, {upper:.4f}]")
+        print(f"{name:<16} " + " ".join(f"{cell:<28}" for cell in cells))
 
 
 def _cmd_dump_dataset(args) -> int:
     seed = _resolve_seed(args.seed)
     config = DatasetConfig(class_sep=args.class_sep, seed=seed)
+    directory, name = os.path.split(args.out)
+    if not name:
+        raise ConfigError(f"--out {args.out!r} does not name a file")
+    path = _output_paths(directory or ".", (name,))[name]
     features, labels = generate_dataset(config, dataset_rng(seed))
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    write_dataset_csv((features, labels), args.out)
+    write_dataset_csv((features, labels), path)
     print(f"wrote {len(labels)} instances to {args.out}")
     return 0
 

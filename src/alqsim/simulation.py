@@ -80,9 +80,6 @@ class SimulationConfig:
                 f"query budget {self.n_queries} x {self.batch_size} = {budget} "
                 f"exceeds the unlabeled pool size {self.dataset.unlabeled_size}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True, eq=False)
 class RoundResult:
@@ -128,29 +125,6 @@ class ExperimentSummary:
     auc: tuple[CiSummary, ...]
     f1: tuple[CiSummary, ...]
     eta_missing: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        def series(entries):
-            return {
-                "mean": [None if s is None else s.mean for s in entries],
-                "lower": [None if s is None else s.lower for s in entries],
-                "upper": [None if s is None else s.upper for s in entries],
-            }
-
-        payload = {
-            "config": self.config.to_dict(),
-            "confidence": self.config.confidence,
-            "rounds": self.config.rounds,
-            "queries": list(self.queries),
-            "labeled_sizes": list(self.labeled_sizes),
-            "lambda": series(self.lam),
-            "zeta": series(self.zeta),
-            "eta": series(self.eta),
-            "auc": series(self.auc),
-            "f1": series(self.f1),
-        }
-        payload["eta"]["n_missing"] = list(self.eta_missing)
-        return payload
 
 
 def _shared_config(configs) -> SimulationConfig:

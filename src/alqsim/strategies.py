@@ -36,9 +36,6 @@ from .errors import ConfigError, reject_non_finite, require_positive_int
 
 STRATEGY_KINDS = ("random", "uncertainty", "shifted-normal")
 
-DEFAULT_MODE = 0.45
-DEFAULT_CONCENTRATION = 150.0
-
 
 @dataclass(frozen=True)
 class BetaParams:
@@ -67,8 +64,8 @@ class QueryStrategy:
     """
 
     kind: str
-    mode: float = DEFAULT_MODE
-    concentration: float = DEFAULT_CONCENTRATION
+    mode: float = 0.45
+    concentration: float = 150.0
 
     def __post_init__(self) -> None:
         reject_non_finite(self)

@@ -10,8 +10,10 @@ import pytest
 
 import alqsim.cli as cli_module
 import alqsim.simulation as simulation_module
-from alqsim import DatasetConfig, QueryStrategy, SimulationConfig
-from alqsim.cli import CSV_HEADER, _experiment_config, build_parser, main
+from alqsim import (DatasetConfig, QueryStrategy, SimulationConfig, aggregate,
+                    run_rounds)
+from alqsim.cli import (CSV_HEADER, _experiment_config, _summary_payload,
+                        build_parser, main)
 from alqsim.strategies import STRATEGY_KINDS
 
 FAST = ["--rounds", "3", "--queries", "5", "--seed", "11"]
@@ -21,6 +23,16 @@ PERFBENCH = ROOT / "perfbench"
 
 def run_cli(args):
     return main(list(args))
+
+
+def load_perfbench(monkeypatch, name):
+    """Import ``perfbench/<name>.py`` as it stands, without changing it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestRunCommand:
@@ -107,6 +119,19 @@ class TestRunCommand:
         assert payload["config"]["strategy"]["kind"] == "shifted-normal"
         assert payload["rounds"] == 3
 
+    def test_summary_payload_roundtrips_through_json(self):
+        config = SimulationConfig(
+            dataset=DatasetConfig(seed=0, labeled_size=10, unlabeled_size=200,
+                                  n_test_pools=3, test_pool_size=150),
+            strategy=QueryStrategy(kind="random"), n_queries=10, rounds=2)
+        summary = aggregate(config, run_rounds([config])[0])
+        payload = json.loads(json.dumps(_summary_payload(summary)))
+        assert payload["rounds"] == 2
+        assert payload["confidence"] == 0.99
+        assert len(payload["lambda"]["mean"]) == summary.config.n_queries
+        assert payload["config"]["strategy"]["kind"] == "random"
+        assert payload["eta"]["n_missing"] == list(summary.eta_missing)
+
 
 class TestCompareCommand:
     def test_single_round_exits_2_before_any_round(self, tmp_path, capsys,
@@ -121,7 +146,7 @@ class TestCompareCommand:
         assert "rounds >= 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub", "outdir"])
     def test_unusable_out_exits_2_before_any_round(self, tmp_path, capsys,
                                                    monkeypatch, out):
         def explode(*args, **kwargs):
@@ -130,11 +155,14 @@ class TestCompareCommand:
         monkeypatch.setattr(cli_module, "run_rounds", explode)
         taken = tmp_path / "taken"
         taken.write_text("not a directory")
+        # an output file's name is taken by a directory
+        (tmp_path / "outdir" / "per_query.csv").mkdir(parents=True)
         code = run_cli(["compare", "--rounds", "30",
                         "--out", str(tmp_path / out)])
         assert code == 2
         assert "--out" in capsys.readouterr().err
         assert taken.read_text() == "not a directory"
+        assert os.listdir(tmp_path / "outdir") == ["per_query.csv"]
 
     def test_dataset_generated_once_per_seed(self, tmp_path, monkeypatch):
         """The three strategies of a round share one generated dataset."""
@@ -212,6 +240,22 @@ class TestDumpDataset:
             run_cli(["dump-dataset", "--seed", "9", "--out", str(target)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("out", ["existing/x.csv", "somedir/", ""])
+    def test_unusable_out_exits_2_before_generating(self, tmp_path, capsys,
+                                                    monkeypatch, out):
+        def explode(*args, **kwargs):
+            raise AssertionError("the dataset was generated")
+
+        monkeypatch.setattr(cli_module, "generate_dataset", explode)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing").write_text("a file")
+        (tmp_path / "somedir").mkdir()
+        code = run_cli(["dump-dataset", "--out", out])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["existing", "somedir"]
+        assert os.listdir(tmp_path / "somedir") == []
+
 
 class TestDeterminismAndSeeds:
     def test_identical_runs_are_byte_identical(self, tmp_path):
@@ -275,11 +319,7 @@ class TestOutputsMatchSeedPackage:
     """
 
     def test_compare_and_dump_dataset_match(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_run", PERFBENCH / "run.py")
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
+        bench = load_perfbench(monkeypatch, "run")
 
         # each command writes to its own relative directory
         commands = {
@@ -325,3 +365,36 @@ class TestOutputsMatchSeedPackage:
             for file in files:
                 assert ((program / file).read_bytes()
                         == (seed / file).read_bytes()), (name, file)
+
+
+class TestBenchmarkCallSites:
+    """The call sites the benchmark's tracer wraps still exist.
+
+    A site the program stops calling reads 0 in the per-layer metrics, and
+    nothing else fails, so the sites that are called are pinned here.  The
+    check is "contains", so re-pointing the benchmark at new sites keeps it.
+    """
+
+    CALLED = {"datagen.generate_dataset", "datagen.split_pools",
+              "metrics.mean_ci", "metrics.student_t_quantile",
+              "strategies.select_random", "strategies.select_uncertainty",
+              "strategies.select_shifted_normal", "strategies.beta_sample",
+              "simulation.run_round", "simulation.run_rounds",
+              "simulation.aggregate"}
+
+    def test_traced_run_reaches_every_called_site(self, tmp_path, monkeypatch):
+        tracer = load_perfbench(monkeypatch, "tracer")
+        code, _, traced = tracer.traced_experiment(
+            ["compare", "--rounds", "2", "--queries", "2", "--phi",
+             "--out", str(tmp_path / "traced")], set())
+        assert code == 0
+        assert self.CALLED <= {span[0] for span in traced.spans}
+
+    def test_pool_run_counts_tasks(self, tmp_path, monkeypatch):
+        tracer = load_perfbench(monkeypatch, "tracer")
+        monkeypatch.setattr(simulation_module.os, "cpu_count", lambda: 2)
+        code, stats = tracer.pool_experiment(
+            ["compare", "--rounds", "2", "--queries", "2", "--jobs", "2",
+             "--out", str(tmp_path / "pool")], set())
+        assert code == 0
+        assert stats["tasks"] >= 1

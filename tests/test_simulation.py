@@ -465,15 +465,3 @@ class TestRunExperiment:
         # auc series pools per-test-pool samples: 3 per round
         assert summary.auc[0].n == 3 * config.rounds
         assert summary.lam[0].n == config.rounds
-
-    def test_to_dict_roundtrips_through_json(self):
-        import json
-
-        config = config_for(kind="random", rounds=2)
-        summary = aggregate(config, run_rounds([config])[0])
-        payload = json.loads(json.dumps(summary.to_dict()))
-        assert payload["rounds"] == 2
-        assert payload["confidence"] == 0.99
-        assert len(payload["lambda"]["mean"]) == summary.config.n_queries
-        assert payload["config"]["strategy"]["kind"] == "random"
-        assert payload["eta"]["n_missing"] == list(summary.eta_missing)
