@@ -105,13 +105,15 @@ def _resolve_seed(value: int | None) -> int:
         raise ConfigError(f"environment variable {SEED_ENV_VAR}={raw!r} is not an integer")
 
 
-def _experiment_config(args, strategy_kind: str) -> SimulationConfig:
+def _experiment_config(args, *kinds: str) -> SimulationConfig:
+    """The one experiment that runs the strategy ``kinds`` as paired lanes."""
     seed = _resolve_seed(args.seed)
-    dataset = DatasetConfig(class_sep=args.class_sep, seed=seed)
-    strategy = QueryStrategy(kind=strategy_kind, mode=args.mode,
-                             concentration=args.concentration)
+    dataset = DatasetConfig(class_sep=args.class_sep)
+    strategies = tuple(QueryStrategy(kind=kind, mode=args.mode,
+                                     concentration=args.concentration)
+                       for kind in kinds)
     return SimulationConfig(
-        dataset=dataset, strategy=strategy,
+        dataset=dataset, strategies=strategies,
         n_queries=args.queries, batch_size=args.batch,
         cost=CostModel(C=args.cost_c),
         rounds=args.rounds, base_seed=seed,
@@ -136,19 +138,27 @@ def _output_paths(directory: str, names: tuple[str, ...]) -> dict[str, str]:
     return paths
 
 
-def _summary_payload(summary: ExperimentSummary) -> dict:
+def _summary_payload(config: SimulationConfig, strategy: QueryStrategy,
+                     summary: ExperimentSummary) -> dict:
     """One strategy's object in ``summary.json``; ``per_query.csv`` and the
     final table read their cells from it, so an undefined eta is decided
-    here once, as None."""
+    here once, as None.  Its ``config`` echoes the experiment as that
+    strategy's lane: ``dataset`` with the base seed as its ``seed``, then
+    ``strategy``, then the other fields in declaration order."""
+    echo = dataclasses.asdict(config)
+    del echo["strategies"]
+    echo = {"dataset": {**echo.pop("dataset"), "seed": config.base_seed},
+            "strategy": dataclasses.asdict(strategy), **echo}
+
     def series(entries) -> dict:
         return {bound: [None if ci is None else getattr(ci, bound)
                         for ci in entries]
                 for bound in BOUNDS}
 
     return {
-        "config": dataclasses.asdict(summary.config),
-        "confidence": summary.config.confidence,
-        "rounds": summary.config.rounds,
+        "config": echo,
+        "confidence": config.confidence,
+        "rounds": config.rounds,
         "queries": summary.queries,
         "labeled_sizes": summary.labeled_sizes,
         "lambda": series(summary.lam),
@@ -178,17 +188,18 @@ def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:
     """Run the strategy kinds paired, write the outputs and return each
     kind's ``summary.json`` payload.  Every input and output path is
     checked before any round runs, so bad input costs no work."""
-    configs = [_experiment_config(args, kind) for kind in kinds]
+    config = _experiment_config(args, *kinds)
     require_positive_int("jobs", args.jobs)
     paths = _output_paths(args.out,
                           RESULT_FILES + (("phi.json",) if args.phi else ()))
-    results = run_rounds(configs, jobs=args.jobs)
-    payloads = {kind: _summary_payload(aggregate(config, lane))
-                for kind, config, lane in zip(kinds, configs, results)}
+    results = run_rounds(config, jobs=args.jobs)
+    payloads = {strategy.kind: _summary_payload(config, strategy,
+                                                aggregate(config, lane))
+                for strategy, lane in zip(config.strategies, results)}
     documents = {"summary.json": (payloads[kinds[0]] if len(kinds) == 1
                                   else {"strategies": payloads})}
     if args.phi:
-        documents["phi.json"] = {"delta": configs[0].phi_delta, "strategies": {
+        documents["phi.json"] = {"delta": config.phi_delta, "strategies": {
             kind: [{"seed": r.seed, "phi": r.phi_trace} for r in lane]
             for kind, lane in zip(kinds, results)}}
     with open(paths["per_query.csv"], "w", newline="") as fh:
@@ -229,7 +240,7 @@ def _print_final_table(payloads: dict[str, dict]) -> None:
 
 def _cmd_dump_dataset(args) -> int:
     seed = _resolve_seed(args.seed)
-    config = DatasetConfig(class_sep=args.class_sep, seed=seed)
+    config = DatasetConfig(class_sep=args.class_sep)
     directory, name = os.path.split(args.out)
     if not name:
         raise ConfigError(f"--out {args.out!r} does not name a file")

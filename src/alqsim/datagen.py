@@ -32,8 +32,6 @@ class DatasetConfig:
     n_test_pools: int = 3
     test_pool_size: int = 1000
     positive_fraction: float = 0.5
-    # Not read by the generator (see dataset_rng); summary.json echoes it.
-    seed: int = 0
 
     def __post_init__(self) -> None:
         reject_non_finite(self)

@@ -11,9 +11,11 @@ positive label relative to one negative label.
 
 Confidence intervals are Student-t based; the t quantile is computed
 numerically in-repo (regularized incomplete beta via continued fraction,
-inverted by bisection) rather than from shipped tables.  The quantile is
-memoized: it is a pure function of ``(p, df)``, and every ``mean_ci`` call of
-an aggregate asks for the same one.
+inverted by bisection) rather than from shipped tables.  The quantile is a
+pure function of ``(p, df)``, and every ``mean_ci`` call of an aggregate asks
+for one of a few, memoized: lambda, zeta and eta use df = rounds - 1, AUC and
+F1 use df = n_test_pools * rounds - 1, and an eta row with undefined samples
+uses less.
 """
 
 from __future__ import annotations

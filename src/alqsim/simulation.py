@@ -1,31 +1,30 @@
 """Active-learning loop orchestration and multi-round aggregation.
 
 One round: generate and split a dataset, fit an initial model on the labeled
-seed pool, then repeatedly (score the unlabeled pool, select a batch with the
-configured strategy, reveal the selected instances' true labels, move them to
+seed pool, then repeatedly (score the unlabeled pool, select a batch with a
+query strategy, reveal the selected instances' true labels, move them to
 the labeled pool, refit, evaluate on the held-out test pools).  True labels
 cross into the loop only at the reveal step; selectors see ids and predicted
 probabilities, nothing else.  A round records what it observed after each
 query: the ids it selected, the positive labels it held, each test pool's
 AUC and F1 and, optionally, its phi trace; it knows no labeling cost.
 
-An experiment runs many independent rounds (seeds ``base_seed + i``);
-:func:`aggregate` derives lambda, zeta and eta from them under the
-configured cost and summarises every metric per query index in Student-t
-confidence intervals.  Strategies compared on one experiment are paired:
-the rounds of every strategy at one seed run together as lanes, on one
-dataset generated and split once.  The lanes step through the queries in
-lock-step, since each holds the same number of labels at each query, so
-each query makes one stacked prediction, one stacked Newton fit and one
-stacked evaluation over all lanes, while each lane selects with its own
-query generator.  A process holds one seed's dataset and lanes at a time.
-Seeds share no state, so they can execute in parallel with results
-identical to sequential execution.
+An experiment is one :class:`SimulationConfig`; its ``strategies`` are
+compared paired, as lanes.  It runs many independent rounds (seeds
+``base_seed + i``), and at each seed every strategy's round runs as one
+lane on one dataset generated and split once.  The lanes step through the
+queries in lock-step, since each holds the same number of labels at each
+query, so each query makes one stacked prediction, one stacked Newton fit
+and one stacked evaluation over all lanes, while each lane selects with its
+own query generator.  A process holds one seed's dataset and lanes at a
+time.  Seeds share no state, so they can execute in parallel with results
+identical to sequential execution.  :func:`aggregate` derives lambda, zeta
+and eta from one lane's rounds under the configured cost and summarises
+every metric per query index in Student-t confidence intervals.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -48,10 +47,11 @@ class SimulationError(AlqsimError, RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Complete description of one experiment."""
+    """Complete description of one experiment; each of ``strategies`` is a
+    lane of every round."""
 
     dataset: DatasetConfig
-    strategy: QueryStrategy
+    strategies: tuple[QueryStrategy, ...]
     n_queries: int = 20
     batch_size: int = 2
     cost: CostModel = CostModel()
@@ -64,6 +64,10 @@ class SimulationConfig:
     phi_delta: float = 0.05
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.strategies, tuple) and self.strategies
+                and all(isinstance(s, QueryStrategy) for s in self.strategies)):
+            raise ConfigError(f"strategies must be a non-empty tuple of "
+                              f"QueryStrategy, got {self.strategies!r}")
         reject_non_finite(self)
         for name in ("n_queries", "batch_size", "rounds"):
             require_positive_int(name, getattr(self, name))
@@ -116,7 +120,6 @@ class ExperimentSummary:
     undefined samples per query.
     """
 
-    config: SimulationConfig
     queries: tuple[int, ...]
     labeled_sizes: tuple[int, ...]
     lam: tuple[CiSummary, ...]
@@ -127,33 +130,15 @@ class ExperimentSummary:
     eta_missing: tuple[int, ...]
 
 
-def _shared_config(configs) -> SimulationConfig:
-    """The configuration shared by lanes that run together.
+def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
+    """One round of every strategy of ``config`` at ``round_seed``, in
+    lock-step.
 
-    Raises :class:`ConfigError` unless there is at least one configuration
-    and they all differ only in ``strategy``.
+    Returns one :class:`RoundResult` per strategy.  Each is a pure function
+    of (config, its strategy, seed), as if that lane had run alone: the
+    lanes share the seed's dataset and split, and each draws its query
+    randomness from its own ``query_rng(round_seed)``.
     """
-    if not configs:
-        raise ConfigError("no configurations to run")
-    shared = configs[0]
-    for config in configs[1:]:
-        if dataclasses.replace(config, strategy=shared.strategy) != shared:
-            raise ConfigError("configurations run together must differ only "
-                              "in strategy")
-    return shared
-
-
-def run_round(configs: list[SimulationConfig],
-              round_seed: int) -> list[RoundResult]:
-    """One round of every configuration at ``round_seed``, in lock-step.
-
-    Returns one :class:`RoundResult` per configuration.  Each is a pure
-    function of its own (config, seed), as if that round had run alone:
-    the lanes share the seed's dataset and split, and each draws its query
-    randomness from its own ``query_rng(round_seed)``.  Raises
-    :class:`ConfigError` unless the configurations differ only in strategy.
-    """
-    config = _shared_config(configs)
     data_seed = config.base_seed if config.shared_dataset else round_seed
     data_rng = dataset_rng(data_seed)
     features, labels = generate_dataset(config.dataset, data_rng)
@@ -161,11 +146,11 @@ def run_round(configs: list[SimulationConfig],
         (features, labels), config.dataset, data_rng)
     test_features, test_labels = features[test_ids], labels[test_ids]
 
-    strategies = [c.strategy for c in configs]
-    rngs = [query_rng(round_seed) for _ in configs]
+    strategies = config.strategies
+    rngs = [query_rng(round_seed) for _ in strategies]
     beta_params = [beta_from_mode(s.mode, s.concentration) for s in strategies]
     needs_scores = config.record_phi or any(s.kind != "random" for s in strategies)
-    n_lanes, n_queries, batch = len(configs), config.n_queries, config.batch_size
+    n_lanes, n_queries, batch = len(strategies), config.n_queries, config.batch_size
 
     position = np.empty(len(labels), dtype=np.int64)  # dataset row -> pool slot
     position[u_ids] = np.arange(len(u_ids))
@@ -235,23 +220,21 @@ def worker_count(jobs: int, rounds: int) -> int:
     return min(jobs, rounds, os.cpu_count() or 1)
 
 
-def run_rounds(configs: list[SimulationConfig],
+def run_rounds(config: SimulationConfig,
                jobs: int = 1) -> list[list[RoundResult]]:
-    """All rounds of an experiment, one list per configuration, each in
-    round order; the configurations run paired, one seed at a time, and
-    the seeds optionally in parallel.
+    """All rounds of an experiment, one list per strategy, each in round
+    order; the strategies run paired, one seed at a time, and the seeds
+    optionally in parallel.
 
     Raises :class:`ConfigError` before any round runs unless ``jobs`` is a
-    positive integer and the configurations differ only in strategy.  A
-    failing round aborts the experiment with a :class:`SimulationError`
-    naming the failing round's seed.
+    positive integer.  A failing round aborts the experiment with a
+    :class:`SimulationError` naming the failing round's seed.
     """
-    config = _shared_config(configs)
     workers = worker_count(jobs, config.rounds)
     seeds = [config.base_seed + i for i in range(config.rounds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(seed, pool.submit(run_round, configs, seed))
+            futures = [(seed, pool.submit(run_round, config, seed))
                        for seed in seeds]
             try:
                 per_seed = [_settle(seed, future.result)
@@ -261,7 +244,7 @@ def run_rounds(configs: list[SimulationConfig],
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        per_seed = [_settle(seed, lambda s=seed: run_round(configs, s))
+        per_seed = [_settle(seed, lambda s=seed: run_round(config, s))
                     for seed in seeds]
     return [list(lane) for lane in zip(*per_seed)]
 
@@ -275,7 +258,8 @@ def _settle(seed: int, produce) -> list[RoundResult]:
 
 def aggregate(config: SimulationConfig,
               results: list[RoundResult]) -> ExperimentSummary:
-    """Merge completed rounds into per-query confidence intervals.
+    """Merge one lane's completed rounds into per-query confidence
+    intervals; ``results`` is one of :func:`run_rounds`' per-strategy lists.
 
     The one place that derives metrics from what rounds observed: a round's
     lambda is its mean AUC over the test pools, its zeta its held positives
@@ -312,7 +296,7 @@ def aggregate(config: SimulationConfig,
                                    config.cost)
                    for lam_row, zeta_row, defined in zip(lam, zeta, zeta > 0)]
     return ExperimentSummary(
-        config=config, queries=queries, labeled_sizes=labeled_sizes,
+        queries=queries, labeled_sizes=labeled_sizes,
         lam=tuple(map(ci, lam)), zeta=tuple(map(ci, zeta)),
         eta=tuple(ci(row) if len(row) >= 2 else None for row in defined_eta),
         auc=tuple(map(ci, aucs)), f1=tuple(map(ci, f1s)),

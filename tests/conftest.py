@@ -8,7 +8,7 @@ and on ``PYTHONPATH`` (keeping any existing entries).  No install is needed.
 The ``seed_package`` fixture imports the frozen seed-commit package in
 ``perfbench/oracle`` under another name, so tests can hold a function up
 against the version it replaced; ``seed_round`` runs that package's round
-for a configuration of this one.
+for a one-strategy configuration of this one.
 """
 
 import dataclasses
@@ -50,19 +50,23 @@ def seed_package():
 @pytest.fixture(scope="session")
 def seed_round(seed_package):
     """``seed_round(config, seed)``: the seed package's ``run_round`` for a
-    ``SimulationConfig`` of this package, with its one strategy, at
-    ``seed``.  Its result keeps the per-query snapshots and the
-    ``interim_probs``/``final_probs`` maps of the seed-commit round."""
+    one-strategy ``SimulationConfig`` of this package at ``seed``; its one
+    strategy becomes the seed package's ``strategy``.  The result keeps the
+    per-query snapshots and the ``interim_probs``/``final_probs`` maps of
+    the seed-commit round."""
     nested = {"dataset": seed_package.DatasetConfig,
-              "strategy": seed_package.QueryStrategy,
               "cost": seed_package.CostModel,
               "glm": seed_package.GlmHyperparams}
 
     def run(config, seed):
+        (strategy,) = config.strategies
         values = {field.name: getattr(config, field.name)
-                  for field in dataclasses.fields(config)}
+                  for field in dataclasses.fields(config)
+                  if field.name != "strategies"}
         for name, seed_class in nested.items():
             values[name] = seed_class(**dataclasses.asdict(values[name]))
+        values["strategy"] = seed_package.QueryStrategy(
+            **dataclasses.asdict(strategy))
         return seed_package.simulation.run_round(
             seed_package.SimulationConfig(**values), seed)
 

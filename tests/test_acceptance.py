@@ -214,10 +214,10 @@ class TestCriterion7Determinism:
                      == (tmp_path / "second/results/summary.json").read_bytes())
 
         config = SimulationConfig(
-            dataset=DatasetConfig(class_sep=0.5, seed=7),
-            strategy=QueryStrategy(kind="shifted-normal"),
+            dataset=DatasetConfig(class_sep=0.5),
+            strategies=(QueryStrategy(kind="shifted-normal"),),
             n_queries=10, rounds=5, base_seed=7)
-        results = run_rounds([config])[0]
+        results = run_rounds(config)[0]
         shuffled = [results[i] for i in (3, 0, 4, 1, 2)]
         permutation_ok = aggregate(config, results) == aggregate(config, shuffled)
 
@@ -252,10 +252,10 @@ class TestCriterion9PhiDiagnostic:
         maps of the seed package's round, not arrays of the code under
         test."""
         config = SimulationConfig(
-            dataset=DatasetConfig(class_sep=0.5, seed=21),
-            strategy=QueryStrategy(kind="shifted-normal"),
+            dataset=DatasetConfig(class_sep=0.5),
+            strategies=(QueryStrategy(kind="shifted-normal"),),
             n_queries=5, rounds=3, base_seed=21, record_phi=True)
-        results = run_rounds([config])[0]
+        results = run_rounds(config)[0]
         checked = 0
         all_ok = True
         for result in results:

@@ -120,17 +120,26 @@ class TestRunCommand:
         assert payload["rounds"] == 3
 
     def test_summary_payload_roundtrips_through_json(self):
+        """Each lane's payload echoes the one experiment config as that
+        lane's: its own strategy, no other lane's, and the base seed."""
         config = SimulationConfig(
-            dataset=DatasetConfig(seed=0, labeled_size=10, unlabeled_size=200,
+            dataset=DatasetConfig(labeled_size=10, unlabeled_size=200,
                                   n_test_pools=3, test_pool_size=150),
-            strategy=QueryStrategy(kind="random"), n_queries=10, rounds=2)
-        summary = aggregate(config, run_rounds([config])[0])
-        payload = json.loads(json.dumps(_summary_payload(summary)))
-        assert payload["rounds"] == 2
-        assert payload["confidence"] == 0.99
-        assert len(payload["lambda"]["mean"]) == summary.config.n_queries
-        assert payload["config"]["strategy"]["kind"] == "random"
-        assert payload["eta"]["n_missing"] == list(summary.eta_missing)
+            strategies=tuple(QueryStrategy(kind) for kind in STRATEGY_KINDS),
+            n_queries=10, rounds=2, base_seed=3)
+        lanes = run_rounds(config)
+        assert len(lanes) == len(STRATEGY_KINDS)
+        for strategy, lane in zip(config.strategies, lanes):
+            summary = aggregate(config, lane)
+            payload = json.loads(json.dumps(
+                _summary_payload(config, strategy, summary)))
+            assert payload["rounds"] == 2
+            assert payload["confidence"] == 0.99
+            assert len(payload["lambda"]["mean"]) == config.n_queries
+            assert payload["config"]["strategy"]["kind"] == strategy.kind
+            assert "strategies" not in payload["config"]
+            assert payload["config"]["dataset"]["seed"] == config.base_seed
+            assert payload["eta"]["n_missing"] == list(summary.eta_missing)
 
 
 class TestCompareCommand:
@@ -207,9 +216,14 @@ class TestCompareCommand:
     def test_flag_defaults_are_the_config_defaults(self, monkeypatch):
         monkeypatch.delenv("ALQ_SEED", raising=False)
         args = build_parser().parse_args(["compare"])
+        assert _experiment_config(args, *STRATEGY_KINDS) == SimulationConfig(
+            dataset=DatasetConfig(),
+            strategies=tuple(QueryStrategy(kind) for kind in STRATEGY_KINDS),
+            base_seed=5)
         for kind in STRATEGY_KINDS:
-            assert _experiment_config(args, kind) == SimulationConfig(
-                dataset=DatasetConfig(seed=5), strategy=QueryStrategy(kind),
+            args = build_parser().parse_args(["run", "--strategy", kind])
+            assert _experiment_config(args, args.strategy) == SimulationConfig(
+                dataset=DatasetConfig(), strategies=(QueryStrategy(kind),),
                 base_seed=5)
         dump = build_parser().parse_args(["dump-dataset"])
         assert dump.class_sep == DatasetConfig.class_sep
@@ -338,6 +352,12 @@ class TestOutputsMatchSeedPackage:
                          "--cost-c", "3", "--seed", "580"],
             "cost-1283": ["compare", "--rounds", "2", "--queries", "3",
                           "--cost-c", "3", "--seed", "1283"],
+            # the payload echoes the base seed as config.dataset.seed: a
+            # negative one, and one read from the environment only
+            "negative-seed": ["compare", "--rounds", "2", "--queries", "2",
+                              "--seed", "-7", "--shared-dataset"],
+            "env-seed": ["run", "--strategy", "uncertainty", "--rounds", "2",
+                         "--queries", "3"],
         }
         dirs, stdouts = {}, {}
         for side, package in (("program", bench.SRC), ("seed", bench.ORACLE_SRC)):
@@ -348,9 +368,11 @@ class TestOutputsMatchSeedPackage:
                                   "--out", "dump/dataset.csv"]))
             for name, args in runs:
                 # relative paths, so stdout that echoes one is the same
+                env = bench.child_env(package)
+                if name == "env-seed":
+                    env = {**env, "ALQ_SEED": "11"}
                 proc = subprocess.run([sys.executable, "-m", "alqsim", *args],
-                                      env=bench.child_env(package), cwd=out,
-                                      capture_output=True)
+                                      env=env, cwd=out, capture_output=True)
                 assert proc.returncode == 0, proc.stderr.decode()
                 stdouts[side, name] = proc.stdout
             dirs[side] = out

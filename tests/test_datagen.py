@@ -8,7 +8,7 @@ from alqsim.datagen import query_rng, write_dataset_csv
 
 def small_config(**overrides):
     base = dict(class_sep=0.5, labeled_size=10, unlabeled_size=50,
-                n_test_pools=2, test_pool_size=20, seed=0)
+                n_test_pools=2, test_pool_size=20)
     base.update(overrides)
     return DatasetConfig(**base)
 
@@ -55,7 +55,7 @@ class TestGenerateDataset:
         assert abs(wins - 0.5) < 0.03
 
     def test_positive_count_forced_by_rounding(self):
-        config = DatasetConfig(class_sep=0.5, seed=7)  # 4010 instances
+        config = DatasetConfig(class_sep=0.5)  # 4010 instances
         _, labels = generate_dataset(config, np.random.default_rng(7))
         assert labels.sum() == 2005
 

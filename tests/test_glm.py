@@ -147,14 +147,14 @@ def paper_pools():
             pools.append(make_pool(lane_features, lane_labels))
         return real_fit_lanes(features, labels, hp)
 
-    configs = [SimulationConfig(
-        dataset=DatasetConfig(class_sep=0.5, seed=5),
-        strategy=QueryStrategy(kind=kind), n_queries=20, batch_size=2,
-        rounds=5, base_seed=5) for kind in STRATEGY_KINDS]
+    config = SimulationConfig(
+        dataset=DatasetConfig(class_sep=0.5),
+        strategies=tuple(QueryStrategy(kind=kind) for kind in STRATEGY_KINDS),
+        n_queries=20, batch_size=2, rounds=5, base_seed=5)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation_module, "fit_lanes", recording_fit_lanes)
         for seed in range(5, 10):
-            run_round(configs, seed)
+            run_round(config, seed)
     return [pool for pools in lane_pools for pool in pools]
 
 

@@ -20,14 +20,21 @@ from alqsim.simulation import worker_count
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
-def config_for(kind="random", cs=0.5, rounds=3, seed=0, **overrides):
+def config_for(*kinds, cs=0.5, rounds=3, seed=0, **overrides):
+    """A small experiment whose lanes are the strategy ``kinds``; one random
+    lane if none is given."""
     smaller = dict(labeled_size=10, unlabeled_size=200, n_test_pools=3,
                    test_pool_size=150)
     return SimulationConfig(
-        dataset=DatasetConfig(class_sep=cs, seed=seed, **smaller),
-        strategy=QueryStrategy(kind=kind),
+        dataset=DatasetConfig(class_sep=cs, **smaller),
+        strategies=tuple(QueryStrategy(kind) for kind in kinds or ("random",)),
         n_queries=overrides.pop("n_queries", 10),
         rounds=rounds, base_seed=seed, **overrides)
+
+
+def one_lane(config, strategy):
+    """``config`` with ``strategy`` as its only lane."""
+    return dataclasses.replace(config, strategies=(strategy,))
 
 
 def split_for(config, seed):
@@ -81,12 +88,12 @@ class TestConfigValidation:
     def test_budget_must_fit_unlabeled_pool(self):
         with pytest.raises(ConfigError, match="exceeds"):
             SimulationConfig(dataset=DatasetConfig(),
-                             strategy=QueryStrategy(kind="random"),
+                             strategies=(QueryStrategy(kind="random"),),
                              n_queries=600, batch_size=2)
 
     def test_default_budget_is_valid(self):
         config = SimulationConfig(dataset=DatasetConfig(),
-                                  strategy=QueryStrategy(kind="random"))
+                                  strategies=(QueryStrategy(kind="random"),))
         assert config.n_queries * config.batch_size <= config.dataset.unlabeled_size
 
     @pytest.mark.parametrize("bad", [dict(n_queries=0), dict(batch_size=0),
@@ -99,14 +106,14 @@ class TestConfigValidation:
     def test_bad_fields_rejected(self, bad):
         with pytest.raises(ConfigError):
             SimulationConfig(dataset=DatasetConfig(),
-                             strategy=QueryStrategy(kind="random"), **bad)
+                             strategies=(QueryStrategy(kind="random"),), **bad)
 
 
 class TestRunRound:
     def test_pool_sizes_with_paper_defaults(self):
         config = SimulationConfig(dataset=DatasetConfig(class_sep=0.5),
-                                  strategy=QueryStrategy(kind="random"))
-        result = run_round([config], 0)[0]
+                                  strategies=(QueryStrategy(kind="random"),))
+        result = run_round(config, 0)[0]
         assert result.selected_ids.shape == (20, 2)
         assert len(set(result.selected_ids.ravel().tolist())) == 40
         assert result.n_positive.shape == (20,)
@@ -125,8 +132,8 @@ class TestRunRound:
             return fit_lanes(features, labels, hyper)
 
         monkeypatch.setattr(simulation_module, "fit_lanes", recording_fit)
-        config = config_for(kind="uncertainty", rounds=2)
-        summary = aggregate(config, run_rounds([config])[0])
+        config = config_for("uncertainty", rounds=2)
+        summary = aggregate(config, run_rounds(config)[0])
         per_round = [10 + 2 * q for q in range(0, 11)]
         assert sizes == per_round * 2
         assert summary.labeled_sizes == tuple(per_round[1:])
@@ -135,8 +142,8 @@ class TestRunRound:
     def test_pool_conservation(self, kind):
         """Selected ids come from the unlabeled pool, never repeat, and never
         touch the seed pool or the test pools."""
-        config = config_for(kind=kind)
-        result = run_round([config], 5)[0]
+        config = config_for(kind)
+        result = run_round(config, 5)[0]
         _, (labeled, unlabeled, tests) = split_for(config, 5)
 
         selected = result.selected_ids.ravel().tolist()
@@ -148,14 +155,14 @@ class TestRunRound:
 
     @pytest.mark.parametrize("kind", ["random", "uncertainty", "shifted-normal"])
     def test_bit_identical_reruns(self, kind):
-        config = config_for(kind=kind)
-        assert_same_round(run_round([config], 3)[0], run_round([config], 3)[0])
+        config = config_for(kind)
+        assert_same_round(run_round(config, 3)[0], run_round(config, 3)[0])
 
     def test_selection_driven_by_interim_probabilities_only(self):
         """The q=1 uncertainty batch is reproducible from the initial model
         and the unlabeled features alone (no access to hidden labels)."""
-        config = config_for(kind="uncertainty")
-        result = run_round([config], 9)[0]
+        config = config_for("uncertainty")
+        result = run_round(config, 9)[0]
         (features, labels), (labeled, unlabeled, _) = split_for(config, 9)
         model = fit(features[labeled], labels[labeled], config.glm)
         probs = predict_proba(model, features[unlabeled])
@@ -163,21 +170,22 @@ class TestRunRound:
             unlabeled, probs, config.batch_size)
 
     def test_easy_separation_reaches_high_auc(self):
-        config = config_for(kind="random", cs=10.0)
-        result = run_round([config], 0)[0]
+        config = config_for("random", cs=10.0)
+        result = run_round(config, 0)[0]
         assert result.auc.mean(axis=1)[-1] > 0.95
 
     def test_strategies_paired_on_one_dataset(self, seed_round):
         """Same round seed: all strategies select from the unlabeled pool of
         the split that dataset_rng draws for that seed, and each lane
         observes what the seed package's round at that seed did."""
-        configs = [config_for(kind=kind, rounds=2, record_phi=True)
-                   for kind in ("random", "uncertainty", "shifted-normal")]
-        _, (_, unlabeled, _) = split_for(configs[0], 7)
-        for config, result in zip(configs, run_round(configs, 7)):
+        config = config_for("random", "uncertainty", "shifted-normal",
+                            rounds=2, record_phi=True)
+        _, (_, unlabeled, _) = split_for(config, 7)
+        for strategy, result in zip(config.strategies, run_round(config, 7)):
             assert set(result.selected_ids.ravel().tolist()) <= set(
                 unlabeled.tolist())
-            assert_matches_seed_round(result, seed_round(config, 7))
+            assert_matches_seed_round(
+                result, seed_round(one_lane(config, strategy), 7))
 
     def test_eta_is_nan_when_zeta_is_zero(self, monkeypatch):
         """With no positive label held, efficiency is undefined: every eta
@@ -191,7 +199,7 @@ class TestRunRound:
         monkeypatch.setattr(simulation_module, "split_pools",
                             negatives_only_split)
         config = config_for(rounds=2)
-        results = [run_round([config], seed)[0] for seed in range(2)]
+        results = [run_round(config, seed)[0] for seed in range(2)]
         for result in results:
             assert result.n_positive.tolist() == [0] * config.n_queries
             assert (result.auc.mean(axis=1) > 0.0).all()
@@ -205,49 +213,37 @@ class TestLockStepLanes:
     def test_each_lane_equals_its_round_run_alone(self):
         """Pairing strategies on a seed changes no lane's result, phi
         included."""
-        configs = [config_for(kind=kind, record_phi=True)
-                   for kind in ("shifted-normal", "random", "uncertainty",
-                                "shifted-normal")]
-        configs[3] = dataclasses.replace(
-            configs[3], strategy=QueryStrategy("shifted-normal", mode=0.3))
+        config = config_for("shifted-normal", "random", "uncertainty",
+                            record_phi=True)
+        config = dataclasses.replace(config, strategies=(
+            *config.strategies, QueryStrategy("shifted-normal", mode=0.3)))
         for seed in (4, 5):
-            lanes = run_round(configs, seed)
-            assert len(lanes) == len(configs)
-            for config, lane in zip(configs, lanes):
-                assert_same_round(lane, run_round([config], seed)[0])
+            lanes = run_round(config, seed)
+            assert len(lanes) == len(config.strategies)
+            for strategy, lane in zip(config.strategies, lanes):
+                assert_same_round(lane,
+                                  run_round(one_lane(config, strategy), seed)[0])
 
-    @pytest.mark.parametrize("field,value", [
-        ("n_queries", 9), ("batch_size", 3), ("rounds", 4), ("base_seed", 1),
-        ("record_phi", True), ("shared_dataset", True), ("cost", CostModel(C=2.0)),
-        ("dataset", DatasetConfig(class_sep=1.0, labeled_size=10,
-                                  unlabeled_size=200, test_pool_size=150)),
-    ])
-    def test_configs_differing_beyond_strategy_rejected(self, monkeypatch,
-                                                        field, value):
+    @pytest.mark.parametrize("strategies", [
+        (), [QueryStrategy("random")], (QueryStrategy("random"), "random"),
+    ], ids=["empty", "list", "non-strategy-member"])
+    def test_bad_strategies_rejected(self, monkeypatch, strategies):
         def explode(*args, **kwargs):
             raise AssertionError("a round started")
 
-        first = config_for(kind="random")
-        second = dataclasses.replace(config_for(kind="uncertainty"),
-                                     **{field: value})
-        with pytest.raises(ConfigError, match="differ only in strategy"):
-            run_round([first, second], 0)
         monkeypatch.setattr(simulation_module, "run_round", explode)
-        with pytest.raises(ConfigError, match="differ only in strategy"):
-            run_rounds([first, second])
-
-    def test_no_configs_rejected(self):
-        with pytest.raises(ConfigError, match="no configurations"):
-            run_rounds([])
+        with pytest.raises(ConfigError, match="strategies"):
+            run_rounds(SimulationConfig(dataset=DatasetConfig(),
+                                        strategies=strategies))
 
 
 class TestPhiDiagnostics:
     def test_trace_matches_brute_force(self, seed_round):
         """Each query's trace is the brute-force filter of the seed
         package's interim and final probability maps for that round."""
-        config = config_for(kind="shifted-normal", record_phi=True, rounds=3)
+        config = config_for("shifted-normal", record_phi=True, rounds=3)
         lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
-        for result in run_rounds([config])[0]:
+        for result in run_rounds(config)[0]:
             reference = seed_round(config, result.seed)
             assert result.phi_trace is not None
             assert len(result.phi_trace) == config.n_queries
@@ -260,24 +256,24 @@ class TestPhiDiagnostics:
                                                   config.phi_delta)
 
     def test_disabled_by_default(self):
-        result = run_round([config_for()], 0)[0]
+        result = run_round(config_for(), 0)[0]
         assert result.phi_trace is None
 
 
 class TestRunExperiment:
     def test_two_round_mean_is_exact_average(self):
         """lambda is each round's mean AUC over the test pools."""
-        config = config_for(kind="random", rounds=2)
-        summary = aggregate(config, run_rounds([config])[0])
-        rounds = run_rounds([config])[0]
+        config = config_for("random", rounds=2)
+        summary = aggregate(config, run_rounds(config)[0])
+        rounds = run_rounds(config)[0]
         for qi in range(config.n_queries):
             values = [r.auc.mean(axis=1)[qi] for r in rounds]
             assert summary.lam[qi].mean == pytest.approx(np.mean(values), abs=1e-15)
             assert summary.lam[qi] == mean_ci(np.array(values), config.confidence)
 
     def test_aggregate_is_order_insensitive(self):
-        config = config_for(kind="shifted-normal", rounds=4)
-        results = run_rounds([config])[0]
+        config = config_for("shifted-normal", rounds=4)
+        results = run_rounds(config)[0]
         forward = aggregate(config, results)
         backward = aggregate(config, list(reversed(results)))
         assert forward == backward
@@ -332,16 +328,16 @@ class TestRunExperiment:
 
         monkeypatch.setattr(simulation_module, "run_round", explode)
         with pytest.raises(ConfigError, match="jobs"):
-            run_rounds([config_for(rounds=2)], jobs=0)
+            run_rounds(config_for(rounds=2), jobs=0)
 
     def test_parallel_equals_sequential(self):
-        config = config_for(kind="uncertainty", rounds=4)
-        assert (aggregate(config, run_rounds([config], jobs=2)[0])
-                == aggregate(config, run_rounds([config], jobs=1)[0]))
+        config = config_for("uncertainty", rounds=4)
+        assert (aggregate(config, run_rounds(config, jobs=2)[0])
+                == aggregate(config, run_rounds(config, jobs=1)[0]))
         # every round, phi trace included, crosses the pool unchanged
-        configs = [config_for(kind=kind, rounds=4, record_phi=True)
-                   for kind in ("random", "uncertainty", "shifted-normal")]
-        parallel, sequential = (run_rounds(configs, jobs=jobs) for jobs in (2, 1))
+        config = config_for("random", "uncertainty", "shifted-normal",
+                            rounds=4, record_phi=True)
+        parallel, sequential = (run_rounds(config, jobs=jobs) for jobs in (2, 1))
         for parallel_lane, sequential_lane in zip(parallel, sequential):
             assert len(parallel_lane) == len(sequential_lane) == 4
             for first, second in zip(parallel_lane, sequential_lane):
@@ -349,9 +345,9 @@ class TestRunExperiment:
                 assert_same_round(first, second)
 
     def test_shared_dataset_mode_reuses_split(self, seed_round):
-        config = config_for(kind="random", rounds=3, shared_dataset=True,
+        config = config_for("random", rounds=3, shared_dataset=True,
                             record_phi=True)
-        results = run_rounds([config])[0]
+        results = run_rounds(config)[0]
         _, (_, unlabeled, _) = split_for(config, config.base_seed)
         for result in results:
             assert set(result.selected_ids.ravel().tolist()) <= set(
@@ -362,8 +358,8 @@ class TestRunExperiment:
                                   results[1].selected_ids[0])
 
     def test_fresh_dataset_mode_differs_per_round(self, seed_round):
-        config = config_for(kind="random", rounds=2, record_phi=True)
-        results = run_rounds([config])[0]
+        config = config_for("random", rounds=2, record_phi=True)
+        results = run_rounds(config)[0]
         pools = [set(split_for(config, result.seed)[1][1].tolist())
                  for result in results]
         for result, unlabeled in zip(results, pools):
@@ -396,8 +392,8 @@ class TestRunExperiment:
         sample is exactly its C = 1 value / C.  The interval's mean and
         bounds are sums over those samples, so they scale by 1 / C only to
         within rounding."""
-        config = config_for(kind="shifted-normal", rounds=4)
-        results = run_rounds([config])[0]
+        config = config_for("shifted-normal", rounds=4)
+        results = run_rounds(config)[0]
         unit = aggregate(config, results)
         triple = aggregate(dataclasses.replace(config, cost=CostModel(C=3.0)),
                            results)
@@ -430,14 +426,14 @@ class TestRunExperiment:
 
         monkeypatch.setattr(simulation_module, "fit_lanes", explode)
         with pytest.raises(SimulationError, match="seed 11"):
-            run_rounds([config_for(seed=11, rounds=2)])
+            run_rounds(config_for(seed=11, rounds=2))
 
     def test_failing_round_cancels_queued_rounds(self, monkeypatch):
         """With a pool, the first failing round ends the experiment: the
         rounds still queued behind it never run."""
         ran = []
 
-        def counting_round(configs, seed):
+        def counting_round(config, seed):
             ran.append(seed)
             if seed == 11:
                 raise ValueError("synthetic failure")
@@ -451,12 +447,12 @@ class TestRunExperiment:
         monkeypatch.setattr(simulation_module.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(simulation_module, "run_round", counting_round)
         with pytest.raises(SimulationError, match="seed 11"):
-            run_rounds([config_for(seed=11, rounds=40)], jobs=2)
+            run_rounds(config_for(seed=11, rounds=40), jobs=2)
         assert len(ran) < 10
 
     def test_summary_shapes(self):
-        config = config_for(kind="shifted-normal", rounds=3)
-        summary = aggregate(config, run_rounds([config])[0])
+        config = config_for("shifted-normal", rounds=3)
+        summary = aggregate(config, run_rounds(config)[0])
         n = config.n_queries
         assert summary.queries == tuple(range(1, n + 1))
         assert len(summary.lam) == len(summary.zeta) == len(summary.eta) == n
