@@ -10,8 +10,8 @@ from .datagen import (DatasetConfig, dataset_rng, generate_dataset, split_pools,
                       write_dataset_csv)
 from .errors import AlqsimError, ConfigError
 from .glm import GlmHyperparams, GlmModel, fit, predict_proba
-from .metrics import (CiSummary, CostModel, auc, compute_phi, cost_efficiency,
-                      f1, mean_ci, student_t_quantile)
+from .metrics import (CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci,
+                      student_t_quantile)
 from .simulation import (ExperimentSummary, RoundResult, SimulationConfig,
                          SimulationError, aggregate, run_round, run_rounds)
 from .strategies import (BetaParams, QueryStrategy, beta_from_mode, beta_pdf,
@@ -29,7 +29,7 @@ __all__ = [
     "beta_from_mode", "beta_pdf", "beta_sample",
     "select_random", "select_shifted_normal", "select_uncertainty",
     "CostModel", "CiSummary",
-    "auc", "f1", "cost_efficiency", "compute_phi",
+    "auc", "f1", "cost_efficiency",
     "mean_ci", "student_t_quantile",
     "SimulationConfig", "RoundResult", "ExperimentSummary",
     "run_round", "run_rounds", "aggregate",

@@ -48,11 +48,21 @@ class DatasetConfig:
         if not 0.0 < self.positive_fraction < 1.0:
             raise ConfigError(
                 f"positive_fraction must be in (0, 1), got {self.positive_fraction!r}")
+        if self.flip_y == 0.0 and self.n_positive in (0, self.total_size):
+            raise ConfigError(
+                f"positive_fraction {self.positive_fraction!r} gives "
+                f"{self.n_positive} positives of {self.total_size} instances "
+                f"and flip_y is 0, so every pool holds one class")
 
     @property
     def total_size(self) -> int:
         return (self.labeled_size + self.unlabeled_size
                 + self.n_test_pools * self.test_pool_size)
+
+    @property
+    def n_positive(self) -> int:
+        """Positive instances of a generated dataset before label flipping."""
+        return round(self.positive_fraction * self.total_size)
 
 
 def _seed_stream(seed: int, stream: int) -> np.random.Generator:
@@ -79,16 +89,15 @@ def generate_dataset(config: DatasetConfig,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Generate one dataset as a ``(features, labels)`` pair.
 
-    Exactly ``round(positive_fraction * total)`` instances are positive before
-    label flipping; each label is then flipped independently with probability
+    Exactly ``config.n_positive`` instances are positive before label
+    flipping; each label is then flipped independently with probability
     ``flip_y``.  Features are standard-normal offsets around the class
     centroid.  The rows are shuffled by ``rng``; row ``i`` of the result is
     the instance with id ``i``.
     """
     n_total = config.total_size
-    n_pos = round(config.positive_fraction * n_total)
     labels = np.zeros(n_total, dtype=np.int64)
-    labels[:n_pos] = 1
+    labels[:config.n_positive] = 1
 
     offsets = np.where(labels[:, None] == 1, config.class_sep, -config.class_sep)
     features = rng.standard_normal((n_total, config.n_features)) + offsets

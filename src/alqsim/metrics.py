@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,24 +148,6 @@ def cost_efficiency(lam, zeta, cost: CostModel) -> float | np.ndarray:
     # sequential division keeps eta(C) == eta(1) / C an exact float identity
     eta = lam / zeta / cost.C
     return float(eta) if eta.ndim == 0 else eta
-
-
-def compute_phi(final_probs: Mapping[int, float],
-                interim_probs: Mapping[int, float],
-                delta: float = 0.05) -> list[float]:
-    """Final-model probabilities of instances an interim model found uncertain.
-
-    Returns ``final_probs[i]`` for every id whose interim probability lies in
-    ``[0.5 - delta, 0.5 + delta]``, in ascending id order.  Purely diagnostic;
-    never feeds selection.
-    """
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must be in (0, 0.5), got {delta!r}")
-    if set(final_probs.keys()) != set(interim_probs.keys()):
-        raise ValueError("final and interim probability maps cover different ids")
-    lo, hi = 0.5 - delta, 0.5 + delta
-    return [float(final_probs[i]) for i in sorted(interim_probs)
-            if lo <= interim_probs[i] <= hi]
 
 
 def mean_ci(samples: Sequence[float], confidence: float = 0.99) -> CiSummary:

@@ -3,7 +3,9 @@
 One round: generate and split a dataset, fit an initial model on the labeled
 seed pool, then repeatedly (score the unlabeled pool, select a batch with a
 query strategy, reveal the selected instances' true labels, move them to
-the labeled pool, refit, evaluate on the held-out test pools).  True labels
+the labeled pool, refit, evaluate on the held-out test pools).  A lane's
+unlabeled pool is the array of its live row ids, in pool order; every query
+scores all of it, and the lane's picks are then dropped.  True labels
 cross into the loop only at the reveal step; selectors see ids and predicted
 probabilities, nothing else.  A round records what it observed after each
 query: the ids it selected, the positive labels it held, each test pool's
@@ -137,7 +139,10 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
     Returns one :class:`RoundResult` per strategy.  Each is a pure function
     of (config, its strategy, seed), as if that lane had run alone: the
     lanes share the seed's dataset and split, and each draws its query
-    randomness from its own ``query_rng(round_seed)``.
+    randomness from its own ``query_rng(round_seed)``.  With phi
+    recording, each query marks, per lane and keyed by dataset row, which
+    live rows' interim probabilities lay in the phi band; the trace reads
+    the final model's probabilities of the marked rows.
     """
     data_seed = config.base_seed if config.shared_dataset else round_seed
     data_rng = dataset_rng(data_seed)
@@ -149,12 +154,10 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
     strategies = config.strategies
     rngs = [query_rng(round_seed) for _ in strategies]
     beta_params = [beta_from_mode(s.mode, s.concentration) for s in strategies]
-    needs_scores = config.record_phi or any(s.kind != "random" for s in strategies)
     n_lanes, n_queries, batch = len(strategies), config.n_queries, config.batch_size
 
-    position = np.empty(len(labels), dtype=np.int64)  # dataset row -> pool slot
-    position[u_ids] = np.arange(len(u_ids))
-    alive = np.ones((n_lanes, len(u_ids)), dtype=bool)
+    # each lane's unlabeled rows, in pool order; all lanes hold as many
+    live_ids = np.tile(u_ids, (n_lanes, 1))
     # each lane's labeled rows: seed rows first, then queried rows in
     # selection order; fit's float sums run in this order, so it must not change
     held = np.tile(seed_ids, (n_lanes, 1))
@@ -162,18 +165,18 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
     n_positive = np.empty((n_lanes, n_queries), dtype=np.int64)
     aucs, f1s = (np.empty((n_lanes, n_queries, len(test_ids)))
                  for _ in range(2))
-    interim = (np.full((n_lanes, n_queries, len(u_ids)), np.nan)
+    # in_band[k, q, row]: the row was unlabeled at query q and lane k's
+    # interim probability of it lay in the phi band
+    in_band = (np.zeros((n_lanes, n_queries, len(labels)), dtype=bool)
                if config.record_phi else None)
+    lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
 
     models = fit_lanes(features[held], labels[held], config.glm)
     for q in range(n_queries):
-        # every lane holds the same number of unlabeled slots
-        slots = np.nonzero(alive)[1].reshape(n_lanes, -1)
-        live_ids = u_ids[slots]
-        if needs_scores:
-            live_probs = predict_lanes(models, features[live_ids])
+        live_probs = predict_lanes(models, features[live_ids])
         if config.record_phi:
-            np.put_along_axis(interim[:, q], slots, live_probs, axis=1)
+            np.put_along_axis(in_band[:, q], live_ids,
+                              (live_probs >= lo) & (live_probs <= hi), axis=1)
         for k, strategy in enumerate(strategies):
             if strategy.kind == "random":
                 chosen = select_random(live_ids[k], batch, rngs[k])
@@ -183,7 +186,9 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
                 chosen = select_shifted_normal(live_ids[k], live_probs[k], batch,
                                                beta_params[k], rngs[k])
             selected[k, q] = chosen
-            alive[k, position[chosen]] = False
+        # batch before pool axis: .all over a short trailing axis is ~8x slower
+        kept = (live_ids[:, None, :] != selected[:, q, :, None]).all(axis=1)
+        live_ids = live_ids[kept].reshape(n_lanes, -1)
         # oracle reveal: the hidden true labels enter the loop here
         held = np.concatenate([held, selected[:, q]], axis=1)
         held_labels = labels[held]
@@ -195,13 +200,11 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
 
     traces = [None] * n_lanes
     if config.record_phi:
-        # the trace lists ids in ascending order; NaN (labeled) is never in band
-        order = np.argsort(u_ids)
-        finals = predict_lanes(models, features[u_ids[order]][None])
-        by_id = interim[:, :, order]
-        lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
-        in_band = (by_id >= lo) & (by_id <= hi)
-        traces = [tuple(tuple(final[band].tolist()) for band in lane_band)
+        # the trace lists the unlabeled pool's ids in ascending order
+        pool_rows = np.sort(u_ids)
+        finals = predict_lanes(models, features[pool_rows][None])
+        traces = [tuple(tuple(final[band].tolist())
+                        for band in lane_band[:, pool_rows])
                   for final, lane_band in zip(finals, in_band)]
     return [RoundResult(seed=round_seed, selected_ids=selected[k],
                         n_positive=n_positive[k], auc=aucs[k], f1=f1s[k],

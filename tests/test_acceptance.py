@@ -19,7 +19,7 @@ from scipy import integrate, stats
 
 from alqsim import (BetaParams, DatasetConfig, GlmHyperparams, QueryStrategy,
                     SimulationConfig, aggregate, auc, beta_from_mode,
-                    beta_pdf, beta_sample, compute_phi, fit, run_rounds)
+                    beta_pdf, beta_sample, fit, run_rounds)
 from alqsim.glm import nll_gradient, nll_loss
 
 STRATEGIES = ("random", "uncertainty", "shifted-normal")
@@ -265,9 +265,7 @@ class TestCriterion9PhiDiagnostic:
                 hi = 0.5 + config.phi_delta
                 brute = [reference.final_probs[i] for i in sorted(interim)
                          if lo <= interim[i] <= hi]
-                finals = {i: reference.final_probs[i] for i in interim}
-                all_ok &= (list(trace) == brute
-                           == compute_phi(finals, interim, config.phi_delta))
+                all_ok &= list(trace) == brute
                 checked += 1
 
         run_cli(["run", "--strategy", "shifted-normal", "--class-sep", "0.5",

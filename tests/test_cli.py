@@ -358,6 +358,9 @@ class TestOutputsMatchSeedPackage:
                               "--seed", "-7", "--shared-dataset"],
             "env-seed": ["run", "--strategy", "uncertainty", "--rounds", "2",
                          "--queries", "3"],
+            # only random lanes and no phi: every query still scores the pool
+            "random": ["run", "--strategy", "random", "--rounds", "3",
+                       "--queries", "4", "--seed", "11"],
         }
         dirs, stdouts = {}, {}
         for side, package in (("program", bench.SRC), ("seed", bench.ORACLE_SRC)):

@@ -26,6 +26,8 @@ class TestDatasetConfig:
         dict(class_sep=float("inf")), dict(class_sep=float("nan")),
         dict(flip_y=float("nan")), dict(positive_fraction=float("inf")),
         dict(n_features=True), dict(class_sep=1e7),
+        # 0 and 100 positives of 100 instances: every pool holds one class
+        dict(positive_fraction=0.001), dict(positive_fraction=0.999),
     ])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ConfigError):

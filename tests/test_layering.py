@@ -49,3 +49,9 @@ def test_package_imports_match_the_module_graph(module):
     internal = {name.split(".")[-1] for name in imports
                 if name.split(".")[0] in package_names}
     assert internal == ALLOWED_IMPORTS[module]
+
+
+def test_package_exports_resolve():
+    import alqsim
+
+    assert [name for name in alqsim.__all__ if not hasattr(alqsim, name)] == []

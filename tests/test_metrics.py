@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from alqsim import (CiSummary, ConfigError, CostModel, auc, compute_phi,
-                    cost_efficiency, f1, mean_ci, student_t_quantile)
+from alqsim import (CiSummary, ConfigError, CostModel, auc, cost_efficiency,
+                    f1, mean_ci, student_t_quantile)
 from alqsim.metrics import (_average_ranks, auc_rows, f1_rows,
                             regularized_incomplete_beta, student_t_cdf)
 
@@ -223,49 +223,6 @@ class TestCostEfficiency:
         for bad in (0.5, float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="C must be"):
                 CostModel(C=bad)
-
-
-class TestComputePhi:
-    def test_identity_maps_stay_in_band(self):
-        rng = np.random.default_rng(2)
-        probs = {i: float(p) for i, p in enumerate(rng.random(200))}
-        values = compute_phi(probs, probs, delta=0.05)
-        assert all(0.45 <= v <= 0.55 for v in values)
-        assert len(values) == sum(0.45 <= p <= 0.55 for p in probs.values())
-
-    def test_empty_when_band_missed(self):
-        interim = {0: 0.1, 1: 0.9}
-        final = {0: 0.5, 1: 0.5}
-        assert compute_phi(final, interim, delta=0.05) == []
-
-    def test_matches_linear_scan_oracle(self):
-        rng = np.random.default_rng(3)
-        ids = rng.permutation(1000)[:300]
-        interim = {int(i): float(p) for i, p in zip(ids, rng.random(300))}
-        final = {int(i): float(p) for i, p in zip(ids, rng.random(300))}
-        delta = 0.1
-        expected = [final[i] for i in sorted(ids)
-                    if 0.4 <= interim[i] <= 0.6]
-        assert compute_phi(final, interim, delta=delta) == expected
-
-    def test_mismatched_ids_rejected(self):
-        with pytest.raises(ValueError, match="different ids"):
-            compute_phi({0: 0.5}, {1: 0.5})
-
-    def test_delta_domain(self):
-        for delta in (0.0, 0.5, -0.1):
-            with pytest.raises(ValueError):
-                compute_phi({0: 0.5}, {0: 0.5}, delta=delta)
-
-    def test_output_is_subset_of_final_values(self):
-        rng = np.random.default_rng(4)
-        interim = {i: float(p) for i, p in enumerate(rng.random(100))}
-        final = {i: float(p) for i, p in enumerate(rng.random(100))}
-        values = compute_phi(final, interim, delta=0.2)
-        pool = list(final.values())
-        for v in values:
-            pool.remove(v)  # raises if v not present often enough
-        assert len(values) <= 100
 
 
 class TestMeanCi:
