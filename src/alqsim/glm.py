@@ -15,6 +15,10 @@ A pool containing a single class cannot support a slope estimate at all; in
 that case ``fit`` returns a constant-probability fallback model with a
 Laplace-smoothed prior instead of failing, which keeps cold-start query loops
 alive.
+
+``fit`` and ``predict_proba`` take one pool or lanes, a stack of
+equal-sized pools stepped together into one model whose fields carry the
+lane axis; each lane's fit equals its one-pool fit bit for bit.
 """
 
 from __future__ import annotations
@@ -46,20 +50,23 @@ class GlmHyperparams:
                 f"gradient_tolerance must be > 0, got {self.gradient_tolerance!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlmModel:
     """Immutable fitted model: weights, intercept, and convergence info.
 
-    ``fallback_prior`` is set (and weights/intercept are zero) when the
-    training pool contained a single class; every prediction then equals the
-    prior.
+    One pool's model has ``(d,)`` weights and scalar fields; a lane model
+    has ``(L, d)`` weights and ``(L,)`` fields, entry k belonging to lane k.
+    ``fallback_prior`` is a number (and weights/intercept are zero) where
+    the training pool contained a single class, and NaN elsewhere; every
+    prediction of such a pool equals the prior.  Array fields would make a
+    generated ``==`` ambiguous, so models compare and hash by identity.
     """
 
     weights: np.ndarray
-    intercept: float
-    converged: bool
-    n_iterations: int
-    fallback_prior: float | None = None
+    intercept: float | np.ndarray
+    converged: bool | np.ndarray
+    n_iterations: int | np.ndarray
+    fallback_prior: float | np.ndarray = np.nan
 
 
 def sigmoid(z):
@@ -131,30 +138,15 @@ def _newton_steps(hessians, grads):
 
 
 def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
-    """Fit the GLM on one labeled pool: the one-lane call of :func:`fit_lanes`.
+    """Fit the GLM on one labeled pool, or on each lane of equal-sized pools,
+    stepping the lanes together.
 
-    ``features`` is ``(n, d)`` and ``labels`` the ``(n,)`` matching labels.
-    Raises ``ValueError`` unless the shapes match, every label is 0 or 1,
-    and the pool is non-empty.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or labels.ndim != 1 or len(labels) != len(features):
-        raise ValueError(f"features must be 2-D and labels 1-D with one label "
-                         f"per feature row, got shapes {features.shape} and "
-                         f"{labels.shape}")
-    if not ((labels == 0) | (labels == 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return fit_lanes(features[None], labels[None], hp)[0]
-
-
-def fit_lanes(features, labels,
-              hp: GlmHyperparams = GlmHyperparams()) -> list[GlmModel]:
-    """Fit one GLM per lane of equal-sized labeled sets, stepping them together.
-
-    ``features`` is ``(L, n, d)`` and ``labels`` ``(L, n)``; lane k's model
-    is fitted on row block k alone, and equals bit for bit what a fit of
-    that block by itself returns.
+    ``features`` is ``(n, d)`` with ``(n,)`` labels for one pool, or
+    ``(L, n, d)`` with ``(L, n)`` labels for lanes; one pool is fitted as a
+    stack of one lane.  Lane k's fit uses row block k alone, and equals bit
+    for bit what a fit of that block by itself returns.  The model's fields
+    carry the lane shape: ``(d,)`` weights and scalar fields for one pool,
+    ``(L, d)`` weights and ``(L,)`` fields for lanes.
 
     A lane holding a single class gets the Laplace-smoothed prior fallback.
     The others run damped Newton steps.  Each pass first computes a lane's
@@ -169,13 +161,23 @@ def fit_lanes(features, labels,
     loss exactly as they are.  The default tolerance 1e-8 lies below what
     loss-based step halving can resolve, so about 0.5-0.7% of fits on the
     paper's workloads stall near |gradient| 1e-8 to 2e-7 and end
-    unconverged.  Raises ``ValueError`` when ``n`` is 0.
+    unconverged.  Raises ``ValueError`` unless the shapes match, every label
+    is 0 or 1, and the pools are non-empty.
     """
     X = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    n_lanes, n, d = X.shape
+    if X.ndim not in (2, 3) or labels.shape != X.shape[:-1]:
+        raise ValueError(f"features must be 2-D (one pool) or 3-D (lanes) and "
+                         f"labels 1-D or 2-D with one label per feature row, "
+                         f"got shapes {X.shape} and {labels.shape}")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    lanes = X.shape[:-2]  # () for one pool, (L,) for lanes
+    n, d = X.shape[-2:]
     if n == 0:
         raise ValueError("cannot fit a model on an empty pool")
+    X, labels = X.reshape(-1, n, d), labels.reshape(-1, n)
+    n_lanes = len(X)
     n_positive = labels.sum(axis=1)
     single_class = (n_positive == 0) | (n_positive == n)
     y = labels.astype(np.float64)
@@ -222,46 +224,39 @@ def fit_lanes(features, labels,
         fixed = ((new_theta.view(np.int64) == theta.view(np.int64)).all(axis=1)
                  & (new_loss == loss))
         theta, loss = new_theta, new_loss
-    return [GlmModel(weights=theta[k, :d].copy(), intercept=float(theta[k, d]),
-                     converged=bool(converged[k]),
-                     n_iterations=int(n_iterations[k]),
-                     fallback_prior=((int(n_positive[k]) + 1) / (n + 2)
-                                     if single_class[k] else None))
-            for k in range(n_lanes)]
-
-
-def predict_lanes(models, features) -> np.ndarray:
-    """Each lane's predicted positive-class probabilities, strictly inside (0, 1).
-
-    ``features`` is ``(L, ..., m, d)`` and its row block k is scored by
-    ``models[k]``; a leading axis of length 1 scores one block under every
-    model without copying it.  Returns ``(L, ..., m)``.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    lead = (len(models),) + (1,) * (x.ndim - 3)
-    weights = np.stack([model.weights for model in models]).reshape(*lead, -1, 1)
-    intercepts = np.array([model.intercept for model in models]).reshape(*lead, 1)
-    p = np.clip(sigmoid((x @ weights)[..., 0] + intercepts),
-                _PROB_EPS, 1.0 - _PROB_EPS)
-    for k, model in enumerate(models):
-        if model.fallback_prior is not None:
-            p[k] = model.fallback_prior
-    return p
+    prior = np.where(single_class, (n_positive + 1) / (n + 2), np.nan)
+    # [()] turns the 0-d fields of one pool into scalars
+    return GlmModel(weights=theta[:, :d].copy().reshape(*lanes, d),
+                    intercept=theta[:, d].reshape(lanes)[()],
+                    converged=converged.reshape(lanes)[()],
+                    n_iterations=n_iterations.reshape(lanes)[()],
+                    fallback_prior=prior.reshape(lanes)[()])
 
 
 def predict_proba(model: GlmModel, features):
-    """Predicted positive-class probability, strictly inside (0, 1).
+    """Predicted positive-class probabilities, strictly inside (0, 1).
 
-    Accepts a single feature vector or an (n, d) matrix; returns a float or
-    an array accordingly.  Raises ``ValueError`` on a dimension mismatch.
+    A one-pool model scores a single feature vector, giving a float, or an
+    ``(n, d)`` matrix, giving ``(n,)``.  A lane model scores ``(L, ..., m, d)``
+    features, row block k under lane k, and returns ``(L, ..., m)``; a
+    leading axis of length 1 scores one block under every lane without
+    copying it.  Raises ``ValueError`` on a dimension mismatch.
     """
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != len(model.weights):
-        raise ValueError(
-            f"feature dimension {x.shape[-1] if x.ndim else '?'} does not match "
-            f"model dimension {len(model.weights)}")
-    p = predict_lanes([model], x[None])[0]
-    return float(p[0]) if single else p
+    d = model.weights.shape[-1]
+    one_pool = model.weights.ndim == 1
+    if (x.ndim == 0 or x.shape[-1] != d
+            or (x.ndim > 2 if one_pool else x.ndim < 3)):
+        raise ValueError(f"features of shape {x.shape} do not match model "
+                         f"weights of shape {model.weights.shape}: one pool "
+                         f"scores (d,) or (n, d) features and lanes "
+                         f"(L, ..., m, d), with d the model dimension")
+    rows = x.reshape(1, -1, d) if one_pool else x
+    lead = (-1,) + (1,) * (rows.ndim - 3)
+    weights = model.weights.reshape(*lead, d, 1)
+    intercept = np.reshape(model.intercept, (*lead, 1))
+    prior = np.reshape(model.fallback_prior, (*lead, 1))
+    p = np.clip(sigmoid((rows @ weights)[..., 0] + intercept),
+                _PROB_EPS, 1.0 - _PROB_EPS)
+    p = np.where(np.isnan(prior), p, prior)
+    return p.reshape(x.shape[:-1])[()] if one_pool else p

@@ -53,23 +53,28 @@ class CiSummary:
     n: int = 0
 
 
-def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
+def _rows(values, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as float64 and ``labels`` as int64 arrays; raises
+    ``ValueError`` unless the two hold rows, along the last axis, of one
+    length."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if values.ndim == 0 or labels.ndim == 0 or values.shape[-1] != labels.shape[-1]:
+        raise ValueError(f"scores and labels must hold rows of equal length, "
+                         f"got shapes {values.shape} and {labels.shape}")
+    return values, labels
+
+
+def auc(scores, labels) -> np.float64 | np.ndarray:
     """Area under the ROC curve via the Mann-Whitney rank statistic.
 
     Equals P(score+ > score-) + 0.5 P(score+ = score-); ties are handled with
-    average ranks.  Raises ``ValueError`` unless both classes are present.
-    The one-row call of :func:`auc_rows`.
+    average ranks.  The last axis of ``scores`` holds one row's scores, and
+    ``labels`` broadcasts against ``scores``; one AUC per row is returned, a
+    float64 scalar for a 1-D call.  Raises ``ValueError`` unless every row
+    holds both classes.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ValueError("scores and labels must be 1-D and of equal length")
-    return float(auc_rows(scores[None], labels[None])[0])
-
-
-def auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """:func:`auc` of every row: the last axis of ``scores`` holds one row's
-    scores, and ``labels`` broadcasts against ``scores``."""
+    scores, labels = _rows(scores, labels)
     positive = labels == 1
     n_pos = positive.sum(axis=-1)
     n_neg = (labels == 0).sum(axis=-1)
@@ -103,22 +108,12 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks.reshape(values.shape)
 
 
-def f1(probs: Sequence[float], labels: Sequence[int],
-       threshold: float = 0.5) -> float:
+def f1(probs, labels, threshold: float = 0.5) -> np.float64 | np.ndarray:
     """F1 score of thresholded probabilities; degenerate cases return 0.
 
-    The one-row call of :func:`f1_rows`.
+    Rows and labels are laid out as for :func:`auc`.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probs.shape != labels.shape or probs.ndim != 1:
-        raise ValueError("probs and labels must be 1-D and of equal length")
-    return float(f1_rows(probs[None], labels[None], threshold)[0])
-
-
-def f1_rows(probs: np.ndarray, labels: np.ndarray,
-            threshold: float = 0.5) -> np.ndarray:
-    """:func:`f1` of every row, laid out as for :func:`auc_rows`."""
+    probs, labels = _rows(probs, labels)
     predicted = probs >= threshold
     positive = labels == 1
     tp = (predicted & positive).sum(axis=-1)
@@ -128,7 +123,7 @@ def f1_rows(probs: np.ndarray, labels: np.ndarray,
         precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
         recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
         score = 2.0 * precision * recall / (precision + recall)
-    return np.where(precision + recall == 0.0, 0.0, score)
+    return np.where(precision + recall == 0.0, 0.0, score)[()]
 
 
 def cost_efficiency(lam, zeta, cost: CostModel) -> float | np.ndarray:

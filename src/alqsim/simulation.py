@@ -17,12 +17,13 @@ compared paired, as lanes.  It runs many independent rounds (seeds
 lane on one dataset generated and split once.  The lanes step through the
 queries in lock-step, since each holds the same number of labels at each
 query, so each query makes one stacked prediction, one stacked Newton fit
-and one stacked evaluation over all lanes, while each lane selects with its
-own query generator.  A process holds one seed's dataset and lanes at a
-time.  Seeds share no state, so they can execute in parallel with results
-identical to sequential execution.  :func:`aggregate` derives lambda, zeta
-and eta from one lane's rounds under the configured cost and summarises
-every metric per query index in Student-t confidence intervals.
+and one stacked evaluation over all lanes (lane calls of ``predict_proba``,
+``fit``, ``auc`` and ``f1``), while each lane selects with its own query
+generator.  A process holds one seed's dataset and lanes at a time.  Seeds
+share no state, so they can execute in parallel with results identical to
+sequential execution.  :func:`aggregate` derives lambda, zeta and eta from
+one lane's rounds under the configured cost and summarises every metric per
+query index in Student-t confidence intervals.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       query_rng, split_pools)
 from .errors import (AlqsimError, ConfigError, reject_non_finite,
                      require_positive_int)
-from .glm import GlmHyperparams, fit_lanes, predict_lanes
-from .metrics import (CiSummary, CostModel, auc_rows, cost_efficiency, f1_rows,
-                      mean_ci)
+from .glm import GlmHyperparams, fit, predict_proba
+from .metrics import CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci
 from .strategies import (QueryStrategy, beta_from_mode, select_random,
                          select_shifted_normal, select_uncertainty)
 
@@ -171,9 +171,9 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
                if config.record_phi else None)
     lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
 
-    models = fit_lanes(features[held], labels[held], config.glm)
+    model = fit(features[held], labels[held], config.glm)
     for q in range(n_queries):
-        live_probs = predict_lanes(models, features[live_ids])
+        live_probs = predict_proba(model, features[live_ids])
         if config.record_phi:
             np.put_along_axis(in_band[:, q], live_ids,
                               (live_probs >= lo) & (live_probs <= hi), axis=1)
@@ -193,16 +193,16 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
         held = np.concatenate([held, selected[:, q]], axis=1)
         held_labels = labels[held]
         n_positive[:, q] = held_labels.sum(axis=1)
-        models = fit_lanes(features[held], held_labels, config.glm)
-        probs = predict_lanes(models, test_features[None])
-        aucs[:, q] = auc_rows(probs, test_labels)
-        f1s[:, q] = f1_rows(probs, test_labels)
+        model = fit(features[held], held_labels, config.glm)
+        probs = predict_proba(model, test_features[None])
+        aucs[:, q] = auc(probs, test_labels)
+        f1s[:, q] = f1(probs, test_labels)
 
     traces = [None] * n_lanes
     if config.record_phi:
         # the trace lists the unlabeled pool's ids in ascending order
         pool_rows = np.sort(u_ids)
-        finals = predict_lanes(models, features[pool_rows][None])
+        finals = predict_proba(model, features[pool_rows][None])
         traces = [tuple(tuple(final[band].tolist())
                         for band in lane_band[:, pool_rows])
                   for final, lane_band in zip(finals, in_band)]

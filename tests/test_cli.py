@@ -93,7 +93,7 @@ class TestRunCommand:
         def explode(*args, **kwargs):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(simulation_module, "fit_lanes", explode)
+        monkeypatch.setattr(simulation_module, "fit", explode)
         code = run_cli(["run", "--strategy", "random", *FAST,
                         "--out", str(tmp_path / "x")])
         assert code == 1
@@ -401,6 +401,7 @@ class TestBenchmarkCallSites:
     """
 
     CALLED = {"datagen.generate_dataset", "datagen.split_pools",
+              "glm.fit", "glm.predict_proba", "metrics.auc", "metrics.f1",
               "metrics.mean_ci", "metrics.student_t_quantile",
               "strategies.select_random", "strategies.select_uncertainty",
               "strategies.select_shifted_normal", "strategies.beta_sample",

@@ -8,7 +8,7 @@ from alqsim import (ConfigError, DatasetConfig, GlmHyperparams,
                     predict_proba, run_round)
 from alqsim import glm as glm_module
 from alqsim import simulation as simulation_module
-from alqsim.glm import fit_lanes, nll_gradient, nll_loss
+from alqsim.glm import nll_gradient, nll_loss
 from alqsim.strategies import STRATEGY_KINDS
 
 
@@ -90,8 +90,12 @@ class TestFallback:
         (np.zeros((3, 2)), np.array([0, 1]), "one label per feature row"),
         (np.zeros(3), np.array([0, 1, 0]), "2-D"),
         (np.zeros((3, 2)), np.array([[0], [1], [0]]), "1-D"),
+        (np.zeros((2, 3, 2)), np.array([[0, 1, 0], [0, 2, 1]]), "0 or 1"),
+        (np.zeros((2, 3, 2)), np.zeros((2, 4), dtype=int),
+         "one label per feature row"),
+        (np.zeros((2, 0, 2)), np.zeros((2, 0), dtype=int), "empty"),
     ], ids=["label-2", "label-half", "length-mismatch", "features-1d",
-            "labels-2d"])
+            "labels-2d", "lane-label-2", "lane-length-mismatch", "empty-lanes"])
     def test_malformed_pool_rejected(self, features, labels, match):
         with pytest.raises(ValueError, match=match):
             fit(features, labels)
@@ -124,6 +128,14 @@ class TestFit:
         assert a.intercept == b.intercept
         assert a.n_iterations == b.n_iterations
 
+    def test_models_compare_and_hash_by_identity(self):
+        pool = random_pool(np.random.default_rng(7))
+        model = fit(*pool)
+        assert model == model
+        assert not fit(*pool) == fit(*pool)
+        assert len({model, model, fit(*pool)}) == 2
+        assert isinstance(hash(fit(*lane_stack([pool, pool]))), int)
+
     def test_converges_on_tiny_separable_pool(self):
         """Separable data must not diverge thanks to the weight penalty."""
         pool = make_pool([[-2.0, 0.0], [-1.5, 1.0], [1.5, 0.3], [2.0, -1.0]],
@@ -140,27 +152,31 @@ def paper_pools():
     rounds 5..9 of each strategy, seed pools included, strategy by
     strategy."""
     lane_pools = [[] for _ in STRATEGY_KINDS]
-    real_fit_lanes = simulation_module.fit_lanes
+    real_fit = simulation_module.fit
 
-    def recording_fit_lanes(features, labels, hp):
+    def recording_fit(features, labels, hp):
         for pools, lane_features, lane_labels in zip(lane_pools, features, labels):
             pools.append(make_pool(lane_features, lane_labels))
-        return real_fit_lanes(features, labels, hp)
+        return real_fit(features, labels, hp)
 
     config = SimulationConfig(
         dataset=DatasetConfig(class_sep=0.5),
         strategies=tuple(QueryStrategy(kind=kind) for kind in STRATEGY_KINDS),
         n_queries=20, batch_size=2, rounds=5, base_seed=5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation_module, "fit_lanes", recording_fit_lanes)
+        mp.setattr(simulation_module, "fit", recording_fit)
         for seed in range(5, 10):
             run_round(config, seed)
     return [pool for pools in lane_pools for pool in pools]
 
 
 def fit_fields(model):
+    """A one-pool model's fields, comparable with the seed package's, whose
+    ``fallback_prior`` is None where this package's is NaN."""
+    prior = model.fallback_prior
     return (model.weights.tobytes(), np.float64(model.intercept).tobytes(),
-            model.converged, model.n_iterations, model.fallback_prior)
+            model.converged, model.n_iterations,
+            None if prior is None or np.isnan(prior) else prior)
 
 
 class TestFixedPointExit:
@@ -212,6 +228,13 @@ def lane_stack(pools):
             np.stack([labels for _, labels in pools]))
 
 
+def split_lanes(model):
+    """A lane model's lanes as one-pool models."""
+    return [GlmModel(model.weights[k], model.intercept[k], model.converged[k],
+                     model.n_iterations[k], model.fallback_prior[k])
+            for k in range(len(model.weights))]
+
+
 class TestFitLanes:
     """A stacked fit returns, on every lane, the one-lane fit bit for bit,
     however each lane leaves the Newton loop."""
@@ -227,13 +250,13 @@ class TestFitLanes:
         for size in sorted({len(labels) for _, labels in paper_pools}):
             lanes = [pool for pool in paper_pools if len(pool[1]) == size]
             lanes.insert(1, make_pool(lanes[0][0], np.zeros(size, dtype=int)))
-            models = fit_lanes(*lane_stack(lanes), hp)
+            models = split_lanes(fit(*lane_stack(lanes), hp))
             assert len(models) == len(lanes) == 16
             for model, pool in zip(models, lanes):
                 assert (fit_fields(model) == fit_fields(fit(*pool, hp))
                         == fit_fields(seed_fit(seed_package, pool, seed_hp))), size
                 leaves.add((model.converged, model.n_iterations,
-                            model.fallback_prior is not None))
+                            not np.isnan(model.fallback_prior)))
         assert (True, 0, True) in leaves
         if cap == 200:
             assert (False, cap, False) in leaves  # includes the fixed-point stall
@@ -261,7 +284,7 @@ class TestFitLanes:
             return real_lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        models = fit_lanes(*lane_stack(lanes), hp)
+        models = split_lanes(fit(*lane_stack(lanes), hp))
         assert lstsq_calls
         monkeypatch.undo()
         seed_hp = seed_package.glm.GlmHyperparams(l2_penalty=0.0, max_iterations=cap)
@@ -283,11 +306,34 @@ class TestFitLanes:
         lanes = [make_pool(rng.standard_normal((12, 3)), labels),
                  make_pool(np.hstack([x, x[:, :1]]), np.zeros(12, dtype=int))]
         hp = GlmHyperparams(l2_penalty=0.0, max_iterations=cap)
-        models = fit_lanes(*lane_stack(lanes), hp)
+        models = split_lanes(fit(*lane_stack(lanes), hp))
         assert fit_fields(models[0]) == fit_fields(fit(*lanes[0], hp))
         assert fit_fields(models[1]) == fit_fields(fit(*lanes[1], hp))
         assert models[1].fallback_prior == 1 / 14
         assert (models[1].weights == 0).all() and models[1].intercept == 0.0
+
+    def test_lane_prediction_equals_one_pool_prediction(self):
+        """A lane model scores each lane's rows, or one broadcast block of
+        rows, exactly as that lane's one-pool fit does; a single-class lane
+        predicts its prior exactly."""
+        rng = np.random.default_rng(8)
+        lanes = [random_pool(rng, n=14), random_pool(rng, n=14)]
+        lanes.insert(1, make_pool(lanes[0][0], np.ones(14, dtype=int)))
+        model = fit(*lane_stack(lanes))
+        own_rows = rng.standard_normal((3, 9, 4))
+        shared_rows = rng.standard_normal((1, 2, 9, 4))
+        lane_probs = predict_proba(model, own_rows)
+        shared_probs = predict_proba(model, shared_rows)
+        assert lane_probs.shape == (3, 9) and shared_probs.shape == (3, 2, 9)
+        for k, pool in enumerate(lanes):
+            alone = fit(*pool)
+            assert (lane_probs[k].tobytes()
+                    == predict_proba(alone, own_rows[k]).tobytes())
+            for block in range(2):
+                assert (shared_probs[k, block].tobytes()
+                        == predict_proba(alone, shared_rows[0, block]).tobytes())
+        assert (lane_probs[1] == 15 / 16).all()
+        assert (shared_probs[1] == 15 / 16).all()
 
 
 @st.composite

@@ -6,8 +6,8 @@ from scipy import stats
 
 from alqsim import (CiSummary, ConfigError, CostModel, auc, cost_efficiency,
                     f1, mean_ci, student_t_quantile)
-from alqsim.metrics import (_average_ranks, auc_rows, f1_rows,
-                            regularized_incomplete_beta, student_t_cdf)
+from alqsim.metrics import (_average_ranks, regularized_incomplete_beta,
+                            student_t_cdf)
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -129,7 +129,7 @@ class TestRowWiseScores:
     def test_rows_equal_seed_package_one_row_calls(self, seed_package, rows):
         scores = np.array([[s for s, _ in row] for row in rows])
         labels = np.array([[y for _, y in row] for row in rows])
-        aucs, f1s = auc_rows(scores, labels), f1_rows(scores, labels)
+        aucs, f1s = auc(scores, labels), f1(scores, labels)
         for row_scores, row_labels, row_auc, row_f1 in zip(scores, labels,
                                                             aucs, f1s):
             assert row_auc == seed_package.metrics.auc(row_scores, row_labels)
@@ -139,7 +139,7 @@ class TestRowWiseScores:
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 2, size=(3, 50))
         scores = rng.random((2, 3, 50))
-        aucs = auc_rows(scores, labels)
+        aucs = auc(scores, labels)
         assert aucs.shape == (2, 3)
         for lane in range(2):
             for pool in range(3):
@@ -147,7 +147,23 @@ class TestRowWiseScores:
 
     def test_any_single_class_row_rejected(self):
         with pytest.raises(ValueError, match="one class"):
-            auc_rows(np.array([[0.1, 0.9], [0.2, 0.8]]), np.array([[0, 1], [1, 1]]))
+            auc(np.array([[0.1, 0.9], [0.2, 0.8]]), np.array([[0, 1], [1, 1]]))
+
+    @pytest.mark.parametrize("score", [auc, f1])
+    @pytest.mark.parametrize("scores,labels", [
+        ([0.1, 0.9, 0.5], [0, 1]),
+        ([[0.1, 0.9, 0.5], [0.2, 0.8, 0.4]], [[0, 1], [1, 0]]),
+        ([[0.1, 0.9], [0.2, 0.8]], [0, 1, 1]),
+        (0.5, [0, 1]),
+    ], ids=["1d", "2d", "broadcast-labels", "scalar-scores"])
+    def test_rows_of_unequal_length_rejected(self, score, scores, labels):
+        with pytest.raises(ValueError, match="rows of equal length"):
+            score(scores, labels)
+
+    def test_one_row_gives_a_scalar(self):
+        scores, labels = np.array([0.1, 0.9, 0.6]), np.array([0, 1, 0])
+        assert type(auc(scores, labels)) is np.float64
+        assert type(f1(scores, labels)) is np.float64
 
 
 class TestF1:

@@ -14,7 +14,6 @@ from alqsim import (ConfigError, CostModel, DatasetConfig,
                     fit, mean_ci, predict_proba, run_round, run_rounds,
                     select_uncertainty, split_pools)
 from alqsim.datagen import generate_dataset
-from alqsim.glm import fit_lanes
 from alqsim.simulation import worker_count
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -129,9 +128,9 @@ class TestRunRound:
 
         def recording_fit(features, labels, hyper):
             sizes.extend(len(lane) for lane in labels)
-            return fit_lanes(features, labels, hyper)
+            return fit(features, labels, hyper)
 
-        monkeypatch.setattr(simulation_module, "fit_lanes", recording_fit)
+        monkeypatch.setattr(simulation_module, "fit", recording_fit)
         config = config_for("uncertainty", rounds=2)
         summary = aggregate(config, run_rounds(config)[0])
         per_round = [10 + 2 * q for q in range(0, 11)]
@@ -432,7 +431,7 @@ class TestRunExperiment:
         def explode(*args, **kwargs):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(simulation_module, "fit_lanes", explode)
+        monkeypatch.setattr(simulation_module, "fit", explode)
         with pytest.raises(SimulationError, match="seed 11"):
             run_rounds(config_for(seed=11, rounds=2))
 
