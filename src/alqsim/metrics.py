@@ -108,13 +108,13 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks.reshape(values.shape)
 
 
-def f1(probs, labels, threshold: float = 0.5) -> np.float64 | np.ndarray:
-    """F1 score of thresholded probabilities; degenerate cases return 0.
+def f1(probs, labels) -> np.float64 | np.ndarray:
+    """F1 score of probabilities thresholded at 0.5; degenerate cases return 0.
 
     Rows and labels are laid out as for :func:`auc`.
     """
     probs, labels = _rows(probs, labels)
-    predicted = probs >= threshold
+    predicted = probs >= 0.5
     positive = labels == 1
     tp = (predicted & positive).sum(axis=-1)
     fp = (predicted & (labels == 0)).sum(axis=-1)

@@ -19,9 +19,13 @@ with a meaningful default, the concentration is the single width knob.
 Selectors receive only an ``ids`` array and the matching array of predicted
 probabilities; true labels never enter a policy.
 
-Beta variates are generated from the ratio of two Marsaglia-Tsang gamma
-variates (squeeze-accepted; exact, not approximate), which keeps every draw a
-pure function of the supplied generator.
+Both model-driven policies are one matcher: for each target in turn, take
+the nearest not-yet-chosen candidate, ties to the lower id.  Uncertainty
+matches every target to 0.5; shifted-normal matches Beta draws.
+
+Beta draws come from numpy's ``Generator.beta``, the ratio g1 / (g1 + g2) of
+two Marsaglia-Tsang gamma variates, so every draw is a pure function of the
+supplied generator.
 """
 
 from __future__ import annotations
@@ -114,50 +118,31 @@ def beta_pdf(params: BetaParams, x):
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
-def _gamma_variate(shape: float, rng: np.random.Generator) -> float:
-    # Marsaglia-Tsang squeeze method; requires shape >= 1, which BetaParams
-    # guarantees (alpha, beta > 1).
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.standard_normal()
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.random()
-        if u < 1.0 - 0.0331 * x ** 4:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
 def beta_sample(params: BetaParams, rng: np.random.Generator) -> float:
-    """One Beta(alpha, beta) draw, strictly inside (0, 1).
-
-    Uses the gamma-ratio construction g1 / (g1 + g2) with Marsaglia-Tsang
-    gamma variates.
-    """
-    g1 = _gamma_variate(params.alpha, rng)
-    g2 = _gamma_variate(params.beta, rng)
-    value = g1 / (g1 + g2)
+    """One Beta(alpha, beta) draw, strictly inside (0, 1)."""
+    value = rng.beta(params.alpha, params.beta)
     # gamma variates can underflow to 0.0 only in pathological float corners;
     # nudge back into the open interval to preserve the support contract
     return min(max(value, 1e-15), 1.0 - 1e-15)
 
 
-def _check_k(k: int, available: int) -> None:
+def _check_ids(ids: np.ndarray, k: int) -> None:
+    """Check that ``ids`` is 1-D and unique and that ``k`` of them exist."""
+    if ids.ndim != 1:
+        raise ValueError(f"ids must be a 1-D array, got shape {ids.shape}")
     require_positive_int("k", k)
-    if k > available:
-        raise ValueError(f"cannot select {k} from {available} candidates")
+    if k > len(ids):
+        raise ValueError(f"cannot select {k} from {len(ids)} candidates")
+    if (np.diff(np.sort(ids)) == 0).any():
+        raise ValueError("ids must be unique")
 
 
 def _check_scored(ids: np.ndarray, probs: np.ndarray,
                   k: int) -> tuple[np.ndarray, np.ndarray]:
     """``ids`` and ``probs`` as arrays, after checking a selector's input.
 
-    Both must be 1-D and of equal length, and every prob strictly inside
-    (0, 1), which NaN is not.
+    Both must be 1-D and of equal length, ids unique, and every prob strictly
+    inside (0, 1), which NaN is not.
     """
     ids = np.asarray(ids, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -166,17 +151,33 @@ def _check_scored(ids: np.ndarray, probs: np.ndarray,
                          f"shapes {ids.shape} and {probs.shape}")
     if not ((probs > 0.0) & (probs < 1.0)).all():
         raise ValueError("every prob must lie strictly inside (0, 1)")
-    _check_k(k, len(ids))
+    _check_ids(ids, k)
     return ids, probs
+
+
+def _nearest(ids: np.ndarray, probs: np.ndarray, targets) -> list[int]:
+    """For each target in turn, the id of the nearest not-yet-chosen prob.
+
+    Ties go to the lower id, so the picks are a pure function of the set of
+    ``(id, prob)`` pairs and the targets.  ``targets`` may be a generator,
+    drawn one target per pick.
+    """
+    available = np.ones(len(ids), dtype=bool)
+    chosen: list[int] = []
+    for target in targets:
+        distance = np.where(available, np.abs(probs - target), np.inf)
+        nearest = np.flatnonzero(distance == distance.min())
+        pick = nearest[np.argmin(ids[nearest])]
+        available[pick] = False
+        chosen.append(int(ids[pick]))
+    return chosen
 
 
 def select_random(pool_ids: Sequence[int], k: int,
                   rng: np.random.Generator) -> list[int]:
     """Uniform sample of ``k`` distinct ids, ignoring any model output."""
     ids = np.asarray(pool_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError(f"ids must be a 1-D array, got shape {ids.shape}")
-    _check_k(k, len(ids))
+    _check_ids(ids, k)
     chosen = rng.choice(ids, size=k, replace=False)
     return [int(i) for i in chosen]
 
@@ -184,12 +185,12 @@ def select_random(pool_ids: Sequence[int], k: int,
 def select_uncertainty(ids: np.ndarray, probs: np.ndarray, k: int) -> list[int]:
     """The ``k`` ids whose probability is closest to 0.5.
 
-    Ties are broken by lower id, making the result a pure function of the
-    set of ``(id, prob)`` pairs (order-independent).
+    This is the nearest-target matcher with every target at 0.5: ties go to
+    the lower id, making the result a pure function of the set of
+    ``(id, prob)`` pairs (order-independent).
     """
     ids, probs = _check_scored(ids, probs, k)
-    order = np.lexsort((ids, np.abs(probs - 0.5)))
-    return [int(i) for i in ids[order[:k]]]
+    return _nearest(ids, probs, [0.5] * k)
 
 
 def select_shifted_normal(ids: np.ndarray, probs: np.ndarray, k: int,
@@ -204,14 +205,4 @@ def select_shifted_normal(ids: np.ndarray, probs: np.ndarray, k: int,
     are sparse or heavily skewed.
     """
     ids, probs = _check_scored(ids, probs, k)
-    available = np.ones(len(ids), dtype=bool)
-    chosen: list[int] = []
-    for _ in range(k):
-        target = beta_sample(params, rng)
-        # the nearest not-yet-chosen candidate wins, ties to the lower id
-        distance = np.where(available, np.abs(probs - target), np.inf)
-        nearest = np.flatnonzero(distance == distance.min())
-        pick = nearest[np.argmin(ids[nearest])]
-        available[pick] = False
-        chosen.append(int(ids[pick]))
-    return chosen
+    return _nearest(ids, probs, (beta_sample(params, rng) for _ in range(k)))

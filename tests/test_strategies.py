@@ -129,6 +129,21 @@ class TestBetaSample:
         draws = np.array([beta_sample(params, rng) for _ in range(5_000)])
         assert draws.min() > 0.0 and draws.max() < 1.0
 
+    @pytest.mark.parametrize("mode, concentration", [
+        (0.45, 150), (0.3, 150), (0.45, 2.5), (0.9, 10), (0.01, 1000),
+        (0.5, 3), (0.45, 2.0001)])
+    def test_draws_match_seed_package(self, seed_package, mode, concentration):
+        """numpy's ``Generator.beta`` gives the seed package's hand-rolled
+        Marsaglia-Tsang stream bit for bit, and leaves the generator in the
+        same state."""
+        params = beta_from_mode(mode, concentration)
+        ours, seeds = np.random.default_rng(0), np.random.default_rng(0)
+        drawn = np.array([beta_sample(params, ours) for _ in range(10_000)])
+        expected = np.array([seed_package.strategies.beta_sample(params, seeds)
+                             for _ in range(10_000)])
+        assert drawn.tobytes() == expected.tobytes()
+        assert ours.random() == seeds.random()
+
 
 class TestSelectRandom:
     def test_exhaustive_when_k_equals_pool(self):
@@ -194,6 +209,19 @@ class TestSelectUncertainty:
     def test_oversized_k_rejected(self):
         with pytest.raises(ValueError):
             select_uncertainty(*scored([0.5]), 2)
+
+    @PROPERTY
+    @given(st.data())
+    def test_exact_ties_match_lexsort_reference(self, data):
+        """Mirrored probs such as 0.375 and 0.625 tie exactly at 0.5; the
+        lower id goes first, as a full sort would rank it."""
+        ids = np.array(data.draw(st.lists(st.integers(0, 100), min_size=1,
+                                          max_size=12, unique=True)))
+        probs = np.array(data.draw(st.lists(EIGHTHS, min_size=len(ids),
+                                            max_size=len(ids))))
+        k = data.draw(st.integers(1, len(ids)))
+        assert (select_uncertainty(ids, probs, k)
+                == lexsort_picks(ids, probs, [0.5] * k))
 
 
 def lexsort_picks(ids, probs, targets):
@@ -358,3 +386,15 @@ class TestScoredSelectorInput:
         for ids in (np.arange(4).reshape(2, 2), np.array(3)):
             with pytest.raises(ValueError, match="1-D"):
                 select_random(ids, 1, np.random.default_rng(0))
+
+    def test_repeated_ids_rejected(self):
+        """Each selector promises k distinct ids, so a repeated id is an
+        error rather than a repeated pick."""
+        ids, probs = scored([0.5, 0.5, 0.9], ids=[1, 1, 2])
+        with pytest.raises(ValueError, match="unique"):
+            select_uncertainty(ids, probs, 2)
+        with pytest.raises(ValueError, match="unique"):
+            select_shifted_normal(ids, probs, 2, self.PARAMS,
+                                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unique"):
+            select_random([3, 3, 3], 2, np.random.default_rng(0))
