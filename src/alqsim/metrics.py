@@ -10,7 +10,7 @@ labels accumulated in the labeled pool, and ``C >= 1`` the cost of one
 positive label relative to one negative label.
 
 Confidence intervals are Student-t based; the t quantile is computed
-numerically in-repo (regularized incomplete beta via continued fraction,
+numerically in-repo (the finite series of the t CDF at an integer df,
 inverted by bisection) rather than from shipped tables.  The quantile is a
 pure function of ``(p, df)``, and every ``mean_ci`` call of an aggregate asks
 for one of a few, memoized: lambda, zeta and eta use df = rounds - 1, AUC and
@@ -172,60 +172,38 @@ def mean_ci(samples: Sequence[float], confidence: float = 0.99) -> CiSummary:
 
 # --- Student-t distribution, computed numerically -------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # continued fraction for the incomplete beta (modified Lentz)
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    result = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        # the even then the odd coefficient of term m; one Lentz step each
-        for coef in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                     -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + coef * d
-            if abs(d) < tiny:
-                d = tiny
-            c = 1.0 + coef / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            result *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return result
+def _integer_df(df: float) -> int:
+    """``df`` as an int; ``ValueError`` unless a positive integer (29.0 is)."""
+    if not (df > 0 and float(df).is_integer()):
+        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
+    return int(df)
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), the regularized incomplete beta function."""
-    if not (a > 0 and b > 0):
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                 + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+def student_t_cdf(t: float, df: int) -> float:
+    """CDF of Student's t distribution with a positive integer ``df``.
 
-
-def student_t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be > 0, got {df!r}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
+    At an integer df the CDF is a finite series (Abramowitz & Stegun
+    26.7.3-4).  With c = df / (df + t^2) and s = |t| / sqrt(df + t^2),
+    P(|T| <= |t|) is s * (1 + c/2 + (1*3)/(2*4) c^2 + ... + c^((df-2)/2)) at
+    even df and (2/pi) * (atan2(|t|, sqrt(df)) + s * sqrt(c) * (1 + (2/3) c
+    + ... + c^((df-3)/2))) at odd df, without the s * sqrt(c) term at
+    df = 1.  The CDF is 1/2 +/- P/2 by the sign of ``t``.
+    """
+    df = _integer_df(df)
+    if math.isinf(t * t):  # |t| > 1e154, where the CDF is 0 or 1 in floats
+        return float(t > 0)
+    c = df / (df + t * t)
+    s = abs(t) / math.sqrt(df + t * t)
+    term = series = 1.0
+    for k in range(1 + df % 2, df - 1, 2):
+        term *= c * k / (k + 1)
+        series += term
+    if df % 2 == 0:
+        central = s * series
+    else:
+        odd = s * math.sqrt(c) * series if df > 1 else 0.0
+        central = 2.0 / math.pi * (math.atan2(abs(t), math.sqrt(df)) + odd)
+    return 0.5 + 0.5 * central if t > 0 else 0.5 - 0.5 * central
 
 
 @functools.cache
@@ -239,8 +217,7 @@ def student_t_quantile(p: float, df: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p!r}")
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be > 0, got {df!r}")
+    _integer_df(df)
     if p == 0.5:
         return 0.0
     if p < 0.5:

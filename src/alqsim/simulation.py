@@ -28,6 +28,7 @@ query index in Student-t confidence intervals.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -235,26 +236,19 @@ def run_rounds(config: SimulationConfig,
     """
     workers = worker_count(jobs, config.rounds)
     seeds = [config.base_seed + i for i in range(config.rounds)]
+    named_round = functools.partial(_named_round, config)
     if workers > 1:
+        # a failed round ends the map, whose iterator cancels queued rounds
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(seed, pool.submit(run_round, config, seed))
-                       for seed in seeds]
-            try:
-                per_seed = [_settle(seed, future.result)
-                            for seed, future in futures]
-            except SimulationError:
-                # the executor's exit waits for queued rounds; drop them
-                pool.shutdown(cancel_futures=True)
-                raise
+            per_seed = list(pool.map(named_round, seeds))
     else:
-        per_seed = [_settle(seed, lambda s=seed: run_round(config, s))
-                    for seed in seeds]
+        per_seed = list(map(named_round, seeds))
     return [list(lane) for lane in zip(*per_seed)]
 
 
-def _settle(seed: int, produce) -> list[RoundResult]:
+def _named_round(config: SimulationConfig, seed: int) -> list[RoundResult]:
     try:
-        return produce()
+        return run_round(config, seed)
     except Exception as exc:
         raise SimulationError(f"round with seed {seed} failed: {exc}") from exc
 

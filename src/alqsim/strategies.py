@@ -126,33 +126,36 @@ def beta_sample(params: BetaParams, rng: np.random.Generator) -> float:
     return min(max(value, 1e-15), 1.0 - 1e-15)
 
 
-def _check_ids(ids: np.ndarray, k: int) -> None:
-    """Check that ``ids`` is 1-D and unique and that ``k`` of them exist."""
+def _check_ids(ids, k: int) -> np.ndarray:
+    """``ids`` as an int64 array, after checking that it is 1-D, of an
+    integer dtype and unique and that ``k`` of them exist."""
+    ids = np.asarray(ids)
     if ids.ndim != 1:
         raise ValueError(f"ids must be a 1-D array, got shape {ids.shape}")
     require_positive_int("k", k)
     if k > len(ids):
         raise ValueError(f"cannot select {k} from {len(ids)} candidates")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
     if (np.diff(np.sort(ids)) == 0).any():
         raise ValueError("ids must be unique")
+    return np.asarray(ids, dtype=np.int64)
 
 
 def _check_scored(ids: np.ndarray, probs: np.ndarray,
                   k: int) -> tuple[np.ndarray, np.ndarray]:
     """``ids`` and ``probs`` as arrays, after checking a selector's input.
 
-    Both must be 1-D and of equal length, ids unique, and every prob strictly
-    inside (0, 1), which NaN is not.
+    Both must be 1-D and of equal length, ids unique integers, and every
+    prob strictly inside (0, 1), which NaN is not.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    probs = np.asarray(probs, dtype=np.float64)
+    ids, probs = np.asarray(ids), np.asarray(probs, dtype=np.float64)
     if ids.ndim != 1 or probs.shape != ids.shape:
         raise ValueError(f"ids and probs must be 1-D arrays of equal length, got "
                          f"shapes {ids.shape} and {probs.shape}")
     if not ((probs > 0.0) & (probs < 1.0)).all():
         raise ValueError("every prob must lie strictly inside (0, 1)")
-    _check_ids(ids, k)
-    return ids, probs
+    return _check_ids(ids, k), probs
 
 
 def _nearest(ids: np.ndarray, probs: np.ndarray, targets) -> list[int]:
@@ -176,8 +179,7 @@ def _nearest(ids: np.ndarray, probs: np.ndarray, targets) -> list[int]:
 def select_random(pool_ids: Sequence[int], k: int,
                   rng: np.random.Generator) -> list[int]:
     """Uniform sample of ``k`` distinct ids, ignoring any model output."""
-    ids = np.asarray(pool_ids, dtype=np.int64)
-    _check_ids(ids, k)
+    ids = _check_ids(pool_ids, k)
     chosen = rng.choice(ids, size=k, replace=False)
     return [int(i) for i in chosen]
 

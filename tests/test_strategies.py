@@ -159,6 +159,9 @@ class TestSelectRandom:
     def test_oversized_k_rejected(self):
         with pytest.raises(ValueError):
             select_random([1, 2, 3], 4, np.random.default_rng(0))
+        # an empty list is float-typed, but the shortfall is what is reported
+        with pytest.raises(ValueError, match="cannot select 2 from 0"):
+            select_random([], 2, np.random.default_rng(0))
 
     def test_bool_k_rejected(self):
         with pytest.raises(ValueError, match="k must be a positive integer"):
@@ -209,6 +212,8 @@ class TestSelectUncertainty:
     def test_oversized_k_rejected(self):
         with pytest.raises(ValueError):
             select_uncertainty(*scored([0.5]), 2)
+        with pytest.raises(ValueError, match="cannot select 1 from 0"):
+            select_uncertainty([], [], 1)
 
     @PROPERTY
     @given(st.data())
@@ -398,3 +403,15 @@ class TestScoredSelectorInput:
                                   np.random.default_rng(0))
         with pytest.raises(ValueError, match="unique"):
             select_random([3, 3, 3], 2, np.random.default_rng(0))
+
+    def test_non_integer_ids_rejected(self):
+        """A float or bool id would otherwise be cast to an integer that is
+        not in the pool."""
+        rng = np.random.default_rng(0)
+        for ids in ([1.5, 2.5], np.array([True, False])):
+            with pytest.raises(ValueError, match="integers"):
+                select_random(ids, 2, rng)
+            with pytest.raises(ValueError, match="integers"):
+                select_uncertainty(ids, [0.5, 0.6], 1)
+            with pytest.raises(ValueError, match="integers"):
+                select_shifted_normal(ids, [0.5, 0.6], 1, self.PARAMS, rng)
