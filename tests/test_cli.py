@@ -314,6 +314,23 @@ class TestDeterminismAndSeeds:
         assert code == 2
         assert "ALQ_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, env_seed", [
+        (["compare", "--seed", str(2**64 + 5)], None),
+        (["compare", "--seed", str(-2**63 - 1)], None),
+        (["compare"], str(2**64 + 5)),
+        (["dump-dataset", "--seed", str(2**64 + 3)], None),
+        (["dump-dataset"], str(2**63))])
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, monkeypatch, capsys,
+                                         argv, env_seed):
+        """Such a seed would fold onto another seed's data: 2**64 + 5 wrote
+        seed 5's outputs byte for byte."""
+        if env_seed is not None:
+            monkeypatch.setenv("ALQ_SEED", env_seed)
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        assert "64 bits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_flag_does_not_change_results(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         args = ["run", "--strategy", "uncertainty", *FAST]

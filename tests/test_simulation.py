@@ -1,5 +1,9 @@
 import concurrent.futures
 import dataclasses
+import json
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -106,6 +110,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(dataset=DatasetConfig(),
                              strategies=(QueryStrategy(kind="random"),), **bad)
+
+
+    @pytest.mark.parametrize("seed, rounds", [
+        (5.5, 2), ("5", 2), (True, 2), (2**64 + 5, 2), (2**63, 2),
+        (-2**63 - 1, 2), (2**63 - 2, 3)])
+    def test_bad_base_seed_rejected(self, seed, rounds):
+        """Only an int with every round seed in [-2**63, 2**63) passes:
+        a float or str failed only in round 0, True ran as seed 1, and
+        seeds beyond 64 bits folded onto another seed's data."""
+        with pytest.raises(ConfigError, match="base_seed"):
+            config_for(seed=seed, rounds=rounds)
+
+    def test_base_seed_range_is_inclusive(self):
+        for seed in (-2**63, 2**63 - 3):
+            assert config_for(seed=seed, rounds=3).base_seed == seed
 
 
 class TestRunRound:
@@ -456,6 +475,65 @@ class TestRunExperiment:
         with pytest.raises(SimulationError, match="seed 11"):
             run_rounds(config_for(seed=11, rounds=40), jobs=2)
         assert len(ran) < 10
+
+    def test_pool_executor_is_the_standard_one(self):
+        assert (getattr(simulation_module, "ProcessPoolExecutor")
+                is concurrent.futures.ProcessPoolExecutor)
+        with pytest.raises(AttributeError):
+            simulation_module.NoSuchExecutor
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+def loaded_after(script: str) -> dict:
+    """Which of ``POOL_MODULES`` a fresh interpreter holds at each point
+    where ``script`` calls ``mark(label)``."""
+    prelude = textwrap.dedent(f"""
+        import json, sys
+        marks = {{}}
+        def mark(label):
+            marks[label] = [m in sys.modules for m in {POOL_MODULES!r}]
+    """)
+    epilogue = "\nprint(json.dumps(marks))\n"
+    proc = subprocess.run([sys.executable, "-c",
+                           prelude + textwrap.dedent(script) + epilogue],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestPoolLoadsOnFirstUse:
+    def test_sequential_run_never_loads_the_pool(self, tmp_path):
+        marks = loaded_after(f"""
+            import contextlib, io
+            import alqsim
+            mark("alqsim")
+            import alqsim.cli as cli
+            mark("alqsim.cli")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["compare", "--rounds", "2", "--queries", "2",
+                                 "--jobs", "1", "--out", {str(tmp_path)!r}])
+            assert code == 0
+            mark("compare")
+        """)
+        assert marks == {label: [False, False]
+                         for label in ("alqsim", "alqsim.cli", "compare")}
+
+    def test_parallel_run_loads_the_pool(self):
+        marks = loaded_after("""
+            import os
+            import alqsim.simulation as simulation
+            from alqsim import DatasetConfig, QueryStrategy, SimulationConfig
+            os.cpu_count = lambda: 2
+            config = SimulationConfig(dataset=DatasetConfig(),
+                                      strategies=(QueryStrategy("random"),),
+                                      n_queries=2, rounds=2)
+            mark("before")
+            simulation.run_rounds(config, jobs=2)
+            mark("after")
+        """)
+        assert marks == {"before": [False, False], "after": [True, True]}
 
     def test_summary_shapes(self):
         config = config_for("shifted-normal", rounds=3)
