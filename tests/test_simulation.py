@@ -482,6 +482,18 @@ class TestRunExperiment:
         with pytest.raises(AttributeError):
             simulation_module.NoSuchExecutor
 
+    def test_summary_shapes(self):
+        config = config_for("shifted-normal", rounds=3)
+        summary = aggregate(config, run_rounds(config)[0])
+        n = config.n_queries
+        assert summary.queries == tuple(range(1, n + 1))
+        assert len(summary.lam) == len(summary.zeta) == len(summary.eta) == n
+        assert len(summary.auc) == len(summary.f1) == len(summary.eta_missing) == n
+        assert summary.labeled_sizes[-1] == 10 + 2 * n
+        # auc series pools per-test-pool samples: 3 per round
+        assert summary.auc[0].n == 3 * config.rounds
+        assert summary.lam[0].n == config.rounds
+
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
@@ -534,15 +546,3 @@ class TestPoolLoadsOnFirstUse:
             mark("after")
         """)
         assert marks == {"before": [False, False], "after": [True, True]}
-
-    def test_summary_shapes(self):
-        config = config_for("shifted-normal", rounds=3)
-        summary = aggregate(config, run_rounds(config)[0])
-        n = config.n_queries
-        assert summary.queries == tuple(range(1, n + 1))
-        assert len(summary.lam) == len(summary.zeta) == len(summary.eta) == n
-        assert len(summary.auc) == len(summary.f1) == len(summary.eta_missing) == n
-        assert summary.labeled_sizes[-1] == 10 + 2 * n
-        # auc series pools per-test-pool samples: 3 per round
-        assert summary.auc[0].n == 3 * config.rounds
-        assert summary.lam[0].n == config.rounds
