@@ -84,13 +84,13 @@ def _lane_scores(features, theta):
     return (features @ theta[:, :d, None])[..., 0] + theta[:, d, None]
 
 
-def _lane_losses(features, labels, theta, l2_penalty):
-    """:func:`nll_loss` of every lane, as an ``(L,)`` array."""
-    z = _lane_scores(features, theta)
+def _lane_losses(scores, labels, theta, l2_penalty):
+    """:func:`nll_loss` of every lane from its linear ``scores``
+    ``(..., n)`` at parameters ``(..., d+1)``, as a ``(...)`` array."""
     # log(1 + exp(z)) - y*z, computed stably for large |z|
-    nll = np.logaddexp(0.0, z) - labels * z
-    w = theta[:, None, :features.shape[-1]]
-    return nll.sum(axis=1) + 0.5 * l2_penalty * (w @ w.transpose(0, 2, 1))[:, 0, 0]
+    nll = np.logaddexp(0.0, scores) - labels * scores
+    w = theta[..., None, :theta.shape[-1] - 1]
+    return nll.sum(axis=-1) + 0.5 * l2_penalty * (w @ w.swapaxes(-1, -2))[..., 0, 0]
 
 
 def _lane_gradients(features, labels, theta, probs, l2_penalty):
@@ -112,7 +112,8 @@ def _one_lane(weights, intercept, features, labels):
 def nll_loss(weights, intercept, features, labels, l2_penalty) -> float:
     """Regularized negative log-likelihood (penalty excludes the intercept)."""
     features, labels, theta = _one_lane(weights, intercept, features, labels)
-    return float(_lane_losses(features, labels, theta, l2_penalty)[0])
+    scores = _lane_scores(features, theta)
+    return float(_lane_losses(scores, labels, theta, l2_penalty)[0])
 
 
 def nll_gradient(weights, intercept, features, labels, l2_penalty) -> np.ndarray:
@@ -158,7 +159,12 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
     there and reports what its remaining iterations would:
     ``n_iterations == hp.max_iterations``, not converged.  A stopped lane
     stays in the stack and takes zero steps, which leave its parameters and
-    loss exactly as they are.  The default tolerance 1e-8 lies below what
+    loss exactly as they are.  A step that raises a lane's loss is halved
+    until it does not, up to 50 times (the 50th halving is taken unchecked,
+    with the loss of the 49th).  A stalled lane's halvings 2**-1 to 2**-49
+    are evaluated at once, in one stacked loss call, which gives the same
+    iterates as trying them one at a time; the accepted step's scores are
+    reused for the next gradient.  The default tolerance 1e-8 lies below what
     loss-based step halving can resolve, so about 0.5-0.7% of fits on the
     paper's workloads stall near |gradient| 1e-8 to 2e-7 and end
     unconverged.  Raises ``ValueError`` unless the shapes match, every label
@@ -183,47 +189,66 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
     y = labels.astype(np.float64)
     Xb = np.concatenate([X, np.ones((n_lanes, n, 1))], axis=2)
     theta = np.zeros((n_lanes, d + 1))  # weights then intercept
-    loss = _lane_losses(X, y, theta, hp.l2_penalty)
+    z = _lane_scores(X, theta)
+    loss = _lane_losses(z, y, theta, hp.l2_penalty)
     diagonal = np.arange(d)
+    halvings = np.ldexp(1.0, -np.arange(1, 50))[:, None]  # 2**-1 ... 2**-49
     converged = single_class.copy()
     n_iterations = np.zeros(n_lanes, dtype=np.int64)
     stepping = ~single_class
     fixed = np.zeros(n_lanes, dtype=bool)
 
     for iterations in range(hp.max_iterations + 1):
-        p = sigmoid(_lane_scores(X, theta))
+        p = sigmoid(z)
         grad = _lane_gradients(X, y, theta, p, hp.l2_penalty)
         small = np.abs(grad).max(axis=1) < hp.gradient_tolerance
         # a fixed lane fails the gradient test again at the same parameters;
         # it ends as the full loop would, unconverged at the cap
         stop = stepping & (small | fixed | (iterations == hp.max_iterations))
-        converged[stop] = small[stop]
-        n_iterations[stop] = np.where(fixed[stop], hp.max_iterations, iterations)
-        stepping &= ~stop
-        if not stepping.any():
-            break
+        if stop.any():
+            converged[stop] = small[stop]
+            n_iterations[stop] = np.where(fixed[stop], hp.max_iterations, iterations)
+            stepping &= ~stop
+            if not stepping.any():
+                break
         s = p * (1.0 - p)
         hessians = (Xb.transpose(0, 2, 1) * s[:, None, :]) @ Xb
         hessians[:, diagonal, diagonal] += hp.l2_penalty
-        step = np.where(stepping[:, None], _newton_steps(hessians, grad), 0.0)
-        # halve each lane's step until its loss stops increasing; an accepted
-        # lane keeps its scale and a stopped lane its zero step, so
-        # recomputing either lane's loss repeats it exactly
-        scale = np.ones(n_lanes)
-        pending = np.ones(n_lanes, dtype=bool)
-        for _ in range(50):
-            new_loss = _lane_losses(X, y, theta - scale[:, None] * step,
-                                    hp.l2_penalty)
-            pending &= ~(new_loss <= loss)
-            if not pending.any():
-                break
-            scale[pending] *= 0.5
-        new_theta = theta - scale[:, None] * step
+        step = _newton_steps(hessians, grad)
+        if not stepping.all():
+            step = np.where(stepping[:, None], step, 0.0)
+        # the full step, then, for each lane whose loss it raises, the 49
+        # halvings at once: the lane takes the first that does not raise its
+        # loss, or 2**-50 with the 2**-49 loss if none does, as halving one
+        # trial at a time would; a stopped lane's zero step keeps its
+        # parameters and repeats its loss exactly
+        new_theta = theta - step
+        new_z = _lane_scores(X, new_theta)
+        new_loss = _lane_losses(new_z, y, new_theta, hp.l2_penalty)
+        pending = ~(new_loss <= loss)
+        if pending.any():
+            pending = np.flatnonzero(pending)
+            trials = theta[pending, None] - halvings * step[pending, None]
+            trial_z = ((X[pending, None] @ trials[..., :d, None])[..., 0]
+                       + trials[..., d, None])
+            trial_loss = _lane_losses(trial_z, y[pending, None], trials,
+                                      hp.l2_penalty)
+            ok = trial_loss <= loss[pending, None]
+            found = ok.any(axis=1)
+            pick = np.where(found, ok.argmax(axis=1), len(halvings) - 1)
+            rows = np.arange(len(pending))
+            new_theta[pending] = trials[rows, pick]
+            new_z[pending] = trial_z[rows, pick]
+            new_loss[pending] = trial_loss[rows, pick]
+            spent = pending[~found]
+            if spent.size:
+                new_theta[spent] = theta[spent] - 0.5 ** 50 * step[spent]
+                new_z[spent] = _lane_scores(X[spent], new_theta[spent])
         # (theta, loss) is a lane's whole state: at an exact fixed point every
         # remaining iteration would repeat this one
         fixed = ((new_theta.view(np.int64) == theta.view(np.int64)).all(axis=1)
                  & (new_loss == loss))
-        theta, loss = new_theta, new_loss
+        theta, z, loss = new_theta, new_z, new_loss
     prior = np.where(single_class, (n_positive + 1) / (n + 2), np.nan)
     # [()] turns the 0-d fields of one pool into scalars
     return GlmModel(weights=theta[:, :d].copy().reshape(*lanes, d),

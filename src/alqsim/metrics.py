@@ -9,6 +9,15 @@ performance per unit labeling cost: ``lambda`` is the performance score
 labels accumulated in the labeled pool, and ``C >= 1`` the cost of one
 positive label relative to one negative label.
 
+AUC is the Mann-Whitney U over n+ * n- pairs (Hanley & McNeil 1982),
+counted exactly in int64: each row is sorted once as integer keys that
+order like the scores and hold the label in the low bit, so every tie group
+lists its negatives first.  A score's code is its float64 bit pattern when
+every score lies in [0, 2), which covers every probability
+``predict_proba`` returns, and its dense rank among the scores otherwise
+(negative or large scores, or infinities).  Both codes order exactly like
+the floats, so the AUC is that of the pair-counting definition.
+
 Confidence intervals are Student-t based; the t quantile is computed
 numerically in-repo (the finite series of the t CDF at an integer df,
 inverted by bisection) rather than from shipped tables.  The quantile is a
@@ -56,56 +65,58 @@ class CiSummary:
 def _rows(values, labels) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as float64 and ``labels`` as int64 arrays; raises
     ``ValueError`` unless the two hold rows, along the last axis, of one
-    length."""
+    length, every label is 0 or 1 (bools count), and no value is NaN."""
     values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if values.ndim == 0 or labels.ndim == 0 or values.shape[-1] != labels.shape[-1]:
         raise ValueError(f"scores and labels must hold rows of equal length, "
                          f"got shapes {values.shape} and {labels.shape}")
-    return values, labels
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if np.isnan(values).any():
+        raise ValueError("scores must not be NaN")
+    return values, labels.astype(np.int64)
 
 
 def auc(scores, labels) -> np.float64 | np.ndarray:
-    """Area under the ROC curve via the Mann-Whitney rank statistic.
+    """Area under the ROC curve via the Mann-Whitney U statistic.
 
-    Equals P(score+ > score-) + 0.5 P(score+ = score-); ties are handled with
-    average ranks.  The last axis of ``scores`` holds one row's scores, and
-    ``labels`` broadcasts against ``scores``; one AUC per row is returned, a
-    float64 scalar for a 1-D call.  Raises ``ValueError`` unless every row
-    holds both classes.
+    Equals P(score+ > score-) + 0.5 P(score+ = score-), with -0.0 tying 0.0
+    and equal infinities tying.  The last axis of ``scores`` holds one row's
+    scores, and ``labels`` broadcasts against ``scores``; one AUC per row is
+    returned, a float64 scalar for a 1-D call.  Raises ``ValueError`` unless
+    every row holds both classes, every label is 0 or 1, and no score is NaN.
+
+    Each score gets an int64 code that orders like the score: its bit
+    pattern (after ``+ 0.0``, so -0.0 becomes 0.0) when every score lies in
+    [0, 2), where a non-negative float64's bits order like the float and
+    stay below 2**62, and otherwise its dense rank among all the scores.
+    One sort of the keys ``code << 1 | label`` puts each tie group's
+    negatives before its positives, so a positive's count of negatives at
+    or before it, plus those before its tie group, is twice its count of
+    beaten negatives plus its ties.  2U is thus an exact integer, and the
+    AUC is (2U / 2) / (n+ * n-).
     """
     scores, labels = _rows(scores, labels)
-    positive = labels == 1
-    n_pos = positive.sum(axis=-1)
-    n_neg = (labels == 0).sum(axis=-1)
+    n_pos = labels.sum(axis=-1)
+    n_neg = labels.shape[-1] - n_pos
     if not ((n_pos > 0) & (n_neg > 0)).all():
         raise ValueError("AUC is undefined when only one class is present")
-    # every rank is a half-integer, so this sum is exact in any order
-    rank_sum_pos = np.where(positive, _average_ranks(scores), 0.0).sum(axis=-1)
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    # 1-based ranks along the last axis; tied values share the mean of their
-    # ordinal ranks, so the order a sort leaves ties in does not matter (NaN
-    # ties nothing, so NaNs rank last in no set order).  The rows are ranked
-    # as one flat run of sorted values in which each row's first value opens
-    # a tie group.
-    size = values.shape[-1]
-    if not values.size:
-        return np.zeros(values.shape)
-    order = np.argsort(values, axis=-1).reshape(-1, size)
-    flat = (order + np.arange(0, values.size, size)[:, None]).ravel()
-    sorted_vals = values.ravel()[flat]
-    opens = np.empty(values.size, dtype=bool)
-    opens[1:] = np.diff(sorted_vals) != 0
-    opens[::size] = True
-    starts = np.flatnonzero(opens)
-    lengths = np.diff(starts, append=values.size)
-    first = starts % size  # 0-based rank of each group's first value
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[flat] = np.repeat((2 * first + lengths + 1) / 2.0, lengths)
-    return ranks.reshape(values.shape)
+    if scores.size and scores.min() >= 0.0 and scores.max() < 2.0:
+        codes = (scores + 0.0).view(np.int64)
+    else:
+        codes = np.unique(scores.ravel(), return_inverse=True)[1].reshape(scores.shape)
+    keys = np.sort(codes << 1 | labels, axis=-1)
+    negative = (keys & 1) == 0
+    seen = np.cumsum(negative, axis=-1)  # negatives at or before each slot
+    codes = keys >> 1
+    opens = np.empty(keys.shape, dtype=bool)
+    opens[..., :1] = True
+    np.not_equal(codes[..., 1:], codes[..., :-1], out=opens[..., 1:])
+    # negatives before each slot's tie group
+    before = np.maximum.accumulate(np.where(opens, seen - negative, 0), axis=-1)
+    two_u = np.where(negative, 0, seen + before).sum(axis=-1)
+    return two_u / 2 / (n_pos * n_neg)
 
 
 def f1(probs, labels) -> np.float64 | np.ndarray:

@@ -264,6 +264,24 @@ class TestFitLanes:
         else:
             assert {(False, cap, False), (True, cap, False)} & leaves
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_uphill_steps_exhaust_the_halvings(self, paper_pools, seed_package,
+                                               monkeypatch, cap):
+        """With every Newton step turned uphill, no halving keeps a lane's
+        loss from rising: each lane takes the step at 2**-50 with the 2**-49
+        loss, as the seed package's one-halving-at-a-time loop does, and the
+        next pass scores the parameters it took."""
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda hessian, grad: -1e3 * np.asarray(grad))
+        hp = GlmHyperparams(max_iterations=cap)
+        seed_hp = seed_package.glm.GlmHyperparams(max_iterations=cap)
+        lanes = [pool for pool in paper_pools if len(pool[1]) == 12]
+        models = split_lanes(fit(*lane_stack(lanes), hp))
+        for model, pool in zip(models, lanes):
+            assert (fit_fields(model) == fit_fields(fit(*pool, hp))
+                    == fit_fields(seed_fit(seed_package, pool, seed_hp)))
+            assert np.isfinite(model.weights).all() and (model.weights != 0).all()
+
     @pytest.mark.parametrize("cap", [1, 2, 5, 200])
     def test_singular_hessian_lane(self, seed_package, monkeypatch, cap):
         """With no penalty, a duplicated feature makes a lane's Hessian

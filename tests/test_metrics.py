@@ -6,7 +6,7 @@ from scipy import stats
 
 from alqsim import (CiSummary, ConfigError, CostModel, auc, cost_efficiency,
                     f1, mean_ci, student_t_quantile)
-from alqsim.metrics import _average_ranks, student_t_cdf
+from alqsim.metrics import student_t_cdf
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -14,14 +14,49 @@ PROPERTY = settings(deadline=None, derandomize=True, database=None)
 # Few distinct values, both zeros among them, so ties are the rule.
 TIED_SCORE = st.sampled_from([-0.5, -0.0, 0.0, 0.1, 0.25, 0.5, 1.0])
 
-RANK_INPUTS = {
+# Tie-heavy values for each of auc's two integer key codes: the bit pattern
+# (every score in [0, 2)) and the dense rank (any score outside it).
+BITS_SCORE = st.sampled_from([0.0, -0.0, 5e-324, 1e-12, 0.25, 0.5,
+                              1 - 1e-12, 1.5])
+DENSE_SCORE = st.sampled_from([-0.5, -0.0, 0.0, 2.0, 1e300])
+INF_SCORE = st.sampled_from([-np.inf, -0.5, -0.0, 0.0, 2.0, 1e300, np.inf])
+
+LONG_ROWS = {
     "random": np.random.default_rng(11).random(1000),
     "tied_1_decimal": np.round(np.random.default_rng(12).random(1000), 1),
     "tied_2_decimals": np.round(np.random.default_rng(13).random(1000), 2),
     "constant": np.full(40, 0.3),
-    "length_1": np.array([0.7]),
     "signed_zeros": np.array([0.0, -0.0, 0.2, -0.0, 0.0, -0.1, 0.0, -0.0]),
+    "wide": np.random.default_rng(14).standard_normal(1000) * 1e3,
 }
+
+
+def both_classes(rows):
+    return len({label for _, label in rows}) == 2
+
+
+def scored_rows(score):
+    """One row of ``(score, label)`` pairs that holds both classes."""
+    return st.lists(st.tuples(score, st.integers(0, 1)), min_size=2,
+                    max_size=60).filter(both_classes)
+
+
+@st.composite
+def stacks(draw, score):
+    """``(L, P, m)`` scores with ``(P, m)`` labels, every label row holding
+    both classes, as ``auc`` scores lanes against shared test pools."""
+    lanes, pools, m = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                       draw(st.integers(2, 30)))
+    labels = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m)
+                           .filter(lambda row: len(set(row)) == 2),
+                           min_size=pools, max_size=pools))
+    scores = draw(st.lists(score, min_size=lanes * pools * m,
+                           max_size=lanes * pools * m))
+    return np.reshape(scores, (lanes, pools, m)), np.array(labels)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def pairwise_auc(scores, labels):
@@ -86,37 +121,58 @@ class TestAuc:
             1.0, abs=1e-12)
 
 
-class TestAverageRanks:
-    """The vectorized ranks equal the seed package's per-group loop bit for bit."""
+class TestAucKeys:
+    """Both integer key codes give the seed package's AUC bit for bit, on
+    single rows and on stacks with broadcast labels."""
 
-    @pytest.mark.parametrize("name", sorted(RANK_INPUTS))
-    def test_matches_seed_loop(self, name, seed_package):
-        values = RANK_INPUTS[name]
-        assert (_average_ranks(values).tobytes()
-                == seed_package.metrics._average_ranks(values).tobytes())
-
-    def test_signed_zeros_share_one_tie_group(self):
-        ranks = _average_ranks(RANK_INPUTS["signed_zeros"])
-        assert ranks.tolist() == [4.5, 4.5, 8.0, 4.5, 4.5, 1.0, 4.5, 4.5]
+    @pytest.mark.parametrize("name", sorted(LONG_ROWS))
+    def test_long_rows_equal_seed_package(self, name, seed_package):
+        scores = LONG_ROWS[name]
+        labels = np.arange(len(scores)) % 3 == 0
+        assert same_bits(auc(scores, labels),
+                         seed_package.metrics.auc(scores, labels.astype(int)))
 
     @PROPERTY
-    @given(st.lists(TIED_SCORE, min_size=1, max_size=60))
-    def test_matches_seed_loop_on_any_tied_input(self, seed_package, values):
-        values = np.array(values)
-        assert (_average_ranks(values).tobytes()
-                == seed_package.metrics._average_ranks(values).tobytes())
+    @given(st.one_of(scored_rows(BITS_SCORE), scored_rows(DENSE_SCORE)))
+    def test_rows_equal_seed_package(self, seed_package, rows):
+        scores, labels = (np.array(column) for column in zip(*rows))
+        assert same_bits(auc(scores, labels),
+                         seed_package.metrics.auc(scores, labels))
 
     @PROPERTY
-    @given(st.integers(1, 60).flatmap(lambda m: st.lists(
-        st.lists(TIED_SCORE, min_size=m, max_size=m), min_size=1, max_size=6)))
-    def test_rows_match_seed_loop_on_any_tied_input(self, seed_package, rows):
-        """Ranking an ``(R, M)`` array ranks each row on its own."""
-        values = np.array(rows)
-        ranks = _average_ranks(values)
-        assert ranks.shape == values.shape
-        for row, row_ranks in zip(values, ranks):
-            assert (row_ranks.tobytes()
-                    == seed_package.metrics._average_ranks(row).tobytes())
+    @given(st.one_of(stacks(BITS_SCORE), stacks(DENSE_SCORE)))
+    def test_stacks_equal_seed_package(self, seed_package, stack):
+        scores, labels = stack
+        aucs = auc(scores, labels)
+        assert aucs.shape == scores.shape[:2]
+        for lane in range(len(scores)):
+            for pool, pool_labels in enumerate(labels):
+                assert same_bits(aucs[lane, pool], seed_package.metrics.auc(
+                    scores[lane, pool], pool_labels))
+
+    @PROPERTY
+    @given(scored_rows(INF_SCORE))
+    def test_rows_with_infinities_equal_pair_counting(self, rows):
+        scores, labels = (np.array(column) for column in zip(*rows))
+        assert auc(scores, labels) == pairwise_auc(scores, labels)
+
+    @PROPERTY
+    @given(stacks(INF_SCORE))
+    def test_stacks_with_infinities_equal_pair_counting(self, stack):
+        scores, labels = stack
+        aucs = auc(scores, labels)
+        for lane in range(len(scores)):
+            for pool, pool_labels in enumerate(labels):
+                assert aucs[lane, pool] == pairwise_auc(scores[lane, pool],
+                                                        pool_labels)
+
+    def test_signed_zeros_tie(self):
+        assert auc([-0.0, 0.0], [0, 1]) == auc([0.0, -0.0], [0, 1]) == 0.5
+        assert auc([-0.0, 0.0, -0.5], [0, 1, 0]) == 0.75
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_equal_infinities_tie(self, value):
+        assert auc([value, value], [0, 1]) == auc([value, value], [1, 0]) == 0.5
 
 
 class TestRowWiseScores:
@@ -157,6 +213,25 @@ class TestRowWiseScores:
     ], ids=["1d", "2d", "broadcast-labels", "scalar-scores"])
     def test_rows_of_unequal_length_rejected(self, score, scores, labels):
         with pytest.raises(ValueError, match="rows of equal length"):
+            score(scores, labels)
+
+    @pytest.mark.parametrize("score", [auc, f1])
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 2], [0, 0.5, 1], [-1, 0, 1], [0, 1, np.nan], [[0, 1, 1], [0, 1, 3]],
+    ], ids=["two", "half", "minus-one", "nan", "one-bad-row"])
+    def test_labels_other_than_0_and_1_rejected(self, score, labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            score([0.3, 0.2, 0.1], labels)
+
+    @pytest.mark.parametrize("score", [auc, f1])
+    def test_bool_labels_accepted(self, score):
+        assert score([0.2, 0.8], [False, True]) == score([0.2, 0.8], [0, 1]) == 1.0
+
+    @pytest.mark.parametrize("score", [auc, f1])
+    @pytest.mark.parametrize("scores", [[np.nan, np.nan], [0.2, np.nan]])
+    @pytest.mark.parametrize("labels", [[0, 1], [1, 0]])
+    def test_nan_scores_rejected(self, score, scores, labels):
+        with pytest.raises(ValueError, match="NaN"):
             score(scores, labels)
 
     def test_one_row_gives_a_scalar(self):
