@@ -53,13 +53,13 @@ class CostModel:
 
 @dataclass(frozen=True)
 class CiSummary:
-    """Symmetric Student-t confidence interval around a sample mean."""
+    """Symmetric Student-t confidence interval around a sample mean; its
+    confidence level and sample count live in the config and, for eta,
+    ``eta_missing``."""
 
     mean: float
     lower: float
     upper: float
-    confidence: float = 0.99
-    n: int = 0
 
 
 def _rows(values, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +159,8 @@ def cost_efficiency(lam, zeta, cost: CostModel) -> float | np.ndarray:
 def mean_ci(samples: Sequence[float], confidence: float = 0.99) -> CiSummary:
     """Student-t confidence interval for the mean of ``samples``.
 
-    Requires at least two samples; the interval is exactly symmetric about
-    the mean.
+    Requires at least two samples, all finite; the interval is exactly
+    symmetric about the mean.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
@@ -168,17 +168,17 @@ def mean_ci(samples: Sequence[float], confidence: float = 0.99) -> CiSummary:
     n = len(data)
     if n < 2:
         raise ValueError(f"need at least 2 samples for an interval, got {n}")
+    if not np.isfinite(data).all():
+        raise ValueError("samples must be finite")
     if data.min() == data.max():
         # mathematically zero variance: keep the interval exactly degenerate
         value = float(data[0])
-        return CiSummary(mean=value, lower=value, upper=value,
-                         confidence=confidence, n=n)
+        return CiSummary(mean=value, lower=value, upper=value)
     mean = float(data.mean())
     sd = float(data.std(ddof=1))
     quantile = student_t_quantile(0.5 + confidence / 2.0, n - 1)
     half_width = quantile * sd / math.sqrt(n)
-    return CiSummary(mean=mean, lower=mean - half_width,
-                     upper=mean + half_width, confidence=confidence, n=n)
+    return CiSummary(mean=mean, lower=mean - half_width, upper=mean + half_width)
 
 
 # --- Student-t distribution, computed numerically -------------------------

@@ -159,7 +159,6 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
 
     strategies = config.strategies
     rngs = [query_rng(round_seed) for _ in strategies]
-    beta_params = [beta_from_mode(s.mode, s.concentration) for s in strategies]
     n_lanes, n_queries, batch = len(strategies), config.n_queries, config.batch_size
 
     # each lane's unlabeled rows, in pool order; all lanes hold as many
@@ -185,13 +184,13 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
                               (live_probs >= lo) & (live_probs <= hi), axis=1)
         for k, strategy in enumerate(strategies):
             if strategy.kind == "random":
-                chosen = select_random(live_ids[k], batch, rngs[k])
+                selected[k, q] = select_random(live_ids[k], batch, rngs[k])
             elif strategy.kind == "uncertainty":
-                chosen = select_uncertainty(live_ids[k], live_probs[k], batch)
+                selected[k, q] = select_uncertainty(live_ids[k], live_probs[k], batch)
             else:
-                chosen = select_shifted_normal(live_ids[k], live_probs[k], batch,
-                                               beta_params[k], rngs[k])
-            selected[k, q] = chosen
+                selected[k, q] = select_shifted_normal(
+                    live_ids[k], live_probs[k], batch,
+                    beta_from_mode(strategy.mode, strategy.concentration), rngs[k])
         # batch before pool axis: .all over a short trailing axis is ~8x slower
         kept = (live_ids[:, None, :] != selected[:, q, :, None]).all(axis=1)
         live_ids = live_ids[kept].reshape(n_lanes, -1)

@@ -94,8 +94,12 @@ class TestFallback:
         (np.zeros((2, 3, 2)), np.zeros((2, 4), dtype=int),
          "one label per feature row"),
         (np.zeros((2, 0, 2)), np.zeros((2, 0), dtype=int), "empty"),
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), np.array([0, 1]), "finite"),
+        (np.array([[0.0, np.inf], [1.0, 0.0]]), np.array([0, 1]), "finite"),
+        (np.array([[[0.0, -np.inf], [1.0, 0.0]]]), np.array([[0, 1]]), "finite"),
     ], ids=["label-2", "label-half", "length-mismatch", "features-1d",
-            "labels-2d", "lane-label-2", "lane-length-mismatch", "empty-lanes"])
+            "labels-2d", "lane-label-2", "lane-length-mismatch", "empty-lanes",
+            "nan-feature", "inf-feature", "lane-minus-inf-feature"])
     def test_malformed_pool_rejected(self, features, labels, match):
         with pytest.raises(ValueError, match=match):
             fit(features, labels)
@@ -264,6 +268,18 @@ class TestFitLanes:
         else:
             assert {(False, cap, False), (True, cap, False)} & leaves
 
+    def test_stacked_scores_equal_per_slice_scores(self):
+        """The halving table's ``(P, T, d+1)`` trials score, bit for bit,
+        as each ``(P, d+1)`` slice of them scores alone."""
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((3, 17, 4))
+        trials = rng.standard_normal((3, 50, 5))
+        stacked = glm_module._lane_scores(features[:, None], trials)
+        assert stacked.shape == (3, 50, 17)
+        for t in range(trials.shape[1]):
+            np.testing.assert_array_equal(
+                stacked[:, t], glm_module._lane_scores(features, trials[:, t]))
+
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_uphill_steps_exhaust_the_halvings(self, paper_pools, seed_package,
                                                monkeypatch, cap):
@@ -422,6 +438,15 @@ class TestPredict:
         model = GlmModel(np.zeros(4), 0.0, True, 0)
         with pytest.raises(ValueError, match="dimension"):
             predict_proba(model, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        model = GlmModel(np.zeros(2), 0.0, True, 0)
+        lanes = GlmModel(np.zeros((3, 2)), np.zeros(3), np.ones(3, dtype=bool),
+                         np.zeros(3, dtype=int), np.full(3, np.nan))
+        for m, x in ((model, [0.5, bad]), (lanes, [[[0.5, bad]]])):
+            with pytest.raises(ValueError, match="features must be finite"):
+                predict_proba(m, np.array(x))
 
     def test_output_strictly_inside_unit_interval(self):
         model = GlmModel(np.array([100.0]), 0.0, True, 0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,11 @@ class TestMeanCi:
         with pytest.raises(ValueError, match="at least 2"):
             mean_ci([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mean_ci([1.0, bad])
+
     def test_half_width_shrinks_like_inverse_sqrt_n(self):
         """Fixed +/-1 samples: half-width falls by ~2x per 4x sample size
         once n is large enough for the t quantile to stabilize."""
@@ -352,9 +359,11 @@ class TestMeanCi:
         for a, b in zip(widths, widths[1:]):
             assert a / b == pytest.approx(2.0, rel=0.05)
 
-    def test_custom_confidence_recorded(self):
-        s = mean_ci([1.0, 2.0, 3.0], confidence=0.9)
-        assert s.confidence == 0.9 and s.n == 3
+    def test_lower_confidence_narrows_the_interval(self):
+        narrow = mean_ci([1.0, 2.0, 4.0], confidence=0.9)
+        wide = mean_ci([1.0, 2.0, 4.0], confidence=0.99)
+        assert narrow.mean == wide.mean
+        assert wide.lower < narrow.lower < narrow.upper < wide.upper
 
 
 class TestStudentT:
@@ -428,5 +437,7 @@ class TestQuantileMemo:
 
 class TestCiSummaryType:
     def test_fields(self):
-        s = CiSummary(mean=1.0, lower=0.5, upper=1.5, confidence=0.99, n=30)
+        s = CiSummary(mean=1.0, lower=0.5, upper=1.5)
+        assert [f.name for f in dataclasses.fields(CiSummary)] == [
+            "mean", "lower", "upper"]
         assert s.lower <= s.mean <= s.upper

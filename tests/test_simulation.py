@@ -330,9 +330,10 @@ class TestRunExperiment:
         summary = aggregate(config_for(n_queries=4, rounds=3), results)
         assert summary.eta_missing == (3, 2, 1, 0)
         assert summary.eta[0] is None and summary.eta[1] is None
-        assert (summary.eta[2].n, summary.eta[2].mean) == (2, 4.0)
-        assert (summary.eta[3].n, summary.eta[3].mean) == (3, 3.0)
-        assert summary.lam[0].n == 3
+        # the defined samples, in aggregate's order: by seed, round-major
+        assert summary.eta[2] == mean_ci([3.0, 5.0])
+        assert summary.eta[3] == mean_ci([1.0, 2.0, 6.0])
+        assert summary.lam[0] == mean_ci([0.9, 0.9, 0.9])
 
     @pytest.mark.parametrize("jobs,rounds,cores,expected", [
         (1, 40, 2, 1), (2, 40, 2, 2), (3, 40, 2, 2), (10**9, 40, 2, 2),
@@ -434,7 +435,6 @@ class TestRunExperiment:
                 samples, cost_efficiency(lam, zeta, CostModel()) / 3.0)
             assert triple.eta[qi] == mean_ci(samples, config.confidence)
         for base, scaled in zip(unit.eta, triple.eta):
-            assert scaled.n == base.n
             for bound in ("mean", "lower", "upper"):
                 assert getattr(scaled, bound) == pytest.approx(
                     getattr(base, bound) / 3.0, rel=1e-12, abs=0.0)
@@ -484,15 +484,21 @@ class TestRunExperiment:
 
     def test_summary_shapes(self):
         config = config_for("shifted-normal", rounds=3)
-        summary = aggregate(config, run_rounds(config)[0])
+        results = run_rounds(config)[0]
+        summary = aggregate(config, results)
         n = config.n_queries
         assert summary.queries == tuple(range(1, n + 1))
         assert len(summary.lam) == len(summary.zeta) == len(summary.eta) == n
         assert len(summary.auc) == len(summary.f1) == len(summary.eta_missing) == n
         assert summary.labeled_sizes[-1] == 10 + 2 * n
-        # auc series pools per-test-pool samples: 3 per round
-        assert summary.auc[0].n == 3 * config.rounds
-        assert summary.lam[0].n == config.rounds
+        # auc series pools per-test-pool samples, 3 per round, by seed and
+        # round-major; lam takes one sample per round, its mean AUC
+        ordered = sorted(results, key=lambda r: r.seed)
+        pooled = np.concatenate([r.auc[0] for r in ordered])
+        assert len(pooled) == 3 * config.rounds
+        assert summary.auc[0] == mean_ci(pooled, config.confidence)
+        assert summary.lam[0] == mean_ci([r.auc[0].mean() for r in ordered],
+                                         config.confidence)
 
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
