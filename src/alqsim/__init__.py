@@ -14,9 +14,8 @@ from .metrics import (CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci,
                       student_t_quantile)
 from .simulation import (ExperimentSummary, RoundResult, SimulationConfig,
                          SimulationError, aggregate, run_round, run_rounds)
-from .strategies import (BetaParams, QueryStrategy, beta_from_mode, beta_pdf,
-                         beta_sample, select_random, select_shifted_normal,
-                         select_uncertainty)
+from .strategies import (QueryStrategy, beta_pdf, beta_sample, select_random,
+                         select_shifted_normal, select_uncertainty)
 
 __version__ = "0.1.0"
 
@@ -25,8 +24,7 @@ __all__ = [
     "DatasetConfig",
     "dataset_rng", "generate_dataset", "split_pools", "write_dataset_csv",
     "GlmHyperparams", "GlmModel", "fit", "predict_proba",
-    "BetaParams", "QueryStrategy",
-    "beta_from_mode", "beta_pdf", "beta_sample",
+    "QueryStrategy", "beta_pdf", "beta_sample",
     "select_random", "select_shifted_normal", "select_uncertainty",
     "CostModel", "CiSummary",
     "auc", "f1", "cost_efficiency",

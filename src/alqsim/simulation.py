@@ -45,8 +45,8 @@ from .errors import (AlqsimError, ConfigError, reject_non_finite,
                      require_positive_int, require_seed)
 from .glm import GlmHyperparams, fit, predict_proba
 from .metrics import CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci
-from .strategies import (QueryStrategy, beta_from_mode, select_random,
-                         select_shifted_normal, select_uncertainty)
+from .strategies import (QueryStrategy, select_random, select_shifted_normal,
+                         select_uncertainty)
 
 class SimulationError(AlqsimError, RuntimeError):
     """A round failed; the message carries the failing round's seed."""
@@ -148,8 +148,10 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
     randomness from its own ``query_rng(round_seed)``.  With phi
     recording, each query marks, per lane and keyed by dataset row, which
     live rows' interim probabilities lay in the phi band; the trace reads
-    the final model's probabilities of the marked rows.
+    the final model's probabilities of the marked rows.  Raises
+    :class:`ConfigError` unless ``round_seed`` is an ``int`` in [-2**63, 2**63).
     """
+    require_seed("round_seed", round_seed)
     data_seed = config.base_seed if config.shared_dataset else round_seed
     data_rng = dataset_rng(data_seed)
     features, labels = generate_dataset(config.dataset, data_rng)
@@ -189,8 +191,7 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
                 selected[k, q] = select_uncertainty(live_ids[k], live_probs[k], batch)
             else:
                 selected[k, q] = select_shifted_normal(
-                    live_ids[k], live_probs[k], batch,
-                    beta_from_mode(strategy.mode, strategy.concentration), rngs[k])
+                    live_ids[k], live_probs[k], batch, strategy, rngs[k])
         # batch before pool axis: .all over a short trailing axis is ~8x slower
         kept = (live_ids[:, None, :] != selected[:, q, :, None]).all(axis=1)
         live_ids = live_ids[kept].reshape(n_lanes, -1)

@@ -13,9 +13,10 @@ Three policies are provided:
   share of expensive positive labels, while the full-support targets keep a
   nonzero reach across the whole probability range.
 
-The Beta is parameterized by its interior mode and a concentration
-(``alpha + beta``) instead of raw shape parameters: the mode is the quantity
-with a meaningful default, the concentration is the single width knob.
+A :class:`QueryStrategy` is the one description of its Beta: it holds the
+Beta's interior mode and concentration (``alpha + beta``) and derives the
+shape parameters from them.  The mode is the quantity with a meaningful
+default, the concentration is the single width knob.
 Selectors receive only an ``ids`` array and the matching array of predicted
 probabilities; true labels never enter a policy.
 
@@ -42,26 +43,9 @@ STRATEGY_KINDS = ("random", "uncertainty", "shifted-normal")
 
 
 @dataclass(frozen=True)
-class BetaParams:
-    """Shape parameters of a Beta distribution with an interior mode."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 1 and self.beta > 1):
-            raise ConfigError(
-                "alpha and beta must both exceed 1 for an interior mode, got "
-                f"({self.alpha!r}, {self.beta!r})")
-
-    @property
-    def mode(self) -> float:
-        return (self.alpha - 1) / (self.alpha + self.beta - 2)
-
-
-@dataclass(frozen=True)
 class QueryStrategy:
-    """Tagged choice of query policy.
+    """Tagged choice of query policy, and the shifted-normal kind's Beta:
+    its interior ``mode`` and ``concentration``, ``alpha + beta``.
 
     ``mode`` and ``concentration`` only apply to the shifted-normal kind, but
     they are checked for every kind, because ``summary.json`` records them.
@@ -76,59 +60,56 @@ class QueryStrategy:
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(
                 f"unknown strategy {self.kind!r}; valid kinds: {', '.join(STRATEGY_KINDS)}")
-        # build the Beta now, so a mode that rounds alpha or beta to 1
-        # fails here rather than inside a round
-        beta_from_mode(self.mode, self.concentration)
+        if not 0.0 < self.mode < 1.0:
+            raise ConfigError(f"mode must be in (0, 1), got {self.mode!r}")
+        if not self.concentration > 2.0:
+            raise ConfigError(f"concentration must be > 2, got {self.concentration!r}")
+        if not (self.alpha > 1 and self.beta > 1):
+            raise ConfigError(
+                f"mode {self.mode!r} with concentration {self.concentration!r} "
+                f"rounds a Beta shape parameter to 1 (alpha={self.alpha!r}, "
+                f"beta={self.beta!r})")
+
+    # mode = (alpha - 1) / (concentration - 2) under alpha + beta =
+    # concentration, so the density peak lands exactly on ``mode``;
+    # concentration just above 2 approaches the uniform density
+    @property
+    def alpha(self) -> float:
+        return 1.0 + self.mode * (self.concentration - 2.0)
+
+    @property
+    def beta(self) -> float:
+        return 1.0 + (1.0 - self.mode) * (self.concentration - 2.0)
 
 
-def beta_from_mode(mode: float, concentration: float) -> BetaParams:
-    """Beta parameters with the given interior mode and concentration.
-
-    Solves mode = (alpha - 1) / (concentration - 2) under
-    alpha + beta = concentration, so the density peak lands exactly on
-    ``mode``.  Concentration just above 2 approaches the uniform density;
-    larger values tighten the peak.
-    """
-    if not 0.0 < mode < 1.0:
-        raise ConfigError(f"mode must be in (0, 1), got {mode!r}")
-    if not concentration > 2.0:
-        raise ConfigError(f"concentration must be > 2, got {concentration!r}")
-    alpha = 1.0 + mode * (concentration - 2.0)
-    beta = 1.0 + (1.0 - mode) * (concentration - 2.0)
-    if not (alpha > 1 and beta > 1):
-        raise ConfigError(
-            f"mode {mode!r} with concentration {concentration!r} rounds a Beta "
-            f"shape parameter to 1 (alpha={alpha!r}, beta={beta!r})")
-    return BetaParams(alpha, beta)
-
-
-def beta_pdf(params: BetaParams, x):
-    """Beta density at ``x`` (scalar or array), for x strictly inside (0, 1).
+def beta_pdf(strategy: QueryStrategy, x):
+    """``strategy``'s Beta density at ``x`` (scalar or array) in (0, 1).
 
     Normalization uses log-gamma to stay stable for large shape parameters.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any(x_arr <= 0.0) or np.any(x_arr >= 1.0):
         raise ValueError("beta_pdf is defined on the open interval (0, 1)")
-    log_norm = (math.lgamma(params.alpha + params.beta)
-                - math.lgamma(params.alpha) - math.lgamma(params.beta))
-    log_pdf = (log_norm + (params.alpha - 1.0) * np.log(x_arr)
-               + (params.beta - 1.0) * np.log1p(-x_arr))
+    alpha, beta = strategy.alpha, strategy.beta
+    log_norm = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)
+    log_pdf = (log_norm + (alpha - 1.0) * np.log(x_arr)
+               + (beta - 1.0) * np.log1p(-x_arr))
     out = np.exp(log_pdf)
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
-def beta_sample(params: BetaParams, rng: np.random.Generator) -> float:
-    """One Beta(alpha, beta) draw, strictly inside (0, 1)."""
-    value = rng.beta(params.alpha, params.beta)
+def beta_sample(strategy: QueryStrategy, rng: np.random.Generator) -> float:
+    """One draw from ``strategy``'s Beta, strictly inside (0, 1)."""
+    value = rng.beta(strategy.alpha, strategy.beta)
     # gamma variates can underflow to 0.0 only in pathological float corners;
     # nudge back into the open interval to preserve the support contract
     return min(max(value, 1e-15), 1.0 - 1e-15)
 
 
 def _check_ids(ids, k: int) -> np.ndarray:
-    """``ids`` as an int64 array, after checking that it is 1-D, of an
-    integer dtype and unique and that ``k`` of them exist."""
+    """``ids`` as an array of its own integer dtype, after checking that it
+    is 1-D and unique and that ``k`` of them exist; a cast to int64 would
+    wrap unsigned ids >= 2**63 to ids outside the pool."""
     ids = np.asarray(ids)
     if ids.ndim != 1:
         raise ValueError(f"ids must be a 1-D array, got shape {ids.shape}")
@@ -139,7 +120,7 @@ def _check_ids(ids, k: int) -> np.ndarray:
         raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
     if (np.diff(np.sort(ids)) == 0).any():
         raise ValueError("ids must be unique")
-    return np.asarray(ids, dtype=np.int64)
+    return ids
 
 
 def _check_scored(ids: np.ndarray, probs: np.ndarray,
@@ -196,15 +177,15 @@ def select_uncertainty(ids: np.ndarray, probs: np.ndarray, k: int) -> list[int]:
 
 
 def select_shifted_normal(ids: np.ndarray, probs: np.ndarray, k: int,
-                          params: BetaParams,
+                          strategy: QueryStrategy,
                           rng: np.random.Generator) -> list[int]:
-    """Select ``k`` ids by matching Beta-distributed target probs.
+    """Select ``k`` ids by matching targets drawn from ``strategy``'s Beta.
 
-    For each of ``k`` independent Beta draws, the remaining id whose
+    For each of ``k`` independent draws, the remaining id whose
     probability is nearest the drawn target is taken (ties to the lower id).
     Matching targets rather than weighting by the density keeps the selection
     faithful to the target distribution even when the pool's probabilities
     are sparse or heavily skewed.
     """
     ids, probs = _check_scored(ids, probs, k)
-    return _nearest(ids, probs, (beta_sample(params, rng) for _ in range(k)))
+    return _nearest(ids, probs, (beta_sample(strategy, rng) for _ in range(k)))

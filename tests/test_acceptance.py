@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from alqsim import (BetaParams, DatasetConfig, GlmHyperparams, QueryStrategy,
-                    SimulationConfig, aggregate, auc, beta_from_mode,
-                    beta_pdf, beta_sample, fit, run_rounds)
+from alqsim import (DatasetConfig, GlmHyperparams, QueryStrategy,
+                    SimulationConfig, aggregate, auc, beta_pdf, beta_sample,
+                    fit, run_rounds)
 from alqsim.glm import nll_gradient, nll_loss
 
 STRATEGIES = ("random", "uncertainty", "shifted-normal")
@@ -144,20 +144,20 @@ class TestCriterion4AucOracle:
 
 class TestCriterion5BetaCorrectness:
     def test_parameterization_density_and_sampling(self):
-        params = beta_from_mode(0.45, 12.0)
-        exact = (params.alpha, params.beta) == (5.5, 6.5)
+        strategy = QueryStrategy("shifted-normal", mode=0.45, concentration=12.0)
+        exact = (strategy.alpha, strategy.beta) == (5.5, 6.5)
 
-        integral, _ = integrate.quad(lambda x: beta_pdf(params, x), 0.0, 1.0)
+        integral, _ = integrate.quad(lambda x: beta_pdf(strategy, x), 0.0, 1.0)
         integral_ok = abs(integral - 1.0) <= 1e-6
 
         rng = np.random.default_rng(314159)
-        draws = np.array([beta_sample(params, rng) for _ in range(100_000)])
+        draws = np.array([beta_sample(strategy, rng) for _ in range(100_000)])
         mean_ok = abs(draws.mean() - 5.5 / 12.0) <= 0.003
         ks = stats.kstest(draws, stats.beta(5.5, 6.5).cdf)
         ks_ok = ks.pvalue > 0.01
 
         ok = exact and integral_ok and mean_ok and ks_ok
-        report(5, f"beta_from_mode(0.45,12)=(5.5,6.5): {exact}; "
+        report(5, f"mode 0.45, concentration 12 gives Beta(5.5, 6.5): {exact}; "
                   f"pdf integral 1{integral - 1.0:+.1e} within 1e-6; "
                   f"100k-draw mean {draws.mean():.4f} within 0.003 of {5.5 / 12:.4f}; "
                   f"KS p={ks.pvalue:.3f} > 0.01", ok)

@@ -178,6 +178,12 @@ class TestCsvDump:
         assert lines[0] == "id,f0,f1,f2,f3,label"
         assert len(lines) == len(dataset[1]) + 1
 
+    def test_empty_dataset_rejected_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="empty"):
+            write_dataset_csv((np.empty((0, 4)), np.empty(0, dtype=np.int64)), path)
+        assert not path.exists()
+
     def test_values_roundtrip_at_9_significant_digits(self, tmp_path):
         config = small_config()
         features, labels = generate_dataset(config, np.random.default_rng(0))

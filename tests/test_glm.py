@@ -59,6 +59,8 @@ class TestHyperparams:
         (dict(gradient_tolerance=float("inf")), "gradient_tolerance"),
         (dict(max_iterations=0), "max_iterations"),
         (dict(max_iterations=True), "max_iterations"),
+        (dict(gradient_tolerance=0.0), "gradient_tolerance"),
+        (dict(gradient_tolerance=-1e-9), "gradient_tolerance"),
     ])
     def test_invalid_values_rejected(self, bad, field):
         with pytest.raises(ConfigError, match=field):

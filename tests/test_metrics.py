@@ -348,6 +348,11 @@ class TestMeanCi:
         with pytest.raises(ValueError, match="finite"):
             mean_ci([1.0, bad])
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, np.nan])
+    def test_confidence_outside_open_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci([1.0, 2.0], confidence=confidence)
+
     def test_half_width_shrinks_like_inverse_sqrt_n(self):
         """Fixed +/-1 samples: half-width falls by ~2x per 4x sample size
         once n is large enough for the t quantile to stabilize."""

@@ -128,6 +128,14 @@ class TestConfigValidation:
 
 
 class TestRunRound:
+    @pytest.mark.parametrize("seed", [5.5, "5", True, 2**64 + 5, 2**63, -2**63 - 1])
+    def test_bad_round_seed_rejected(self, seed):
+        """``run_round`` checks its seed by the rule ``base_seed`` follows:
+        True ran as seed 1, and 2**64 + 5 ran seed 5's data under its own
+        label."""
+        with pytest.raises(ConfigError, match="round_seed"):
+            run_round(config_for(), seed)
+
     def test_pool_sizes_with_paper_defaults(self):
         config = SimulationConfig(dataset=DatasetConfig(class_sep=0.5),
                                   strategies=(QueryStrategy(kind="random"),))

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from alqsim import (BetaParams, ConfigError, QueryStrategy, beta_from_mode,
-                    beta_pdf, beta_sample, select_random,
-                    select_shifted_normal, select_uncertainty)
+from alqsim import (ConfigError, QueryStrategy, beta_pdf, beta_sample,
+                    select_random, select_shifted_normal, select_uncertainty)
 from alqsim import strategies as strategies_module
 from alqsim.strategies import STRATEGY_KINDS
 
@@ -43,90 +42,88 @@ def assert_k_distinct_from(picked, ids, k):
     assert set(picked) <= set(ids.tolist())
 
 
+# Beta(5.5, 6.5) and Beta(2, 2), as a strategy's mode and concentration
+REFERENCE = QueryStrategy("shifted-normal", mode=0.45, concentration=12.0)
+SYMMETRIC = QueryStrategy("shifted-normal", mode=0.5, concentration=4.0)
+
+
 class TestBetaFromMode:
+    """The Beta a strategy derives from its mode and concentration."""
+
     def test_reference_parameterization(self):
-        params = beta_from_mode(0.45, 12.0)
-        assert (params.alpha, params.beta, params.mode) == (5.5, 6.5, 0.45)
+        assert (REFERENCE.alpha, REFERENCE.beta) == (5.5, 6.5)
 
     def test_symmetric_case(self):
-        params = beta_from_mode(0.5, 4.0)
-        assert (params.alpha, params.beta) == (2.0, 2.0)
+        assert (SYMMETRIC.alpha, SYMMETRIC.beta) == (2.0, 2.0)
 
     def test_concentration_limit_is_nearly_uniform(self):
-        params = beta_from_mode(0.45, 2.0001)
-        assert params.alpha == pytest.approx(1.000045, abs=1e-9)
-        assert params.beta == pytest.approx(1.000055, abs=1e-9)
+        strategy = QueryStrategy("shifted-normal", mode=0.45, concentration=2.0001)
+        assert strategy.alpha == pytest.approx(1.000045, abs=1e-9)
+        assert strategy.beta == pytest.approx(1.000055, abs=1e-9)
         xs = np.linspace(0.01, 0.99, 50)
-        assert np.abs(beta_pdf(params, xs) - 1.0).max() < 1e-3
+        assert np.abs(beta_pdf(strategy, xs) - 1.0).max() < 1e-3
 
     def test_mode_roundtrip_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             mode = float(rng.uniform(0.05, 0.95))
             concentration = float(rng.uniform(2.1, 300.0))
-            assert beta_from_mode(mode, concentration).mode == pytest.approx(
-                mode, abs=1e-12)
+            strategy = QueryStrategy("shifted-normal", mode=mode,
+                                     concentration=concentration)
+            alpha, beta = strategy.alpha, strategy.beta
+            assert (alpha - 1) / (alpha + beta - 2) == pytest.approx(mode, abs=1e-12)
+            assert alpha + beta == pytest.approx(concentration, rel=1e-12)
 
     @pytest.mark.parametrize("mode,conc", [(0.0, 12), (1.0, 12), (-0.1, 12),
                                            (0.45, 2.0), (0.45, 1.0)])
     def test_out_of_range_rejected(self, mode, conc):
         with pytest.raises(ConfigError):
-            beta_from_mode(mode, conc)
-
-    def test_interior_mode_required_on_params(self):
-        with pytest.raises(ConfigError):
-            BetaParams(1.0, 1.0)
-        with pytest.raises(ConfigError):
-            BetaParams(0.5, 3.0)
+            QueryStrategy("shifted-normal", mode=mode, concentration=conc)
 
 
 class TestBetaPdf:
     def test_beta22_at_half(self):
-        assert beta_pdf(BetaParams(2, 2), 0.5) == pytest.approx(1.5, abs=1e-12)
+        assert beta_pdf(SYMMETRIC, 0.5) == pytest.approx(1.5, abs=1e-12)
 
     def test_domain_errors(self):
-        params = BetaParams(2, 2)
         for x in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                beta_pdf(params, x)
+                beta_pdf(SYMMETRIC, x)
 
     @pytest.mark.parametrize("alpha,beta", [(5.5, 6.5), (2, 2), (67.6, 83.4)])
     def test_integrates_to_one(self, alpha, beta):
-        params = BetaParams(alpha, beta)
-        total, _ = integrate.quad(lambda x: beta_pdf(params, x), 0.0, 1.0)
+        strategy = QueryStrategy("shifted-normal", mode=(alpha - 1) / (alpha + beta - 2),
+                                 concentration=alpha + beta)
+        total, _ = integrate.quad(lambda x: beta_pdf(strategy, x), 0.0, 1.0)
         assert abs(total - 1.0) <= 1e-6
 
     def test_matches_scipy_density(self):
-        params = BetaParams(5.5, 6.5)
         xs = np.linspace(0.01, 0.99, 99)
-        np.testing.assert_allclose(beta_pdf(params, xs),
+        np.testing.assert_allclose(beta_pdf(REFERENCE, xs),
                                    stats.beta.pdf(xs, 5.5, 6.5), rtol=1e-12)
 
 
 class TestBetaSample:
     def test_mean_of_100k_draws(self):
-        params = BetaParams(5.5, 6.5)
         rng = np.random.default_rng(2024)
-        draws = np.array([beta_sample(params, rng) for _ in range(100_000)])
+        draws = np.array([beta_sample(REFERENCE, rng) for _ in range(100_000)])
         assert abs(draws.mean() - 5.5 / 12.0) < 0.003
 
     def test_kolmogorov_smirnov_against_cdf(self):
-        params = BetaParams(5.5, 6.5)
         rng = np.random.default_rng(7)
-        draws = [beta_sample(params, rng) for _ in range(100_000)]
+        draws = [beta_sample(REFERENCE, rng) for _ in range(100_000)]
         result = stats.kstest(draws, stats.beta(5.5, 6.5).cdf)
         assert result.pvalue > 0.01
 
     def test_near_uniform_limit_against_uniform(self):
-        params = beta_from_mode(0.45, 2.0001)
+        strategy = QueryStrategy("shifted-normal", mode=0.45, concentration=2.0001)
         rng = np.random.default_rng(11)
-        draws = [beta_sample(params, rng) for _ in range(100_000)]
+        draws = [beta_sample(strategy, rng) for _ in range(100_000)]
         assert stats.kstest(draws, stats.uniform.cdf).statistic < 0.01
 
     def test_support_is_open_interval(self):
-        params = BetaParams(2, 2)
         rng = np.random.default_rng(3)
-        draws = np.array([beta_sample(params, rng) for _ in range(5_000)])
+        draws = np.array([beta_sample(SYMMETRIC, rng) for _ in range(5_000)])
         assert draws.min() > 0.0 and draws.max() < 1.0
 
     @pytest.mark.parametrize("mode, concentration", [
@@ -136,10 +133,11 @@ class TestBetaSample:
         """numpy's ``Generator.beta`` gives the seed package's hand-rolled
         Marsaglia-Tsang stream bit for bit, and leaves the generator in the
         same state."""
-        params = beta_from_mode(mode, concentration)
+        strategy = QueryStrategy("shifted-normal", mode=mode,
+                                 concentration=concentration)
         ours, seeds = np.random.default_rng(0), np.random.default_rng(0)
-        drawn = np.array([beta_sample(params, ours) for _ in range(10_000)])
-        expected = np.array([seed_package.strategies.beta_sample(params, seeds)
+        drawn = np.array([beta_sample(strategy, ours) for _ in range(10_000)])
+        expected = np.array([seed_package.strategies.beta_sample(strategy, seeds)
                              for _ in range(10_000)])
         assert drawn.tobytes() == expected.tobytes()
         assert ours.random() == seeds.random()
@@ -248,10 +246,8 @@ SIXTEENTHS = st.sampled_from([i / 16 for i in range(1, 16)])
 
 
 class TestSelectShiftedNormal:
-    PARAMS = BetaParams(5.5, 6.5)
-
     def test_single_candidate_forced(self):
-        assert select_shifted_normal(*scored([0.9], ids=[42]), 1, self.PARAMS,
+        assert select_shifted_normal(*scored([0.9], ids=[42]), 1, REFERENCE,
                                      np.random.default_rng(0)) == [42]
 
     def test_mode_candidate_selected_most_often(self):
@@ -260,16 +256,16 @@ class TestSelectShiftedNormal:
         rng = np.random.default_rng(123)
         counts = np.zeros(3)
         for _ in range(10_000):
-            counts[select_shifted_normal(ids, probs, 1, self.PARAMS, rng)[0]] += 1
+            counts[select_shifted_normal(ids, probs, 1, REFERENCE, rng)[0]] += 1
         assert counts[1] == counts.max()
 
     def test_degenerate_targets_pick_nearest(self, monkeypatch):
         monkeypatch.setattr(strategies_module, "beta_sample",
-                            lambda params, rng: 0.45)
+                            lambda strategy, rng: 0.45)
         ids, probs = scored([0.2, 0.5, 0.8], ids=[1, 2, 3])
         for _ in range(5):
             picked = strategies_module.select_shifted_normal(
-                ids, probs, 1, self.PARAMS, np.random.default_rng(0))
+                ids, probs, 1, REFERENCE, np.random.default_rng(0))
             assert picked == [2]
 
     @PROPERTY
@@ -286,22 +282,22 @@ class TestSelectShiftedNormal:
         draws = iter(targets)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strategies_module, "beta_sample",
-                       lambda params, rng: next(draws))
-            picked = select_shifted_normal(ids, probs, k, self.PARAMS,
+                       lambda strategy, rng: next(draws))
+            picked = select_shifted_normal(ids, probs, k, REFERENCE,
                                            np.random.default_rng(0))
         assert picked == lexsort_picks(ids, probs, targets)
 
     def test_returns_distinct_ids_without_replacement(self):
         rng = np.random.default_rng(8)
         ids, probs = scored(rng.uniform(0.01, 0.99, size=40))
-        picked = select_shifted_normal(ids, probs, 10, self.PARAMS, rng)
+        picked = select_shifted_normal(ids, probs, 10, REFERENCE, rng)
         assert_k_distinct_from(picked, ids, 10)
 
     @PROPERTY
     @given(scored_pools())
     def test_k_distinct_ids_from_pool(self, pool):
         ids, probs, k, _ = pool
-        picked = select_shifted_normal(ids, probs, k, self.PARAMS,
+        picked = select_shifted_normal(ids, probs, k, REFERENCE,
                                        np.random.default_rng(0))
         assert_k_distinct_from(picked, ids, k)
 
@@ -311,9 +307,9 @@ class TestSelectShiftedNormal:
         """With the generator at a fixed seed, the targets are the same and
         (distance, id) ranks every row the same way in any order."""
         ids, probs, k, perm = pool
-        first = select_shifted_normal(ids, probs, k, self.PARAMS,
+        first = select_shifted_normal(ids, probs, k, REFERENCE,
                                       np.random.default_rng(5))
-        permuted = select_shifted_normal(ids[perm], probs[perm], k, self.PARAMS,
+        permuted = select_shifted_normal(ids[perm], probs[perm], k, REFERENCE,
                                          np.random.default_rng(5))
         assert first == permuted
 
@@ -321,7 +317,7 @@ class TestSelectShiftedNormal:
         """10k selections over a uniform grid of probs: modal bin holds 0.45."""
         ids, grid = scored((np.arange(100) + 0.5) / 100)
         rng = np.random.default_rng(31)
-        chosen_probs = [grid[select_shifted_normal(ids, grid, 1, self.PARAMS, rng)[0]]
+        chosen_probs = [grid[select_shifted_normal(ids, grid, 1, REFERENCE, rng)[0]]
                         for _ in range(10_000)]
         counts, edges = np.histogram(chosen_probs, bins=10, range=(0.0, 1.0))
         modal_bin = counts.argmax()
@@ -329,7 +325,7 @@ class TestSelectShiftedNormal:
 
     def test_oversized_k_rejected(self):
         with pytest.raises(ValueError):
-            select_shifted_normal(*scored([0.5]), 2, self.PARAMS,
+            select_shifted_normal(*scored([0.5]), 2, REFERENCE,
                                   np.random.default_rng(0))
 
 
@@ -369,15 +365,13 @@ class TestScoredSelectorInput:
     """Both scored selectors share one check on ``(ids, probs)``; every
     selector rejects ids that are not 1-D."""
 
-    PARAMS = BetaParams(5.5, 6.5)
-
     def test_probs_must_lie_strictly_inside_open_interval(self):
         for bad_prob in (0.0, 1.0, float("nan")):
             ids, probs = scored([0.3, bad_prob, 0.7])
             with pytest.raises(ValueError, match="strictly inside"):
                 select_uncertainty(ids, probs, 1)
             with pytest.raises(ValueError, match="strictly inside"):
-                select_shifted_normal(ids, probs, 1, self.PARAMS,
+                select_shifted_normal(ids, probs, 1, REFERENCE,
                                       np.random.default_rng(0))
 
     def test_ids_and_probs_must_be_matching_1d_arrays(self):
@@ -386,7 +380,7 @@ class TestScoredSelectorInput:
             with pytest.raises(ValueError, match="equal length"):
                 select_uncertainty(ids, probs, 1)
             with pytest.raises(ValueError, match="equal length"):
-                select_shifted_normal(ids, probs, 1, self.PARAMS,
+                select_shifted_normal(ids, probs, 1, REFERENCE,
                                       np.random.default_rng(0))
         for ids in (np.arange(4).reshape(2, 2), np.array(3)):
             with pytest.raises(ValueError, match="1-D"):
@@ -399,7 +393,7 @@ class TestScoredSelectorInput:
         with pytest.raises(ValueError, match="unique"):
             select_uncertainty(ids, probs, 2)
         with pytest.raises(ValueError, match="unique"):
-            select_shifted_normal(ids, probs, 2, self.PARAMS,
+            select_shifted_normal(ids, probs, 2, REFERENCE,
                                   np.random.default_rng(0))
         with pytest.raises(ValueError, match="unique"):
             select_random([3, 3, 3], 2, np.random.default_rng(0))
@@ -414,4 +408,14 @@ class TestScoredSelectorInput:
             with pytest.raises(ValueError, match="integers"):
                 select_uncertainty(ids, [0.5, 0.6], 1)
             with pytest.raises(ValueError, match="integers"):
-                select_shifted_normal(ids, [0.5, 0.6], 1, self.PARAMS, rng)
+                select_shifted_normal(ids, [0.5, 0.6], 1, REFERENCE, rng)
+
+    def test_unsigned_ids_above_int64_are_picked_as_given(self):
+        """A uint64 id >= 2**63 is returned as itself, not wrapped to a
+        negative int64 id that is not in the pool."""
+        ids, probs = scored([0.45, 0.9], ids=np.array([2**63 + 5, 7], dtype=np.uint64))
+        rng = np.random.default_rng(0)
+        assert_k_distinct_from(select_random(ids, 2, rng), ids, 2)
+        assert_k_distinct_from(select_uncertainty(ids, probs, 1), ids, 1)
+        assert_k_distinct_from(select_shifted_normal(ids, probs, 1, REFERENCE, rng),
+                               ids, 1)
