@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import numbers
 
 
 class AlqsimError(Exception):
@@ -13,18 +14,30 @@ class ConfigError(AlqsimError, ValueError):
 
 
 def reject_non_finite(config) -> None:
-    """Raise :class:`ConfigError` naming the first float field of the
-    dataclass ``config`` that is NaN or infinite.
+    """Raise :class:`ConfigError` naming the first field of the dataclass
+    ``config`` whose value does not fit its annotation: a ``float`` field
+    must hold a real number, not a ``bool``, that converts to a finite
+    float, and a ``bool`` field must hold a ``bool``.
 
-    Range checks written as ``value > bound`` let ``inf`` through, and an
-    infinite separation, cost or concentration only fails mid-run (or not at
-    all), so every config dataclass calls this first.
+    Range checks written as ``value > bound`` let ``inf``, ``True`` and ints
+    too large for a float through, and such a separation, cost or
+    concentration only fails mid-run (or not at all), so every config
+    dataclass calls this first.
     """
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{type(config).__name__}.{field.name} must be "
-                              f"finite, got {value!r}")
+        where = f"{type(config).__name__}.{field.name}"
+        if field.type in ("bool", bool) and not isinstance(value, bool):
+            raise ConfigError(f"{where} must be a bool, got {value!r}")
+        if field.type in ("float", float):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{where} must be a real number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{where} must be finite, got {value!r}")
 
 
 def require_positive_int(name: str, value) -> None:

@@ -86,8 +86,9 @@ def _lane_scores(features, theta):
 
 
 def _lane_losses(scores, labels, theta, l2_penalty):
-    """:func:`nll_loss` of every lane from its linear ``scores``
-    ``(..., n)`` at parameters ``(..., d+1)``, as a ``(...)`` array."""
+    """The regularized negative log-likelihood of every lane from its
+    linear ``scores`` ``(..., n)`` at parameters ``(..., d+1)``, as a
+    ``(...)`` array; the penalty excludes the intercept."""
     # log(1 + exp(z)) - y*z, computed stably for large |z|
     nll = np.logaddexp(0.0, scores) - labels * scores
     w = theta[..., None, :theta.shape[-1] - 1]
@@ -95,33 +96,14 @@ def _lane_losses(scores, labels, theta, l2_penalty):
 
 
 def _lane_gradients(features, labels, theta, probs, l2_penalty):
-    """:func:`nll_gradient` of every lane at ``theta``, as ``(L, d+1)``;
+    """The analytic gradient of every lane's :func:`_lane_losses` with
+    respect to ``theta`` (weights then intercept), as ``(L, d+1)``;
     ``probs`` are the lanes' predicted probabilities at ``theta``."""
     d = features.shape[-1]
     residual = probs - labels
     grad_w = (features.transpose(0, 2, 1) @ residual[..., None])[..., 0]
     grad_w += l2_penalty * theta[:, :d]
     return np.concatenate([grad_w, residual.sum(axis=1)[:, None]], axis=1)
-
-
-def _one_lane(weights, intercept, features, labels):
-    """One lane's ``(1, n, d)`` features, ``(1, n)`` labels and ``(1, d+1)`` theta."""
-    theta = np.append(np.asarray(weights, dtype=np.float64), intercept)[None]
-    return np.asarray(features)[None], np.asarray(labels)[None], theta
-
-
-def nll_loss(weights, intercept, features, labels, l2_penalty) -> float:
-    """Regularized negative log-likelihood (penalty excludes the intercept)."""
-    features, labels, theta = _one_lane(weights, intercept, features, labels)
-    scores = _lane_scores(features, theta)
-    return float(_lane_losses(scores, labels, theta, l2_penalty)[0])
-
-
-def nll_gradient(weights, intercept, features, labels, l2_penalty) -> np.ndarray:
-    """Analytic gradient of :func:`nll_loss` w.r.t. (weights..., intercept)."""
-    features, labels, theta = _one_lane(weights, intercept, features, labels)
-    probs = sigmoid(_lane_scores(features, theta))
-    return _lane_gradients(features, labels, theta, probs, l2_penalty)[0]
 
 
 def _newton_steps(hessians, grads):
@@ -159,16 +141,17 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
     byte) and its loss unchanged is an exact fixed point, so the lane stops
     there and reports what its remaining iterations would:
     ``n_iterations == hp.max_iterations``, not converged.  A stopped lane
-    stays in the stack and takes zero steps, which leave its parameters and
-    loss exactly as they are.  A step that raises a lane's loss is halved
-    until it does not, up to 50 times: a stalled lane scores its table of
-    halvings 2**-1 to 2**-50 in one stacked loss call and takes the first
-    of the first 49 whose loss does not rise, or else the 50th unchecked,
-    with the 49th's loss, as halving one trial at a time would.  The
-    accepted step's scores are reused for the next gradient.  The default
-    tolerance 1e-8 lies below what loss-based step halving can resolve, so
-    about 0.5-0.7% of fits on the paper's workloads stall near |gradient|
-    1e-8 to 2e-7 and end unconverged.  The fixed-point exit keeps those
+    stays in the stack with a zero step, which leaves its parameters and
+    loss exactly as they are; its Newton system is not solved.  A step
+    that raises a lane's loss is halved until it does not, up to 50 times:
+    a stalled lane scores its table of halvings 2**-1 to 2**-50 in one
+    stacked loss call and takes the first of the first 49 whose loss does
+    not rise, or else the 50th unchecked, with the 49th's loss, as halving
+    one trial at a time would.  The accepted step's scores are reused for
+    the next gradient.  The default tolerance 1e-8 lies below what
+    loss-based step halving can resolve, so about 0.5-0.7% of fits on the
+    paper's workloads stall near |gradient| 1e-8 to 2e-7 and end
+    unconverged.  The fixed-point exit keeps those
     stalls cheap: at seed 5, with class_sep 0.5 and 1.0 at 20 x 2 queries
     and 1.0 at 40 x 4, a fit holding such a lane leaves after about 8-20
     gradient passes instead of ``hp.max_iterations + 1``; without the exit,
@@ -222,9 +205,8 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
         s = p * (1.0 - p)
         hessians = (Xb.transpose(0, 2, 1) * s[:, None, :]) @ Xb
         hessians[:, diagonal, diagonal] += hp.l2_penalty
-        step = _newton_steps(hessians, grad)
-        if not stepping.all():
-            step = np.where(stepping[:, None], step, 0.0)
+        step = np.zeros_like(grad)
+        step[stepping] = _newton_steps(hessians[stepping], grad[stepping])
         # the full step, then, for each lane whose loss it raises, the 50
         # halvings at once: the lane takes the first of the first 49 that
         # does not raise its loss, or the 50th with the 49th's loss if none

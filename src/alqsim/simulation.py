@@ -48,6 +48,10 @@ from .metrics import CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci
 from .strategies import (QueryStrategy, select_random, select_shifted_normal,
                          select_uncertainty)
 
+# the phi band's half-width: interim probabilities within it of 0.5 are marked
+PHI_DELTA = 0.05
+
+
 class SimulationError(AlqsimError, RuntimeError):
     """A round failed; the message carries the failing round's seed."""
 
@@ -68,7 +72,6 @@ class SimulationConfig:
     confidence: float = 0.99
     shared_dataset: bool = False
     record_phi: bool = False
-    phi_delta: float = 0.05
 
     def __post_init__(self) -> None:
         if not (isinstance(self.strategies, tuple) and self.strategies
@@ -84,8 +87,6 @@ class SimulationConfig:
         require_seed("base_seed", self.base_seed, self.rounds)
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError(f"confidence must be in (0, 1), got {self.confidence!r}")
-        if not 0.0 < self.phi_delta < 0.5:
-            raise ConfigError(f"phi_delta must be in (0, 0.5), got {self.phi_delta!r}")
         budget = self.n_queries * self.batch_size
         if budget > self.dataset.unlabeled_size:
             raise ConfigError(
@@ -108,7 +109,7 @@ class RoundResult:
     ``phi_trace`` is set only when the round ran with phi recording
     enabled: ``phi_trace[q-1]`` lists, in ascending id order, the final
     model's probabilities of the ids still unlabeled at query q whose
-    interim probability at query q lay within ``phi_delta`` of 0.5.
+    interim probability at query q lay within ``PHI_DELTA`` of 0.5.
     """
 
     seed: int
@@ -176,7 +177,7 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
     # interim probability of it lay in the phi band
     in_band = (np.zeros((n_lanes, n_queries, len(labels)), dtype=bool)
                if config.record_phi else None)
-    lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
+    lo, hi = 0.5 - PHI_DELTA, 0.5 + PHI_DELTA
 
     model = fit(features[held], labels[held], config.glm)
     for q in range(n_queries):

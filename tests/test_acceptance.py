@@ -20,7 +20,7 @@ from scipy import integrate, stats
 from alqsim import (DatasetConfig, GlmHyperparams, QueryStrategy,
                     SimulationConfig, aggregate, auc, beta_pdf, beta_sample,
                     fit, run_rounds)
-from alqsim.glm import nll_gradient, nll_loss
+from alqsim.simulation import PHI_DELTA
 
 STRATEGIES = ("random", "uncertainty", "shifted-normal")
 
@@ -164,7 +164,7 @@ class TestCriterion5BetaCorrectness:
 
 
 class TestCriterion6GlmGradient:
-    def test_gradient_and_fallback(self):
+    def test_gradient_and_fallback(self, glm_objective):
         rng = np.random.default_rng(424242)
         step = 1e-5
         worst = 0.0
@@ -176,15 +176,14 @@ class TestCriterion6GlmGradient:
             features = rng.standard_normal((n, 4)) + 0.8 * (2 * labels[:, None] - 1)
             l2 = float(rng.uniform(0.0, 60.0))
             theta = rng.standard_normal(5)
-            grad = nll_gradient(theta[:4], theta[4], features,
-                                labels.astype(float), l2)
+            _, grad = glm_objective(theta, features, labels, l2)
             numeric = np.empty(5)
             for j in range(5):
                 up, down = theta.copy(), theta.copy()
                 up[j] += step
                 down[j] -= step
-                numeric[j] = (nll_loss(up[:4], up[4], features, labels, l2)
-                              - nll_loss(down[:4], down[4], features, labels, l2)
+                numeric[j] = (glm_objective(up, features, labels, l2)[0]
+                              - glm_objective(down, features, labels, l2)[0]
                               ) / (2 * step)
             rel = np.abs(grad - numeric) / np.maximum(np.abs(grad), 1.0)
             worst = max(worst, rel.max())
@@ -261,8 +260,8 @@ class TestCriterion9PhiDiagnostic:
         for result in results:
             reference = seed_round(config, result.seed)
             for interim, trace in zip(reference.interim_probs, result.phi_trace):
-                lo = 0.5 - config.phi_delta
-                hi = 0.5 + config.phi_delta
+                lo = 0.5 - PHI_DELTA
+                hi = 0.5 + PHI_DELTA
                 brute = [reference.final_probs[i] for i in sorted(interim)
                          if lo <= interim[i] <= hi]
                 all_ok &= list(trace) == brute

@@ -8,7 +8,6 @@ from alqsim import (ConfigError, DatasetConfig, GlmHyperparams,
                     predict_proba, run_round)
 from alqsim import glm as glm_module
 from alqsim import simulation as simulation_module
-from alqsim.glm import nll_gradient, nll_loss
 from alqsim.strategies import STRATEGY_KINDS
 
 
@@ -330,11 +329,13 @@ class TestFitLanes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cap", [1, 2, 5, 200])
-    def test_singular_single_class_lane_beside_a_stepping_lane(self, cap):
+    def test_singular_single_class_lane_beside_a_stepping_lane(
+            self, monkeypatch, cap):
         """A single-class lane stays in the stack; with no penalty and a
-        duplicated feature its Hessian is singular, so every pass solves
-        lane by lane.  The stepping lane still equals its one-lane fit and
-        the single-class lane keeps the exact fallback prior."""
+        duplicated feature its Hessian is singular, but a stopped lane is
+        not solved, so no pass falls back to least squares.  The stepping
+        lane still equals its one-lane fit and the single-class lane keeps
+        the exact fallback prior."""
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 2, size=12)
         labels[:2] = 0, 1
@@ -342,11 +343,41 @@ class TestFitLanes:
         lanes = [make_pool(rng.standard_normal((12, 3)), labels),
                  make_pool(np.hstack([x, x[:, :1]]), np.zeros(12, dtype=int))]
         hp = GlmHyperparams(l2_penalty=0.0, max_iterations=cap)
+        lstsq_calls = []
+        real_lstsq = np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            lstsq_calls.append(args)
+            return real_lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         models = split_lanes(fit(*lane_stack(lanes), hp))
+        assert not lstsq_calls
+        monkeypatch.undo()
         assert fit_fields(models[0]) == fit_fields(fit(*lanes[0], hp))
         assert fit_fields(models[1]) == fit_fields(fit(*lanes[1], hp))
         assert models[1].fallback_prior == 1 / 14
         assert (models[1].weights == 0).all() and models[1].intercept == 0.0
+
+    def test_only_stepping_lanes_are_solved(self, monkeypatch):
+        """Each pass solves the Newton systems of the lanes still stepping
+        and no others: never the single-class lane, and a converged lane
+        from the pass it stops at."""
+        rng = np.random.default_rng(11)
+        lanes = [random_pool(rng, n=14), random_pool(rng, n=14, sep=2.0)]
+        lanes.insert(1, make_pool(lanes[0][0], np.ones(14, dtype=int)))
+        sizes = []
+        real_steps = glm_module._newton_steps
+
+        def recorded_steps(hessians, grads):
+            sizes.append(len(hessians))
+            return real_steps(hessians, grads)
+
+        monkeypatch.setattr(glm_module, "_newton_steps", recorded_steps)
+        model = fit(*lane_stack(lanes))
+        steps = model.n_iterations[[0, 2]]
+        assert model.converged.all() and steps[0] != steps[1]
+        assert sizes == [int((steps > i).sum()) for i in range(steps.max())]
 
     def test_lane_prediction_equals_one_pool_prediction(self):
         """A lane model scores each lane's rows, or one broadcast block of
@@ -387,14 +418,14 @@ class TestFitReport:
     @settings(deadline=None, derandomize=True, database=None, max_examples=200)
     @given(two_class_pools(), st.sampled_from([1, 2, 5, 200]),
            st.sampled_from([1e-3, 1.0, 50.0]))
-    def test_converged_means_small_gradient(self, pool, cap, l2):
+    def test_converged_means_small_gradient(self, glm_objective, pool, cap, l2):
         """A converged fit's gradient max-norm is below the tolerance, and
         an unconverged fit reports the iteration cap."""
         hp = GlmHyperparams(l2_penalty=l2, max_iterations=cap)
         features, labels = pool
         model = fit(features, labels, hp)
-        grad = nll_gradient(model.weights, model.intercept, features,
-                            labels.astype(np.float64), hp.l2_penalty)
+        _, grad = glm_objective(np.append(model.weights, model.intercept),
+                                features, labels, hp.l2_penalty)
         if model.converged:
             assert np.max(np.abs(grad)) < hp.gradient_tolerance
             assert model.n_iterations <= cap
@@ -403,7 +434,7 @@ class TestFitReport:
 
 
 class TestGradient:
-    def test_analytic_gradient_matches_finite_differences(self):
+    def test_analytic_gradient_matches_finite_differences(self, glm_objective):
         """Central differences with step 1e-5, relative error below 1e-5."""
         rng = np.random.default_rng(123)
         step = 1e-5
@@ -412,16 +443,15 @@ class TestGradient:
             features, labels = random_pool(rng, n=n)
             l2 = float(rng.uniform(0.0, 30.0))
             theta = rng.standard_normal(5) * 0.8
-            grad = nll_gradient(theta[:4], theta[4], features,
-                                labels.astype(float), l2)
+            _, grad = glm_objective(theta, features, labels, l2)
             numeric = np.empty_like(grad)
             for j in range(5):
                 up, down = theta.copy(), theta.copy()
                 up[j] += step
                 down[j] -= step
                 numeric[j] = (
-                    nll_loss(up[:4], up[4], features, labels, l2)
-                    - nll_loss(down[:4], down[4], features, labels, l2)
+                    glm_objective(up, features, labels, l2)[0]
+                    - glm_objective(down, features, labels, l2)[0]
                 ) / (2 * step)
             scale = np.maximum(np.abs(grad), 1.0)
             assert (np.abs(grad - numeric) / scale).max() < 1e-5
