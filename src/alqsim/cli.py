@@ -22,8 +22,8 @@ from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       write_dataset_csv)
 from .errors import ConfigError, require_positive_int, require_seed
 from .metrics import CostModel
-from .simulation import (PHI_DELTA, ExperimentSummary, SimulationConfig,
-                         aggregate, run_rounds)
+from .simulation import (ExperimentSummary, SimulationConfig, aggregate,
+                         run_rounds)
 from .strategies import STRATEGY_KINDS, QueryStrategy
 
 DEFAULT_SEED = 5
@@ -148,13 +148,12 @@ def _summary_payload(config: SimulationConfig, strategy: QueryStrategy,
     final table read their cells from it, so an undefined eta is decided
     here once, as None.  Its ``config`` echoes the experiment as that
     strategy's lane: ``dataset`` with the base seed as its ``seed``, then
-    ``strategy``, then the other fields in declaration order, then the
-    phi band's ``phi_delta``."""
+    ``strategy``, then the other fields, fixed ones included, in
+    declaration order."""
     echo = dataclasses.asdict(config)
     del echo["strategies"]
     echo = {"dataset": {**echo.pop("dataset"), "seed": config.base_seed},
-            "strategy": dataclasses.asdict(strategy), **echo,
-            "phi_delta": PHI_DELTA}
+            "strategy": dataclasses.asdict(strategy), **echo}
 
     def series(entries) -> dict:
         return {bound: [None if ci is None else getattr(ci, bound)
@@ -205,7 +204,7 @@ def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:
     documents = {"summary.json": (payloads[kinds[0]] if len(kinds) == 1
                                   else {"strategies": payloads})}
     if args.phi:
-        documents["phi.json"] = {"delta": PHI_DELTA, "strategies": {
+        documents["phi.json"] = {"delta": config.phi_delta, "strategies": {
             kind: [{"seed": r.seed, "phi": r.phi_trace} for r in lane]
             for kind, lane in zip(kinds, results)}}
     with open(paths["per_query.csv"], "w", newline="") as fh:
@@ -268,7 +267,3 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,7 +23,7 @@ lane axis; each lane's fit equals its one-pool fit bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,20 +34,18 @@ _PROB_EPS = 1e-12
 
 @dataclass(frozen=True)
 class GlmHyperparams:
-    """Fitting knobs for the logistic GLM."""
+    """Fitting knobs for the logistic GLM; ``gradient_tolerance``, the
+    gradient max-norm at which a fit stops, is fixed."""
 
     l2_penalty: float = 50.0
     max_iterations: int = 200
-    gradient_tolerance: float = 1e-8
+    gradient_tolerance: float = field(default=1e-8, init=False)
 
     def __post_init__(self) -> None:
         reject_non_finite(self)
         if self.l2_penalty < 0:
             raise ConfigError(f"l2_penalty must be >= 0, got {self.l2_penalty!r}")
         require_positive_int("max_iterations", self.max_iterations)
-        if not self.gradient_tolerance > 0:
-            raise ConfigError(
-                f"gradient_tolerance must be > 0, got {self.gradient_tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)

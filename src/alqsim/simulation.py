@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,6 @@ from .metrics import CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci
 from .strategies import (QueryStrategy, select_random, select_shifted_normal,
                          select_uncertainty)
 
-# the phi band's half-width: interim probabilities within it of 0.5 are marked
-PHI_DELTA = 0.05
-
 
 class SimulationError(AlqsimError, RuntimeError):
     """A round failed; the message carries the failing round's seed."""
@@ -59,7 +56,9 @@ class SimulationError(AlqsimError, RuntimeError):
 @dataclass(frozen=True)
 class SimulationConfig:
     """Complete description of one experiment; each of ``strategies`` is a
-    lane of every round."""
+    lane of every round.  ``confidence``, every interval's level, and
+    ``phi_delta``, the phi band's half-width around 0.5, are fixed: no
+    constructor or ``dataclasses.replace`` sets them."""
 
     dataset: DatasetConfig
     strategies: tuple[QueryStrategy, ...]
@@ -69,11 +68,18 @@ class SimulationConfig:
     glm: GlmHyperparams = GlmHyperparams()
     rounds: int = 30
     base_seed: int = 0
-    confidence: float = 0.99
+    confidence: float = field(default=0.99, init=False)
     shared_dataset: bool = False
     record_phi: bool = False
+    phi_delta: float = field(default=0.05, init=False)
 
     def __post_init__(self) -> None:
+        for name, kind in (("dataset", DatasetConfig), ("cost", CostModel),
+                           ("glm", GlmHyperparams)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"SimulationConfig.{name} must be a "
+                                  f"{kind.__name__}, got {value!r}")
         if not (isinstance(self.strategies, tuple) and self.strategies
                 and all(isinstance(s, QueryStrategy) for s in self.strategies)):
             raise ConfigError(f"strategies must be a non-empty tuple of "
@@ -85,8 +91,6 @@ class SimulationConfig:
             raise ConfigError(f"an experiment needs rounds >= 2 to form confidence "
                               f"intervals, got {self.rounds!r}")
         require_seed("base_seed", self.base_seed, self.rounds)
-        if not 0.0 < self.confidence < 1.0:
-            raise ConfigError(f"confidence must be in (0, 1), got {self.confidence!r}")
         budget = self.n_queries * self.batch_size
         if budget > self.dataset.unlabeled_size:
             raise ConfigError(
@@ -109,7 +113,8 @@ class RoundResult:
     ``phi_trace`` is set only when the round ran with phi recording
     enabled: ``phi_trace[q-1]`` lists, in ascending id order, the final
     model's probabilities of the ids still unlabeled at query q whose
-    interim probability at query q lay within ``PHI_DELTA`` of 0.5.
+    interim probability at query q lay within the config's
+    ``phi_delta`` of 0.5.
     """
 
     seed: int
@@ -177,7 +182,7 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
     # interim probability of it lay in the phi band
     in_band = (np.zeros((n_lanes, n_queries, len(labels)), dtype=bool)
                if config.record_phi else None)
-    lo, hi = 0.5 - PHI_DELTA, 0.5 + PHI_DELTA
+    lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
 
     model = fit(features[held], labels[held], config.glm)
     for q in range(n_queries):

@@ -20,7 +20,6 @@ from scipy import integrate, stats
 from alqsim import (DatasetConfig, GlmHyperparams, QueryStrategy,
                     SimulationConfig, aggregate, auc, beta_pdf, beta_sample,
                     fit, run_rounds)
-from alqsim.simulation import PHI_DELTA
 
 STRATEGIES = ("random", "uncertainty", "shifted-normal")
 
@@ -260,8 +259,8 @@ class TestCriterion9PhiDiagnostic:
         for result in results:
             reference = seed_round(config, result.seed)
             for interim, trace in zip(reference.interim_probs, result.phi_trace):
-                lo = 0.5 - PHI_DELTA
-                hi = 0.5 + PHI_DELTA
+                lo = 0.5 - config.phi_delta
+                hi = 0.5 + config.phi_delta
                 brute = [reference.final_probs[i] for i in sorted(interim)
                          if lo <= interim[i] <= hi]
                 all_ok &= list(trace) == brute

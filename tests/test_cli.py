@@ -143,6 +143,19 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
+    def test_rerun_into_a_filled_out_rewrites_the_same_bytes(self, tmp_path):
+        """A second run into the same ``--out`` finds each output as a
+        regular file it can write and overwrites it.  A read-only file is
+        not tested: ``os.access`` grants root write access to it."""
+        out = tmp_path / "again"
+        argv = ["compare", *FAST, "--phi", "--out", str(out)]
+        assert run_cli(argv) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        for path in out.iterdir():
+            path.write_text("stale\n")
+        assert run_cli(argv) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
     def test_single_round_exits_2_before_any_round(self, tmp_path, capsys,
                                                     monkeypatch):
         def explode(*args, **kwargs):
