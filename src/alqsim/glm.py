@@ -16,9 +16,9 @@ that case ``fit`` returns a constant-probability fallback model with a
 Laplace-smoothed prior instead of failing, which keeps cold-start query loops
 alive.
 
-``fit`` and ``predict_proba`` take one pool or lanes, a stack of
-equal-sized pools stepped together into one model whose fields carry the
-lane axis; each lane's fit equals its one-pool fit bit for bit.
+``fit`` and ``predict_proba`` take lanes, a stack of equal-sized pools
+stepped together into one model whose fields carry the lane axis; one pool
+is a stack of one lane, and each lane's fit equals its one-lane fit.
 """
 
 from __future__ import annotations
@@ -52,19 +52,19 @@ class GlmHyperparams:
 class GlmModel:
     """Immutable fitted model: weights, intercept, and convergence info.
 
-    One pool's model has ``(d,)`` weights and scalar fields; a lane model
-    has ``(L, d)`` weights and ``(L,)`` fields, entry k belonging to lane k.
-    ``fallback_prior`` is a number (and weights/intercept are zero) where
-    the training pool contained a single class, and NaN elsewhere; every
-    prediction of such a pool equals the prior.  Array fields would make a
-    generated ``==`` ambiguous, so models compare and hash by identity.
+    A model of L lanes has ``(L, d)`` weights and ``(L,)`` fields, entry k
+    belonging to lane k.  ``fallback_prior`` is a number (and weights and
+    intercept are zero) where the lane's pool held a single class, and NaN
+    elsewhere; every prediction of such a lane equals the prior.  Array
+    fields would make a generated ``==`` ambiguous, so models compare and
+    hash by identity.
     """
 
     weights: np.ndarray
-    intercept: float | np.ndarray
-    converged: bool | np.ndarray
-    n_iterations: int | np.ndarray
-    fallback_prior: float | np.ndarray = np.nan
+    intercept: np.ndarray
+    converged: np.ndarray
+    n_iterations: np.ndarray
+    fallback_prior: np.ndarray
 
 
 def sigmoid(z):
@@ -120,15 +120,12 @@ def _newton_steps(hessians, grads):
 
 
 def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
-    """Fit the GLM on one labeled pool, or on each lane of equal-sized pools,
-    stepping the lanes together.
+    """Fit the GLM on each lane of equal-sized pools, stepping them together.
 
-    ``features`` is ``(n, d)`` with ``(n,)`` labels for one pool, or
-    ``(L, n, d)`` with ``(L, n)`` labels for lanes; one pool is fitted as a
-    stack of one lane.  Lane k's fit uses row block k alone, and equals bit
-    for bit what a fit of that block by itself returns.  The model's fields
-    carry the lane shape: ``(d,)`` weights and scalar fields for one pool,
-    ``(L, d)`` weights and ``(L,)`` fields for lanes.
+    ``features`` is ``(L, n, d)`` with ``(L, n)`` labels, and the model has
+    ``(L, d)`` weights and ``(L,)`` fields; one pool is fitted as the stack
+    ``fit(X[None], y[None])``.  Lane k's fit uses row block k alone, and
+    equals bit for bit the one-lane fit of that block.
 
     A lane holding a single class gets the Laplace-smoothed prior fallback.
     The others run damped Newton steps.  Each pass first computes a lane's
@@ -159,20 +156,17 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
     """
     X = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if X.ndim not in (2, 3) or labels.shape != X.shape[:-1]:
-        raise ValueError(f"features must be 2-D (one pool) or 3-D (lanes) and "
-                         f"labels 1-D or 2-D with one label per feature row, "
-                         f"got shapes {X.shape} and {labels.shape}")
+    if X.ndim != 3 or labels.shape != X.shape[:-1]:
+        raise ValueError(f"features must be 3-D (L, n, d) lanes and labels "
+                         f"2-D (L, n), one label per feature row, got shapes "
+                         f"{X.shape} and {labels.shape}")
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
-    lanes = X.shape[:-2]  # () for one pool, (L,) for lanes
-    n, d = X.shape[-2:]
+    n_lanes, n, d = X.shape
     if n == 0:
         raise ValueError("cannot fit a model on an empty pool")
-    X, labels = X.reshape(-1, n, d), labels.reshape(-1, n)
-    n_lanes = len(X)
     n_positive = labels.sum(axis=1)
     single_class = (n_positive == 0) | (n_positive == n)
     y = labels.astype(np.float64)
@@ -232,41 +226,32 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
                  & (new_loss == loss))
         theta, z, loss = new_theta, new_z, new_loss
     prior = np.where(single_class, (n_positive + 1) / (n + 2), np.nan)
-    # [()] turns the 0-d fields of one pool into scalars
-    return GlmModel(weights=theta[:, :d].copy().reshape(*lanes, d),
-                    intercept=theta[:, d].reshape(lanes)[()],
-                    converged=converged.reshape(lanes)[()],
-                    n_iterations=n_iterations.reshape(lanes)[()],
-                    fallback_prior=prior.reshape(lanes)[()])
+    return GlmModel(weights=theta[:, :d].copy(), intercept=theta[:, d],
+                    converged=converged, n_iterations=n_iterations,
+                    fallback_prior=prior)
 
 
 def predict_proba(model: GlmModel, features):
     """Predicted positive-class probabilities, strictly inside (0, 1).
 
-    A one-pool model scores a single feature vector, giving a float, or an
-    ``(n, d)`` matrix, giving ``(n,)``.  A lane model scores ``(L, ..., m, d)``
-    features, row block k under lane k, and returns ``(L, ..., m)``; a
-    leading axis of length 1 scores one block under every lane without
-    copying it.  Raises ``ValueError`` on a dimension mismatch or a
-    non-finite feature.
+    A model of L lanes scores ``(L, ..., m, d)`` features, row block k
+    under lane k, and returns ``(L, ..., m)``; a leading axis of length 1
+    scores one block under every lane without copying it.  Raises
+    ``ValueError`` on any other leading length, on fewer than 3 axes, a last
+    axis other than the model dimension d, or a non-finite feature.
     """
     x = np.asarray(features, dtype=np.float64)
-    d = model.weights.shape[-1]
-    one_pool = model.weights.ndim == 1
-    if (x.ndim == 0 or x.shape[-1] != d
-            or (x.ndim > 2 if one_pool else x.ndim < 3)):
-        raise ValueError(f"features of shape {x.shape} do not match model "
-                         f"weights of shape {model.weights.shape}: one pool "
-                         f"scores (d,) or (n, d) features and lanes "
-                         f"(L, ..., m, d), with d the model dimension")
+    n_lanes, d = model.weights.shape
+    if x.ndim < 3 or x.shape[0] not in (1, n_lanes) or x.shape[-1] != d:
+        raise ValueError(f"features of shape {x.shape} do not match a model "
+                         f"of {n_lanes} lanes and dimension {d}, which scores "
+                         f"({n_lanes}, ..., m, {d}) or (1, ..., m, {d}) features")
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
-    rows = x.reshape(1, -1, d) if one_pool else x
-    lead = (-1,) + (1,) * (rows.ndim - 3)
+    lead = (-1,) + (1,) * (x.ndim - 3)
     weights = model.weights.reshape(*lead, d, 1)
-    intercept = np.reshape(model.intercept, (*lead, 1))
-    prior = np.reshape(model.fallback_prior, (*lead, 1))
-    p = np.clip(sigmoid((rows @ weights)[..., 0] + intercept),
+    intercept = model.intercept.reshape(*lead, 1)
+    prior = model.fallback_prior.reshape(*lead, 1)
+    p = np.clip(sigmoid((x @ weights)[..., 0] + intercept),
                 _PROB_EPS, 1.0 - _PROB_EPS)
-    p = np.where(np.isnan(prior), p, prior)
-    return p.reshape(x.shape[:-1])[()] if one_pool else p
+    return np.where(np.isnan(prior), p, prior)

@@ -159,12 +159,14 @@ def cost_efficiency(lam, zeta, cost: CostModel) -> float | np.ndarray:
 def mean_ci(samples: Sequence[float], confidence: float = 0.99) -> CiSummary:
     """Student-t confidence interval for the mean of ``samples``.
 
-    Requires at least two samples, all finite; the interval is exactly
-    symmetric about the mean.
+    Requires a 1-D sequence of at least two samples, all finite; the
+    interval is exactly symmetric about the mean.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     data = np.asarray(samples, dtype=np.float64)
+    if data.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {data.shape}")
     n = len(data)
     if n < 2:
         raise ValueError(f"need at least 2 samples for an interval, got {n}")

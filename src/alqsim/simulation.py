@@ -289,13 +289,18 @@ def aggregate(config: SimulationConfig,
     lambda and zeta under ``config.cost``, undefined (counted in
     ``eta_missing``) at zeta = 0.  Order-insensitive: any permutation of
     ``results`` yields the same summary.  Raises :class:`ConfigError` unless
-    there is one result per configured round, each with ``config.n_queries``
-    rows.
+    there is one result per configured round, seeded ``config.base_seed + i``
+    as :func:`run_rounds` seeds round i, each with ``config.n_queries`` rows.
     """
     if len(results) != config.rounds:
         raise ConfigError(f"aggregation needs one result per configured round: "
                           f"{config.rounds} configured, got {len(results)}")
     ordered = sorted(results, key=lambda r: r.seed)
+    seeds = [r.seed for r in ordered]
+    if seeds != list(range(config.base_seed, config.base_seed + config.rounds)):
+        raise ConfigError(f"aggregation needs one round at each seed from "
+                          f"{config.base_seed} to {config.base_seed + config.rounds - 1}, "
+                          f"got seeds {seeds}")
     queries = tuple(range(1, config.n_queries + 1))
     labeled_sizes = tuple(config.dataset.labeled_size + q * config.batch_size
                           for q in queries)

@@ -88,7 +88,7 @@ def beta_pdf(strategy: QueryStrategy, x):
     Normalization uses log-gamma to stay stable for large shape parameters.
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(x_arr <= 0.0) or np.any(x_arr >= 1.0):
+    if not ((x_arr > 0.0) & (x_arr < 1.0)).all():
         raise ValueError("beta_pdf is defined on the open interval (0, 1)")
     alpha, beta = strategy.alpha, strategy.beta
     log_norm = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)

@@ -188,9 +188,9 @@ class TestCriterion6GlmGradient:
             worst = max(worst, rel.max())
         gradient_ok = worst < 1e-5
 
-        model = fit(rng.standard_normal((10, 4)), np.zeros(10, dtype=int),
+        model = fit(rng.standard_normal((1, 10, 4)), np.zeros((1, 10), dtype=int),
                     GlmHyperparams())
-        fallback_ok = model.fallback_prior == (0 + 1) / (10 + 2)
+        fallback_ok = model.fallback_prior[0] == (0 + 1) / (10 + 2)
 
         ok = gradient_ok and fallback_ok
         report(6, f"analytic vs central-difference gradient on 100 pools: "

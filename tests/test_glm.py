@@ -12,17 +12,42 @@ from alqsim.strategies import STRATEGY_KINDS
 
 
 def make_pool(features, labels):
-    """A labeled pool as the ``(features, labels)`` pair ``fit`` takes."""
+    """A labeled pool as a ``(features, labels)`` pair; ``lane_stack`` stacks
+    pools into the lanes ``fit`` takes."""
     return np.atleast_2d(np.asarray(features, dtype=float)), np.asarray(labels)
 
 
+def lane_stack(pools):
+    """``(L, n, d)`` features and ``(L, n)`` labels of equal-sized pools."""
+    return (np.stack([features for features, _ in pools]),
+            np.stack([labels for _, labels in pools]))
+
+
+def fit_fields(model, lane=0):
+    """A lane's fields, comparable with :func:`seed_fit`'s."""
+    prior = model.fallback_prior[lane]
+    return (model.weights[lane].tobytes(), model.intercept[lane].tobytes(),
+            bool(model.converged[lane]), int(model.n_iterations[lane]),
+            None if np.isnan(prior) else prior)
+
+
 def seed_fit(seed_package, pool, hp=None):
-    """The seed package's fit of a ``(features, labels)`` pool, which takes
-    the pool as its own ``DataPool``."""
+    """The fields of the seed package's fit of a ``(features, labels)``
+    pool, which takes the pool as its own ``DataPool`` and returns a model
+    with scalar fields and a ``fallback_prior`` of None where this
+    package's is NaN."""
     features, labels = pool
     seed_pool = seed_package.datagen.DataPool(
         np.arange(len(labels)), features, labels, "labeled")
-    return seed_package.glm.fit(seed_pool, hp or seed_package.glm.GlmHyperparams())
+    model = seed_package.glm.fit(seed_pool, hp or seed_package.glm.GlmHyperparams())
+    return (model.weights.tobytes(), np.float64(model.intercept).tobytes(),
+            model.converged, model.n_iterations, model.fallback_prior)
+
+
+def lane_model(weights, intercept):
+    """A one-lane model of the given weights and intercept, not a fallback."""
+    return GlmModel(np.asarray(weights, dtype=float)[None], np.array([intercept]),
+                    np.array([True]), np.array([0]), np.array([np.nan]))
 
 
 def random_pool(rng, n=30, d=4, sep=0.8):
@@ -67,39 +92,38 @@ class TestHyperparams:
 
 class TestFallback:
     def test_all_negative_pool_uses_laplace_prior(self):
-        pool = make_pool(np.random.default_rng(0).standard_normal((10, 4)),
-                         np.zeros(10, dtype=int))
-        model = fit(*pool)
-        assert model.fallback_prior == pytest.approx(1 / 12)
-        assert (model.weights == 0).all() and model.intercept == 0.0
-        assert predict_proba(model, np.zeros(4)) == pytest.approx(1 / 12)
+        features = np.random.default_rng(0).standard_normal((10, 4))
+        model = fit(features[None], np.zeros((1, 10), dtype=int))
+        assert model.fallback_prior[0] == pytest.approx(1 / 12)
+        assert (model.weights == 0).all() and model.intercept[0] == 0.0
+        assert predict_proba(model, np.zeros((1, 1, 4)))[0, 0] == pytest.approx(1 / 12)
 
     def test_all_positive_pool_uses_laplace_prior(self):
-        pool = make_pool(np.random.default_rng(0).standard_normal((10, 4)),
-                         np.ones(10, dtype=int))
-        model = fit(*pool)
-        assert model.fallback_prior == pytest.approx(11 / 12)
+        features = np.random.default_rng(0).standard_normal((10, 4))
+        model = fit(features[None], np.ones((1, 10), dtype=int))
+        assert model.fallback_prior[0] == pytest.approx(11 / 12)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit(np.zeros((0, 4)), np.array([], dtype=int))
+            fit(np.zeros((1, 0, 4)), np.zeros((1, 0), dtype=int))
 
     @pytest.mark.parametrize("features,labels,match", [
-        (np.zeros((3, 2)), np.array([0, 1, 2]), "0 or 1"),
-        (np.zeros((3, 2)), np.array([0.0, 0.5, 1.0]), "0 or 1"),
-        (np.zeros((3, 2)), np.array([0, 1]), "one label per feature row"),
-        (np.zeros(3), np.array([0, 1, 0]), "2-D"),
-        (np.zeros((3, 2)), np.array([[0], [1], [0]]), "1-D"),
+        (np.zeros((1, 3, 2)), np.array([[0, 1, 2]]), "0 or 1"),
+        (np.zeros((1, 3, 2)), np.array([[0.0, 0.5, 1.0]]), "0 or 1"),
+        (np.zeros((1, 3, 2)), np.array([[0, 1]]), "one label per feature row"),
+        (np.zeros(3), np.array([0, 1, 0]), "3-D"),
+        (np.zeros((3, 2)), np.array([0, 1, 0]), r"3-D \(L, n, d\)"),
+        (np.zeros((1, 3, 2)), np.zeros((1, 3, 1), dtype=int), r"2-D \(L, n\)"),
         (np.zeros((2, 3, 2)), np.array([[0, 1, 0], [0, 2, 1]]), "0 or 1"),
         (np.zeros((2, 3, 2)), np.zeros((2, 4), dtype=int),
          "one label per feature row"),
         (np.zeros((2, 0, 2)), np.zeros((2, 0), dtype=int), "empty"),
-        (np.array([[0.0, np.nan], [1.0, 0.0]]), np.array([0, 1]), "finite"),
-        (np.array([[0.0, np.inf], [1.0, 0.0]]), np.array([0, 1]), "finite"),
+        (np.array([[[0.0, np.nan], [1.0, 0.0]]]), np.array([[0, 1]]), "finite"),
+        (np.array([[[0.0, np.inf], [1.0, 0.0]]]), np.array([[0, 1]]), "finite"),
         (np.array([[[0.0, -np.inf], [1.0, 0.0]]]), np.array([[0, 1]]), "finite"),
     ], ids=["label-2", "label-half", "length-mismatch", "features-1d",
-            "labels-2d", "lane-label-2", "lane-length-mismatch", "empty-lanes",
-            "nan-feature", "inf-feature", "lane-minus-inf-feature"])
+            "features-2d", "labels-3d", "lane-label-2", "lane-length-mismatch",
+            "empty-lanes", "nan-feature", "inf-feature", "lane-minus-inf-feature"])
     def test_malformed_pool_rejected(self, features, labels, match):
         with pytest.raises(ValueError, match=match):
             fit(features, labels)
@@ -109,43 +133,44 @@ class TestFit:
     def test_symmetric_1d_pool(self):
         """Antisymmetric data forces a positive slope and a zero intercept."""
         pool = make_pool([[-1.0], [1.0]], [0, 1])
-        model = fit(*pool, GlmHyperparams(l2_penalty=1e-3))
-        assert model.converged
-        assert model.weights[0] > 0
-        assert abs(model.intercept) < 1e-6
-        assert predict_proba(model, np.zeros(1)) == pytest.approx(0.5, abs=1e-6)
+        model = fit(*lane_stack([pool]), GlmHyperparams(l2_penalty=1e-3))
+        assert model.converged[0]
+        assert model.weights[0, 0] > 0
+        assert abs(model.intercept[0]) < 1e-6
+        assert predict_proba(model, np.zeros((1, 1, 1)))[0, 0] == pytest.approx(
+            0.5, abs=1e-6)
 
     @pytest.mark.parametrize("l2", [0.1, 1.0, 50.0])
     def test_matches_independent_gradient_descent(self, l2):
         rng = np.random.default_rng(42)
         features, labels = random_pool(rng, n=50)
-        model = fit(features, labels, GlmHyperparams(l2_penalty=l2))
+        model = fit(features[None], labels[None], GlmHyperparams(l2_penalty=l2))
         reference = descend(features, labels.astype(float), l2)
-        assert np.abs(model.weights - reference[:-1]).max() < 1e-4
-        assert abs(model.intercept - reference[-1]) < 1e-4
+        assert np.abs(model.weights[0] - reference[:-1]).max() < 1e-4
+        assert abs(model.intercept[0] - reference[-1]) < 1e-4
 
     def test_deterministic(self):
-        pool = random_pool(np.random.default_rng(7))
-        a = fit(*pool)
-        b = fit(*pool)
+        lanes = lane_stack([random_pool(np.random.default_rng(7))])
+        a = fit(*lanes)
+        b = fit(*lanes)
         assert (a.weights == b.weights).all()
-        assert a.intercept == b.intercept
-        assert a.n_iterations == b.n_iterations
+        assert (a.intercept == b.intercept).all()
+        assert (a.n_iterations == b.n_iterations).all()
 
     def test_models_compare_and_hash_by_identity(self):
         pool = random_pool(np.random.default_rng(7))
-        model = fit(*pool)
+        model = fit(*lane_stack([pool]))
         assert model == model
-        assert not fit(*pool) == fit(*pool)
-        assert len({model, model, fit(*pool)}) == 2
+        assert not fit(*lane_stack([pool])) == fit(*lane_stack([pool]))
+        assert len({model, model, fit(*lane_stack([pool]))}) == 2
         assert isinstance(hash(fit(*lane_stack([pool, pool]))), int)
 
     def test_converges_on_tiny_separable_pool(self):
         """Separable data must not diverge thanks to the weight penalty."""
         pool = make_pool([[-2.0, 0.0], [-1.5, 1.0], [1.5, 0.3], [2.0, -1.0]],
                          [0, 0, 1, 1])
-        model = fit(*pool, GlmHyperparams(l2_penalty=1e-3))
-        assert model.converged
+        model = fit(*lane_stack([pool]), GlmHyperparams(l2_penalty=1e-3))
+        assert model.converged[0]
         assert np.isfinite(model.weights).all()
 
 
@@ -174,15 +199,6 @@ def paper_pools():
     return [pool for pools in lane_pools for pool in pools]
 
 
-def fit_fields(model):
-    """A one-pool model's fields, comparable with the seed package's, whose
-    ``fallback_prior`` is None where this package's is NaN."""
-    prior = model.fallback_prior
-    return (model.weights.tobytes(), np.float64(model.intercept).tobytes(),
-            model.converged, model.n_iterations,
-            None if prior is None or np.isnan(prior) else prior)
-
-
 class TestFixedPointExit:
     """A fit that stalls at an exact fixed point stops early, yet returns
     exactly what the full Newton loop of the seed package returns."""
@@ -192,23 +208,25 @@ class TestFixedPointExit:
         exhaustion rather than convergence."""
         assert len(paper_pools) == 3 * 5 * 21
         for pool in paper_pools:
-            assert fit_fields(fit(*pool)) == fit_fields(seed_fit(seed_package, pool))
+            assert fit_fields(fit(*lane_stack([pool]))) == seed_fit(seed_package, pool)
         for cap in (1, 2, 5):
             hp = GlmHyperparams(max_iterations=cap)
             seed_hp = seed_package.glm.GlmHyperparams(max_iterations=cap)
             for pool in paper_pools:
-                assert (fit_fields(fit(*pool, hp))
-                        == fit_fields(seed_fit(seed_package, pool, seed_hp))), cap
+                assert (fit_fields(fit(*lane_stack([pool]), hp))
+                        == seed_fit(seed_package, pool, seed_hp)), cap
 
     def test_some_paper_fits_end_unconverged(self, paper_pools):
-        stalled = [pool for pool in paper_pools if not fit(*pool).converged]
+        stalled = [pool for pool in paper_pools
+                   if not fit(*lane_stack([pool])).converged[0]]
         assert stalled
-        assert all(fit(*pool).n_iterations == GlmHyperparams().max_iterations
-                   for pool in stalled)
+        assert all(fit(*lane_stack([pool])).n_iterations[0]
+                   == GlmHyperparams().max_iterations for pool in stalled)
 
     def test_stalled_fit_evaluates_the_loss_less_often(
             self, paper_pools, seed_package, monkeypatch):
-        stalled = next(pool for pool in paper_pools if not fit(*pool).converged)
+        stalled = next(pool for pool in paper_pools
+                       if not fit(*lane_stack([pool])).converged[0])
         assert (len(stalled[1]), stalled[1].sum()) == (12, 8)
         calls = {"program": 0, "seed": 0}
 
@@ -221,22 +239,9 @@ class TestFixedPointExit:
         for side, module, name in (("program", glm_module, "_lane_losses"),
                                    ("seed", seed_package.glm, "nll_loss")):
             monkeypatch.setattr(module, name, counting(side, getattr(module, name)))
-        assert (fit_fields(fit(*stalled))
-                == fit_fields(seed_fit(seed_package, stalled)))
+        assert (fit_fields(fit(*lane_stack([stalled])))
+                == seed_fit(seed_package, stalled))
         assert 0 < calls["program"] < calls["seed"]
-
-
-def lane_stack(pools):
-    """``(L, n, d)`` features and ``(L, n)`` labels of equal-sized pools."""
-    return (np.stack([features for features, _ in pools]),
-            np.stack([labels for _, labels in pools]))
-
-
-def split_lanes(model):
-    """A lane model's lanes as one-pool models."""
-    return [GlmModel(model.weights[k], model.intercept[k], model.converged[k],
-                     model.n_iterations[k], model.fallback_prior[k])
-            for k in range(len(model.weights))]
 
 
 class TestFitLanes:
@@ -254,13 +259,14 @@ class TestFitLanes:
         for size in sorted({len(labels) for _, labels in paper_pools}):
             lanes = [pool for pool in paper_pools if len(pool[1]) == size]
             lanes.insert(1, make_pool(lanes[0][0], np.zeros(size, dtype=int)))
-            models = split_lanes(fit(*lane_stack(lanes), hp))
-            assert len(models) == len(lanes) == 16
-            for model, pool in zip(models, lanes):
-                assert (fit_fields(model) == fit_fields(fit(*pool, hp))
-                        == fit_fields(seed_fit(seed_package, pool, seed_hp))), size
-                leaves.add((model.converged, model.n_iterations,
-                            not np.isnan(model.fallback_prior)))
+            model = fit(*lane_stack(lanes), hp)
+            assert len(model.weights) == len(lanes) == 16
+            for k, pool in enumerate(lanes):
+                fields = fit_fields(model, k)
+                assert (fields == fit_fields(fit(*lane_stack([pool]), hp))
+                        == seed_fit(seed_package, pool, seed_hp)), size
+                _, _, converged, iterations, prior = fields
+                leaves.add((converged, iterations, prior is not None))
         assert (True, 0, True) in leaves
         if cap == 200:
             assert (False, cap, False) in leaves  # includes the fixed-point stall
@@ -292,11 +298,11 @@ class TestFitLanes:
         hp = GlmHyperparams(max_iterations=cap)
         seed_hp = seed_package.glm.GlmHyperparams(max_iterations=cap)
         lanes = [pool for pool in paper_pools if len(pool[1]) == 12]
-        models = split_lanes(fit(*lane_stack(lanes), hp))
-        for model, pool in zip(models, lanes):
-            assert (fit_fields(model) == fit_fields(fit(*pool, hp))
-                    == fit_fields(seed_fit(seed_package, pool, seed_hp)))
-            assert np.isfinite(model.weights).all() and (model.weights != 0).all()
+        model = fit(*lane_stack(lanes), hp)
+        for k, pool in enumerate(lanes):
+            assert (fit_fields(model, k) == fit_fields(fit(*lane_stack([pool]), hp))
+                    == seed_fit(seed_package, pool, seed_hp))
+        assert np.isfinite(model.weights).all() and (model.weights != 0).all()
 
     @pytest.mark.parametrize("cap", [1, 2, 5, 200])
     def test_singular_hessian_lane(self, seed_package, monkeypatch, cap):
@@ -318,13 +324,13 @@ class TestFitLanes:
             return real_lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        models = split_lanes(fit(*lane_stack(lanes), hp))
+        model = fit(*lane_stack(lanes), hp)
         assert lstsq_calls
         monkeypatch.undo()
         seed_hp = seed_package.glm.GlmHyperparams(l2_penalty=0.0, max_iterations=cap)
-        for model, pool in zip(models, lanes):
-            assert (fit_fields(model) == fit_fields(fit(*pool, hp))
-                    == fit_fields(seed_fit(seed_package, pool, seed_hp)))
+        for k, pool in enumerate(lanes):
+            assert (fit_fields(model, k) == fit_fields(fit(*lane_stack([pool]), hp))
+                    == seed_fit(seed_package, pool, seed_hp))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cap", [1, 2, 5, 200])
@@ -350,13 +356,13 @@ class TestFitLanes:
             return real_lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        models = split_lanes(fit(*lane_stack(lanes), hp))
+        model = fit(*lane_stack(lanes), hp)
         assert not lstsq_calls
         monkeypatch.undo()
-        assert fit_fields(models[0]) == fit_fields(fit(*lanes[0], hp))
-        assert fit_fields(models[1]) == fit_fields(fit(*lanes[1], hp))
-        assert models[1].fallback_prior == 1 / 14
-        assert (models[1].weights == 0).all() and models[1].intercept == 0.0
+        for k, pool in enumerate(lanes):
+            assert fit_fields(model, k) == fit_fields(fit(*lane_stack([pool]), hp))
+        assert model.fallback_prior[1] == 1 / 14
+        assert (model.weights[1] == 0).all() and model.intercept[1] == 0.0
 
     def test_only_stepping_lanes_are_solved(self, monkeypatch):
         """Each pass solves the Newton systems of the lanes still stepping
@@ -378,9 +384,9 @@ class TestFitLanes:
         assert model.converged.all() and steps[0] != steps[1]
         assert sizes == [int((steps > i).sum()) for i in range(steps.max())]
 
-    def test_lane_prediction_equals_one_pool_prediction(self):
+    def test_lane_prediction_equals_one_lane_prediction(self):
         """A lane model scores each lane's rows, or one broadcast block of
-        rows, exactly as that lane's one-pool fit does; a single-class lane
+        rows, exactly as that lane's one-lane fit does; a single-class lane
         predicts its prior exactly."""
         rng = np.random.default_rng(8)
         lanes = [random_pool(rng, n=14), random_pool(rng, n=14)]
@@ -392,12 +398,12 @@ class TestFitLanes:
         shared_probs = predict_proba(model, shared_rows)
         assert lane_probs.shape == (3, 9) and shared_probs.shape == (3, 2, 9)
         for k, pool in enumerate(lanes):
-            alone = fit(*pool)
+            alone = fit(*lane_stack([pool]))
             assert (lane_probs[k].tobytes()
-                    == predict_proba(alone, own_rows[k]).tobytes())
+                    == predict_proba(alone, own_rows[k][None])[0].tobytes())
             for block in range(2):
                 assert (shared_probs[k, block].tobytes()
-                        == predict_proba(alone, shared_rows[0, block]).tobytes())
+                        == predict_proba(alone, shared_rows[:, block])[0].tobytes())
         assert (lane_probs[1] == 15 / 16).all()
         assert (shared_probs[1] == 15 / 16).all()
 
@@ -422,14 +428,14 @@ class TestFitReport:
         an unconverged fit reports the iteration cap."""
         hp = GlmHyperparams(l2_penalty=l2, max_iterations=cap)
         features, labels = pool
-        model = fit(features, labels, hp)
-        _, grad = glm_objective(np.append(model.weights, model.intercept),
+        model = fit(features[None], labels[None], hp)
+        _, grad = glm_objective(np.append(model.weights[0], model.intercept[0]),
                                 features, labels, hp.l2_penalty)
-        if model.converged:
+        if model.converged[0]:
             assert np.max(np.abs(grad)) < hp.gradient_tolerance
-            assert model.n_iterations <= cap
+            assert model.n_iterations[0] <= cap
         else:
-            assert model.n_iterations == cap
+            assert model.n_iterations[0] == cap
 
 
 class TestGradient:
@@ -458,47 +464,57 @@ class TestGradient:
 
 class TestPredict:
     def test_zero_model_gives_half(self):
-        model = GlmModel(np.zeros(4), 0.0, True, 0)
-        assert predict_proba(model, np.array([3.0, -1.0, 0.5, 2.0])) == 0.5
+        model = lane_model(np.zeros(4), 0.0)
+        assert (predict_proba(model, np.array([[[3.0, -1.0, 0.5, 2.0]]])) == 0.5).all()
 
     def test_intercept_log3_gives_three_quarters(self):
-        model = GlmModel(np.zeros(2), np.log(3.0), True, 0)
-        assert predict_proba(model, np.zeros(2)) == pytest.approx(0.75, abs=1e-12)
+        model = lane_model(np.zeros(2), np.log(3.0))
+        assert predict_proba(model, np.zeros((1, 1, 2)))[0, 0] == pytest.approx(
+            0.75, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        model = GlmModel(np.zeros(4), 0.0, True, 0)
+        model = lane_model(np.zeros(4), 0.0)
         with pytest.raises(ValueError, match="dimension"):
-            predict_proba(model, np.zeros(3))
+            predict_proba(model, np.zeros((1, 1, 3)))
+
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 5, 2)],
+                             ids=["pool-rows", "two-of-three-lanes"])
+    def test_features_outside_the_lane_shapes_rejected(self, shape):
+        """A 3-lane model scores ``(3, ..., m, d)`` or ``(1, ..., m, d)``
+        features and names both: not one pool's ``(m, d)`` rows, nor a
+        leading axis of another length."""
+        model = fit(*lane_stack([random_pool(np.random.default_rng(9), d=2)] * 3))
+        with pytest.raises(ValueError, match=r"scores \(3, \.\.\., m, 2\) "
+                                             r"or \(1, \.\.\., m, 2\)"):
+            predict_proba(model, np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
-        model = GlmModel(np.zeros(2), 0.0, True, 0)
         lanes = GlmModel(np.zeros((3, 2)), np.zeros(3), np.ones(3, dtype=bool),
                          np.zeros(3, dtype=int), np.full(3, np.nan))
-        for m, x in ((model, [0.5, bad]), (lanes, [[[0.5, bad]]])):
-            with pytest.raises(ValueError, match="features must be finite"):
-                predict_proba(m, np.array(x))
+        with pytest.raises(ValueError, match="features must be finite"):
+            predict_proba(lanes, np.array([[[0.5, bad]]]))
 
     def test_output_strictly_inside_unit_interval(self):
-        model = GlmModel(np.array([100.0]), 0.0, True, 0)
-        hi = predict_proba(model, np.array([50.0]))
-        lo = predict_proba(model, np.array([-50.0]))
+        model = lane_model([100.0], 0.0)
+        lo, hi = predict_proba(model, np.array([[[-50.0], [50.0]]]))[0]
         assert 0.0 < lo < hi < 1.0
 
     def test_monotone_in_linear_score(self):
         rng = np.random.default_rng(5)
-        model = GlmModel(rng.standard_normal(4), 0.3, True, 3)
-        direction = model.weights / np.linalg.norm(model.weights)
+        model = lane_model(rng.standard_normal(4), 0.3)
+        direction = model.weights[0] / np.linalg.norm(model.weights[0])
         xs = np.outer(np.linspace(-5, 5, 101), direction)
-        probs = predict_proba(model, xs)
+        probs = predict_proba(model, xs[None])[0]
         assert (np.diff(probs) > 0).all()
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
-        model = GlmModel(rng.standard_normal(4), -0.2, True, 4)
+        model = lane_model(rng.standard_normal(4), -0.2)
         batch = rng.standard_normal((8, 4))
-        vectorized = predict_proba(model, batch)
-        assert vectorized == pytest.approx([predict_proba(model, row) for row in batch])
+        vectorized = predict_proba(model, batch[None])[0]
+        assert vectorized == pytest.approx(
+            [predict_proba(model, row[None, None])[0, 0] for row in batch])
 
 
 class TestRegularizationLimit:
@@ -509,13 +525,14 @@ class TestRegularizationLimit:
         features, labels = random_pool(rng, n=40)
         norms, models = [], []
         for l2 in (1.0, 100.0, 10_000.0, 1_000_000.0):
-            model = fit(features, labels, GlmHyperparams(l2_penalty=l2))
+            model = fit(features[None], labels[None], GlmHyperparams(l2_penalty=l2))
             norms.append(np.linalg.norm(model.weights))
             models.append(model)
         assert all(a > b for a, b in zip(norms, norms[1:]))
         strongest = models[-1]
         base_rate = labels.sum() / len(labels)
-        expected = 1.0 / (1.0 + np.exp(-strongest.intercept))
-        assert predict_proba(strongest, np.zeros(4)) == pytest.approx(expected, abs=1e-9)
+        expected = 1.0 / (1.0 + np.exp(-strongest.intercept[0]))
+        assert predict_proba(strongest, np.zeros((1, 1, 4)))[0, 0] == pytest.approx(
+            expected, abs=1e-9)
         assert expected == pytest.approx(base_rate, abs=0.01)
 

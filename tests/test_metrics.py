@@ -348,6 +348,13 @@ class TestMeanCi:
         with pytest.raises(ValueError, match="finite"):
             mean_ci([1.0, bad])
 
+    @pytest.mark.parametrize("samples", [[[1.0, 2.0], [3.0, 5.0]], 1.0],
+                             ids=["rows", "scalar"])
+    def test_samples_must_be_1d(self, samples):
+        """Rows are not pooled into one sample under the row count's df."""
+        with pytest.raises(ValueError, match="1-D"):
+            mean_ci(samples)
+
     @pytest.mark.parametrize("confidence", [0.0, 1.0, np.nan])
     def test_confidence_outside_open_unit_interval_rejected(self, confidence):
         with pytest.raises(ValueError, match="confidence"):

@@ -265,8 +265,8 @@ class TestRunRound:
         config = config_for("uncertainty")
         result = run_round(config, 9)[0]
         (features, labels), (labeled, unlabeled, _) = split_for(config, 9)
-        model = fit(features[labeled], labels[labeled], config.glm)
-        probs = predict_proba(model, features[unlabeled])
+        model = fit(features[labeled][None], labels[labeled][None], config.glm)
+        probs = predict_proba(model, features[unlabeled][None])[0]
         assert result.selected_ids[0].tolist() == select_uncertainty(
             unlabeled, probs, config.batch_size)
 
@@ -476,6 +476,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="2 configured, got 3"):
             aggregate(config_for(n_queries=3, rounds=2),
                       [*results, hand_built_round(2, [1, 2, 3])])
+
+    @pytest.mark.parametrize("seeds", [[0, 0], [100, 101]],
+                             ids=["duplicated", "foreign"])
+    def test_results_must_carry_the_configured_seeds(self, seeds):
+        """A repeated round, or rounds run under another base seed, are
+        rejected, not summarised as the configured rounds."""
+        results = [hand_built_round(seed, [1, 2, 3]) for seed in seeds]
+        with pytest.raises(ConfigError, match="each seed from 0 to 1"):
+            aggregate(config_for(n_queries=3, rounds=2), results)
 
     @pytest.mark.parametrize("n_queries", [4, 8])
     def test_results_must_match_the_configured_queries(self, n_queries):

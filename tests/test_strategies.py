@@ -86,7 +86,7 @@ class TestBetaPdf:
         assert beta_pdf(SYMMETRIC, 0.5) == pytest.approx(1.5, abs=1e-12)
 
     def test_domain_errors(self):
-        for x in (0.0, 1.0, -0.5, 1.5):
+        for x in (0.0, 1.0, -0.5, 1.5, float("nan"), np.array([0.5, np.nan])):
             with pytest.raises(ValueError):
                 beta_pdf(SYMMETRIC, x)
 
