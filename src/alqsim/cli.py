@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       write_dataset_csv)
@@ -189,6 +189,65 @@ def _write_csv(fh, payloads: dict[str, dict]) -> None:
             writer.writerow([name, q, size, *cells, missing])
 
 
+def _json_scalar(value) -> str:
+    """``json``'s spelling of a string, None, bool, int or float; NaN and
+    the infinities are spelled NaN, Infinity and -Infinity."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (float("inf"), float("-inf")):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_chunks(value, level: int = 0):
+    """The text of ``json.dumps(value, indent=2)``, yielded a piece at a time.
+
+    A list or tuple made only of plain floats, such as each of
+    ``phi.json``'s rows, is one piece, joined in one call, where ``json``'s
+    indenting encoder makes a piece of every float.  Keys must be ``str``:
+    ``json`` would coerce another key into a string, and this raises
+    ``TypeError``.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        yield _json_scalar(value)
+        return
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+            yield ("," if i else "") + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(item, level + 1)
+        yield "\n" + "  " * level + "}"
+        return
+    if set(map(type, value)) == {float}:
+        text = ("," + inner).join(map(float.__repr__, value))
+        if "n" in text:  # only the reprs nan, inf and -inf hold an "n"
+            text = ("," + inner).join(map(_json_scalar, value))
+        yield "[" + inner + text
+    else:
+        yield "["
+        for i, item in enumerate(value):
+            yield ("," if i else "") + inner
+            yield from _json_chunks(item, level + 1)
+    yield "\n" + "  " * level + "]"
+
+
 def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:
     """Run the strategy kinds paired, write the outputs and return each
     kind's ``summary.json`` payload.  Every input and output path is
@@ -211,7 +270,7 @@ def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:
         _write_csv(fh, payloads)
     for name, document in documents.items():
         with open(paths[name], "w") as fh:
-            json.dump(document, fh, indent=2)
+            fh.writelines(_json_chunks(document))
             fh.write("\n")
     return payloads
 

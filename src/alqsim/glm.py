@@ -152,7 +152,8 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
     gradient passes instead of ``hp.max_iterations + 1``; without the exit,
     those shapes would make 35-82% more passes in all.  Raises
     ``ValueError`` unless the shapes match, every label is 0 or 1, every
-    feature is finite, and the pools are non-empty.
+    feature is finite, and there is at least one lane and the pools are
+    non-empty.
     """
     X = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -165,7 +166,7 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     n_lanes, n, d = X.shape
-    if n == 0:
+    if n_lanes == 0 or n == 0:
         raise ValueError("cannot fit a model on an empty pool")
     n_positive = labels.sum(axis=1)
     single_class = (n_positive == 0) | (n_positive == n)
@@ -238,9 +239,13 @@ def predict_proba(model: GlmModel, features):
     under lane k, and returns ``(L, ..., m)``; a leading axis of length 1
     scores one block under every lane without copying it.  Raises
     ``ValueError`` on any other leading length, on fewer than 3 axes, a last
-    axis other than the model dimension d, or a non-finite feature.
+    axis other than the model dimension d, or a non-finite feature, and
+    on a model whose weights are not 2-D ``(L, d)``.
     """
     x = np.asarray(features, dtype=np.float64)
+    if model.weights.ndim != 2:
+        raise ValueError(f"model weights must be 2-D (L, d), one row per "
+                         f"lane, got shape {model.weights.shape}")
     n_lanes, d = model.weights.shape
     if x.ndim < 3 or x.shape[0] not in (1, n_lanes) or x.shape[-1] != d:
         raise ValueError(f"features of shape {x.shape} do not match a model "

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import importlib.util
 import json
 import os
@@ -6,8 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import alqsim.__main__ as main_module
 import alqsim.cli as cli_module
 import alqsim.simulation as simulation_module
 from alqsim import (DatasetConfig, QueryStrategy, SimulationConfig, aggregate,
@@ -249,6 +254,90 @@ class TestCompareCommand:
         entries = payload["strategies"]["shifted-normal"]
         assert len(entries) == 3  # one per round
         assert all(len(e["phi"]) == 5 for e in entries)
+
+
+def written_json(document) -> str:
+    """The text that ``cli`` writes for ``document``, final newline included."""
+    return "".join(cli_module._json_chunks(document)) + "\n"
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.floats()),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    """``cli`` writes every JSON file as ``json.dumps(doc, indent=2)`` would."""
+
+    @pytest.mark.parametrize("document", [
+        {"outer": {"inner": [1.0, [2.0, 3.0], (4.0, 5.0)], "empty": {}},
+         "rows": [[], [0.25], ()], "none": {}},
+        [None, True, False, 0, -7, 2**70, {"k": None}],
+        [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300],
+        [0.5, np.float64(0.1), 0.2],
+        {"float64": np.float64(-1.5), "nan-row": [0.5, float("nan")]},
+        {"caf\u00e9 \u2603": "na\u00efve \U0001f600 \"quoted\"\n\ttab"},
+        [], {}, 1.5, "text", None,
+    ], ids=["nested", "scalars", "special-floats", "numpy-float64-in-row",
+            "numpy-float64", "non-ascii", "empty-list", "empty-dict",
+            "bare-float", "bare-str", "bare-none"])
+    def test_bytes_equal_json_dumps(self, document):
+        assert written_json(document) == json.dumps(document, indent=2) + "\n"
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(JSON_TREES)
+    def test_any_json_tree_matches_json_dumps(self, document):
+        assert written_json(document) == json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize("key", [1, 2.5, None, True])
+    def test_non_str_key_rejected(self, key):
+        """``json`` would coerce the key to a string; the writer refuses."""
+        with pytest.raises(TypeError, match="keys must be str"):
+            written_json({"ok": {key: 1.0}})
+
+    def test_unknown_object_rejected(self):
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            written_json([np.int64(3)])
+
+    def test_phi_rows_are_one_piece_each(self, tmp_path):
+        """The writer streams: a ``phi.json`` row of floats is one piece,
+        where ``json`` makes a piece of every float, and no piece opens
+        more than one list, so none holds two rows."""
+        out = tmp_path / "phi"
+        assert run_cli(["compare", *FAST, "--phi", "--out", str(out)]) == 0
+        document = json.loads((out / "phi.json").read_text())
+        n_floats = sum(len(row) for lane in document["strategies"].values()
+                       for entry in lane for row in entry["phi"])
+        pieces = list(cli_module._json_chunks(document))
+        assert len(pieces) < n_floats / 4
+        assert max(piece.count("[") for piece in pieces) == 1
+
+
+class TestEntryPoint:
+    """``python -m alqsim`` and the installed script run one function."""
+
+    def test_console_script_names_the_module_entry(self):
+        text = (ROOT / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+        name, target = scripts.strip().split(" = ")
+        module, function = target.strip('"').split(":")
+        assert name == "alqsim"
+        assert getattr(importlib.import_module(module), function) is main_module.run
+
+    @pytest.mark.parametrize("args,code", [
+        (["compare", "--rounds", "2", "--queries", "2", "--out", "ok"], 0),
+        (["compare", "--rounds", "1", "--out", "bad"], 2),
+    ], ids=["success", "config-error"])
+    def test_module_exit_code(self, tmp_path, args, code):
+        proc = subprocess.run([sys.executable, "-m", "alqsim", *args],
+                              cwd=tmp_path, capture_output=True)
+        assert proc.returncode == code, proc.stderr.decode()
+        if code == 2:
+            assert b"rounds >= 2" in proc.stderr
+            assert not (tmp_path / "bad").exists()
 
 
 class TestDumpDataset:

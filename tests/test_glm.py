@@ -118,12 +118,14 @@ class TestFallback:
         (np.zeros((2, 3, 2)), np.zeros((2, 4), dtype=int),
          "one label per feature row"),
         (np.zeros((2, 0, 2)), np.zeros((2, 0), dtype=int), "empty"),
+        (np.zeros((0, 3, 2)), np.zeros((0, 3), dtype=int), "empty"),
         (np.array([[[0.0, np.nan], [1.0, 0.0]]]), np.array([[0, 1]]), "finite"),
         (np.array([[[0.0, np.inf], [1.0, 0.0]]]), np.array([[0, 1]]), "finite"),
         (np.array([[[0.0, -np.inf], [1.0, 0.0]]]), np.array([[0, 1]]), "finite"),
     ], ids=["label-2", "label-half", "length-mismatch", "features-1d",
             "features-2d", "labels-3d", "lane-label-2", "lane-length-mismatch",
-            "empty-lanes", "nan-feature", "inf-feature", "lane-minus-inf-feature"])
+            "empty-lanes", "zero-lanes", "nan-feature", "inf-feature",
+            "lane-minus-inf-feature"])
     def test_malformed_pool_rejected(self, features, labels, match):
         with pytest.raises(ValueError, match=match):
             fit(features, labels)
@@ -487,6 +489,16 @@ class TestPredict:
         with pytest.raises(ValueError, match=r"scores \(3, \.\.\., m, 2\) "
                                              r"or \(1, \.\.\., m, 2\)"):
             predict_proba(model, np.zeros(shape))
+
+    @pytest.mark.parametrize("weights", [np.zeros(2), np.zeros((1, 1, 2))],
+                             ids=["one-pool-weights", "3-d-weights"])
+    def test_model_without_lane_weights_rejected(self, weights):
+        """A hand-built model whose weights are not ``(L, d)`` is refused by
+        a message naming the lane shape, not by numpy's unpacking."""
+        model = GlmModel(weights, np.zeros(1), np.ones(1, dtype=bool),
+                         np.zeros(1, dtype=int), np.full(1, np.nan))
+        with pytest.raises(ValueError, match=r"weights must be 2-D \(L, d\)"):
+            predict_proba(model, np.zeros((1, 3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
