@@ -142,22 +142,22 @@ def _output_paths(directory: str, names: tuple[str, ...]) -> dict[str, str]:
     return paths
 
 
-def _summary_payload(config: SimulationConfig, strategy: QueryStrategy,
-                     summary: ExperimentSummary) -> dict:
-    """One strategy's object in ``summary.json``; ``per_query.csv`` and the
-    final table read their cells from it, so an undefined eta is decided
-    here once, as None.  Its ``config`` echoes the experiment as that
-    strategy's lane: ``dataset`` with the base seed as its ``seed``, then
-    ``strategy``, then the other fields, fixed ones included, in
-    declaration order."""
+def _summary_payload(config: SimulationConfig, summary: ExperimentSummary,
+                     lane: int) -> dict:
+    """Lane ``lane`` of ``summary`` as its object in ``summary.json``;
+    ``per_query.csv`` and the final table read their cells from it, so an
+    undefined (NaN) eta is decided here once, as None.  Its ``config``
+    echoes the experiment as that lane's: ``dataset`` with the base seed as
+    its ``seed``, then ``strategy``, then the other fields, fixed ones
+    included, in declaration order."""
     echo = dataclasses.asdict(config)
     del echo["strategies"]
     echo = {"dataset": {**echo.pop("dataset"), "seed": config.base_seed},
-            "strategy": dataclasses.asdict(strategy), **echo}
+            "strategy": dataclasses.asdict(config.strategies[lane]), **echo}
 
-    def series(entries) -> dict:
-        return {bound: [None if ci is None else getattr(ci, bound)
-                        for ci in entries]
+    def series(ci) -> dict:
+        return {bound: [None if v != v else v
+                        for v in getattr(ci, bound)[lane].tolist()]
                 for bound in BOUNDS}
 
     return {
@@ -168,7 +168,8 @@ def _summary_payload(config: SimulationConfig, strategy: QueryStrategy,
         "labeled_sizes": summary.labeled_sizes,
         "lambda": series(summary.lam),
         "zeta": series(summary.zeta),
-        "eta": {**series(summary.eta), "n_missing": summary.eta_missing},
+        "eta": {**series(summary.eta),
+                "n_missing": summary.eta_missing[lane].tolist()},
         "auc": series(summary.auc),
         "f1": series(summary.f1),
     }
@@ -257,15 +258,15 @@ def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:
     paths = _output_paths(args.out,
                           RESULT_FILES + (("phi.json",) if args.phi else ()))
     results = run_rounds(config, jobs=args.jobs)
-    payloads = {strategy.kind: _summary_payload(config, strategy,
-                                                aggregate(config, lane))
-                for strategy, lane in zip(config.strategies, results)}
+    summary = aggregate(config, results)
+    payloads = {kind: _summary_payload(config, summary, k)
+                for k, kind in enumerate(kinds)}
     documents = {"summary.json": (payloads[kinds[0]] if len(kinds) == 1
                                   else {"strategies": payloads})}
     if args.phi:
         documents["phi.json"] = {"delta": config.phi_delta, "strategies": {
-            kind: [{"seed": r.seed, "phi": r.phi_trace} for r in lane]
-            for kind, lane in zip(kinds, results)}}
+            kind: [{"seed": r.seed, "phi": r.phi_trace[k]} for r in results]
+            for k, kind in enumerate(kinds)}}
     with open(paths["per_query.csv"], "w", newline="") as fh:
         _write_csv(fh, payloads)
     for name, document in documents.items():

@@ -21,10 +21,10 @@ the floats, so the AUC is that of the pair-counting definition.
 Confidence intervals are Student-t based; the t quantile is computed
 numerically in-repo (the finite series of the t CDF at an integer df,
 inverted by bisection) rather than from shipped tables.  The quantile is a
-pure function of ``(p, df)``, and every ``mean_ci`` call of an aggregate asks
-for one of a few, memoized: lambda, zeta and eta use df = rounds - 1, AUC and
-F1 use df = n_test_pools * rounds - 1, and an eta row with undefined samples
-uses less.
+pure function of ``(p, df)``, memoized: an aggregate asks for few, since
+``mean_ci`` summarises all rows of a call at one df (rounds - 1 for lambda
+and zeta, n_test_pools * rounds - 1 for AUC and F1), and an eta row, one
+call each, uses rounds - 1 or less.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,13 +52,13 @@ class CostModel:
 
 @dataclass(frozen=True)
 class CiSummary:
-    """Symmetric Student-t confidence interval around a sample mean; its
-    confidence level and sample count live in the config and, for eta,
-    ``eta_missing``."""
+    """Symmetric Student-t confidence interval around a sample mean, or
+    arrays of them, one per row of a ``mean_ci`` call; the confidence level
+    and sample count live in the config and, for eta, ``eta_missing``."""
 
-    mean: float
-    lower: float
-    upper: float
+    mean: float | np.ndarray
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
 
 def _rows(values, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -156,31 +155,34 @@ def cost_efficiency(lam, zeta, cost: CostModel) -> float | np.ndarray:
     return float(eta) if eta.ndim == 0 else eta
 
 
-def mean_ci(samples: Sequence[float], confidence: float = 0.99) -> CiSummary:
-    """Student-t confidence interval for the mean of ``samples``.
+def mean_ci(samples, confidence: float = 0.99) -> CiSummary:
+    """Student-t confidence interval for the mean of each row of ``samples``.
 
-    Requires a 1-D sequence of at least two samples, all finite; the
-    interval is exactly symmetric about the mean.
+    A row is the last axis: at least two samples, all finite.  A 1-D call
+    returns floats, any other arrays over the leading axes, each row's bit
+    for bit those of a 1-D call on it.  Each interval is exactly symmetric
+    about its mean, and degenerate at the first sample for equal samples.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     data = np.asarray(samples, dtype=np.float64)
-    if data.ndim != 1:
-        raise ValueError(f"samples must be 1-D, got shape {data.shape}")
-    n = len(data)
+    if data.ndim == 0:
+        raise ValueError("samples must hold rows along the last axis, got a scalar")
+    n = data.shape[-1]
     if n < 2:
         raise ValueError(f"need at least 2 samples for an interval, got {n}")
     if not np.isfinite(data).all():
         raise ValueError("samples must be finite")
-    if data.min() == data.max():
-        # mathematically zero variance: keep the interval exactly degenerate
-        value = float(data[0])
-        return CiSummary(mean=value, lower=value, upper=value)
-    mean = float(data.mean())
-    sd = float(data.std(ddof=1))
-    quantile = student_t_quantile(0.5 + confidence / 2.0, n - 1)
-    half_width = quantile * sd / math.sqrt(n)
-    return CiSummary(mean=mean, lower=mean - half_width, upper=mean + half_width)
+    # mathematically zero variance: keep the interval exactly degenerate;
+    # such a row enters the sums as zeros, so it cannot overflow them
+    degenerate = data.min(axis=-1) == data.max(axis=-1)
+    spread = np.where(degenerate[..., None], 0.0, data)
+    mean = spread.mean(axis=-1)
+    half_width = (student_t_quantile(0.5 + confidence / 2.0, n - 1)
+                  * spread.std(axis=-1, ddof=1) / math.sqrt(n))
+    bounds = [np.where(degenerate, data[..., 0], bound)
+              for bound in (mean, mean - half_width, mean + half_width)]
+    return CiSummary(*(map(float, bounds) if data.ndim == 1 else bounds))
 
 
 # --- Student-t distribution, computed numerically -------------------------

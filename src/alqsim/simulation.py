@@ -13,21 +13,19 @@ AUC and F1 and, optionally, its phi trace; it knows no labeling cost.
 
 An experiment is one :class:`SimulationConfig`; its ``strategies`` are
 compared paired, as lanes.  It runs many independent rounds (seeds
-``base_seed + i``), and at each seed every strategy's round runs as one
-lane on one dataset generated and split once.  The lanes step through the
-queries in lock-step, since each holds the same number of labels at each
-query, so each query makes one stacked prediction, one stacked Newton fit
-and one stacked evaluation over all lanes (lane calls of ``predict_proba``,
+``base_seed + i``), and at each seed every strategy runs as one lane on
+one dataset generated and split once.  The lanes step through the queries
+in lock-step, since each holds the same number of labels at each query, so
+each query makes one stacked prediction, one stacked Newton fit and one
+stacked evaluation over all lanes (lane calls of ``predict_proba``,
 ``fit``, ``auc`` and ``f1``), while each lane selects with its own query
 generator.  A process holds one seed's dataset and lanes at a time.  Seeds
 share no state, so they can execute in parallel with results identical to
-sequential execution.  The process pool's modules load on first use, when
-:func:`run_rounds` starts a pool: ``concurrent.futures.process``,
-``multiprocessing`` and their imports are 32 modules, about 2 MB and 25 ms
-of start-up, which a one-worker run would load for nothing.
-:func:`aggregate` derives lambda, zeta and eta from one lane's rounds under
-the configured cost and summarises every metric per query index in
-Student-t confidence intervals.
+sequential execution; :func:`run_rounds` loads the process pool's 32
+modules (about 2 MB and 25 ms of start-up) only when it starts a pool.  The
+lane axis stays from the round to :func:`aggregate`, which derives lambda,
+zeta and eta under the configured cost and summarises every metric of every
+lane and query in Student-t confidence intervals.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -100,21 +98,22 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class RoundResult:
-    """Everything one round observed, one row per query.
+    """Everything one round observed, one row per lane and query.
 
-    Row ``q - 1`` of each array belongs to query q and, for the metrics, to
-    the model refitted after it.  ``selected_ids`` is ``(n_queries, batch)``
-    in selection order.  The int64 ``n_positive``, the positive labels held
-    after query q (seed rows included), is ``(n_queries,)``; ``auc`` and
-    ``f1`` are ``(n_queries, n_test_pools)``.  Array fields would make a
+    Row ``[k, q - 1]`` of each array belongs to lane k (``strategies[k]``)
+    at query q and, for the metrics, to the model refitted after it.
+    ``selected_ids`` is ``(L, n_queries, batch)`` in selection order.  The
+    int64 ``n_positive``, the positive labels held after query q (seed rows
+    included), is ``(L, n_queries)``; ``auc`` and ``f1`` are
+    ``(L, n_queries, n_test_pools)``.  Array fields would make a
     generated ``==`` ambiguous, so results compare by identity; compare the
     arrays instead.
 
     ``phi_trace`` is set only when the round ran with phi recording
-    enabled: ``phi_trace[q-1]`` lists, in ascending id order, the final
-    model's probabilities of the ids still unlabeled at query q whose
-    interim probability at query q lay within the config's
-    ``phi_delta`` of 0.5.
+    enabled, one trace per lane: ``phi_trace[k][q-1]`` lists, in ascending
+    id order, lane k's final model's probabilities of the ids still
+    unlabeled at query q whose interim probability at query q lay within
+    the config's ``phi_delta`` of 0.5.
     """
 
     seed: int
@@ -122,34 +121,35 @@ class RoundResult:
     n_positive: np.ndarray
     auc: np.ndarray
     f1: np.ndarray
-    phi_trace: tuple[tuple[float, ...], ...] | None = None
+    phi_trace: tuple[tuple[tuple[float, ...], ...], ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSummary:
-    """Per-query cross-round aggregates for every metric.
+    """Cross-round aggregates of every metric, lane and query.
 
-    ``eta`` entries are None where fewer than two rounds held a positive
-    label (eta is undefined at zeta = 0); ``eta_missing`` counts the
-    undefined samples per query.
+    Each interval's bounds are ``(L, n_queries)`` arrays whose ``[k, q - 1]``
+    is lane k at query q.  ``eta`` is NaN where fewer than two rounds held a
+    positive label (eta is undefined at zeta = 0); the int64 ``eta_missing``
+    counts the undefined samples.  Like results, summaries compare by identity.
     """
 
     queries: tuple[int, ...]
     labeled_sizes: tuple[int, ...]
-    lam: tuple[CiSummary, ...]
-    zeta: tuple[CiSummary, ...]
-    eta: tuple[CiSummary | None, ...]
-    auc: tuple[CiSummary, ...]
-    f1: tuple[CiSummary, ...]
-    eta_missing: tuple[int, ...]
+    lam: CiSummary
+    zeta: CiSummary
+    eta: CiSummary
+    auc: CiSummary
+    f1: CiSummary
+    eta_missing: np.ndarray
 
 
-def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
+def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     """One round of every strategy of ``config`` at ``round_seed``, in
     lock-step.
 
-    Returns one :class:`RoundResult` per strategy.  Each is a pure function
-    of (config, its strategy, seed), as if that lane had run alone: the
+    Returns one :class:`RoundResult` whose lane k is a pure function of
+    (config, ``strategies[k]``, seed), as if that lane had run alone: the
     lanes share the seed's dataset and split, and each draws its query
     randomness from its own ``query_rng(round_seed)``.  With phi
     recording, each query marks, per lane and keyed by dataset row, which
@@ -210,18 +210,17 @@ def run_round(config: SimulationConfig, round_seed: int) -> list[RoundResult]:
         aucs[:, q] = auc(probs, test_labels)
         f1s[:, q] = f1(probs, test_labels)
 
-    traces = [None] * n_lanes
+    traces = None
     if config.record_phi:
         # the trace lists the unlabeled pool's ids in ascending order
         pool_rows = np.sort(u_ids)
         finals = predict_proba(model, features[pool_rows][None])
-        traces = [tuple(tuple(final[band].tolist())
-                        for band in lane_band[:, pool_rows])
-                  for final, lane_band in zip(finals, in_band)]
-    return [RoundResult(seed=round_seed, selected_ids=selected[k],
-                        n_positive=n_positive[k], auc=aucs[k], f1=f1s[k],
-                        phi_trace=traces[k])
-            for k in range(n_lanes)]
+        traces = tuple(tuple(tuple(final[band].tolist())
+                             for band in lane_band[:, pool_rows])
+                       for final, lane_band in zip(finals, in_band))
+    return RoundResult(seed=round_seed, selected_ids=selected,
+                       n_positive=n_positive, auc=aucs, f1=f1s,
+                       phi_trace=traces)
 
 
 def worker_count(jobs: int, rounds: int) -> int:
@@ -235,11 +234,10 @@ def worker_count(jobs: int, rounds: int) -> int:
     return min(jobs, rounds, os.cpu_count() or 1)
 
 
-def run_rounds(config: SimulationConfig,
-               jobs: int = 1) -> list[list[RoundResult]]:
-    """All rounds of an experiment, one list per strategy, each in round
-    order; the strategies run paired, one seed at a time, and the seeds
-    optionally in parallel.
+def run_rounds(config: SimulationConfig, jobs: int = 1) -> list[RoundResult]:
+    """All rounds of an experiment, one :class:`RoundResult` per seed, in
+    seed order; the strategies run paired as each round's lanes, and the
+    seeds optionally in parallel.
 
     Raises :class:`ConfigError` before any round runs unless ``jobs`` is a
     positive integer.  A failing round aborts the experiment with a
@@ -257,13 +255,11 @@ def run_rounds(config: SimulationConfig,
         # a failed round ends the map, whose iterator cancels queued rounds
         executor = getattr(sys.modules[__name__], "ProcessPoolExecutor")
         with executor(max_workers=workers) as pool:
-            per_seed = list(pool.map(named_round, seeds))
-    else:
-        per_seed = list(map(named_round, seeds))
-    return [list(lane) for lane in zip(*per_seed)]
+            return list(pool.map(named_round, seeds))
+    return list(map(named_round, seeds))
 
 
-def _named_round(config: SimulationConfig, seed: int) -> list[RoundResult]:
+def _named_round(config: SimulationConfig, seed: int) -> RoundResult:
     try:
         return run_round(config, seed)
     except Exception as exc:
@@ -280,8 +276,8 @@ def __getattr__(name: str):
 
 def aggregate(config: SimulationConfig,
               results: list[RoundResult]) -> ExperimentSummary:
-    """Merge one lane's completed rounds into per-query confidence
-    intervals; ``results`` is one of :func:`run_rounds`' per-strategy lists.
+    """Summarise :func:`run_rounds`' results in confidence intervals per
+    lane and query.
 
     The one place that derives metrics from what rounds observed: a round's
     lambda is its mean AUC over the test pools, its zeta its held positives
@@ -290,7 +286,8 @@ def aggregate(config: SimulationConfig,
     ``eta_missing``) at zeta = 0.  Order-insensitive: any permutation of
     ``results`` yields the same summary.  Raises :class:`ConfigError` unless
     there is one result per configured round, seeded ``config.base_seed + i``
-    as :func:`run_rounds` seeds round i, each with ``config.n_queries`` rows.
+    as :func:`run_rounds` seeds round i, each with (L, Q) = (lanes, queries)
+    leading its rows.
     """
     if len(results) != config.rounds:
         raise ConfigError(f"aggregation needs one result per configured round: "
@@ -301,30 +298,30 @@ def aggregate(config: SimulationConfig,
         raise ConfigError(f"aggregation needs one round at each seed from "
                           f"{config.base_seed} to {config.base_seed + config.rounds - 1}, "
                           f"got seeds {seeds}")
+    shape = (len(config.strategies), config.n_queries)
+    for r in ordered:
+        leading = [r.n_positive.shape[:2], r.auc.shape[:2], r.f1.shape[:2]]
+        if leading != [shape] * 3:
+            raise ConfigError(f"round {r.seed}'s n_positive, auc and f1 lead with "
+                              f"{leading}, not the (L, Q) = {shape} query rows")
     queries = tuple(range(1, config.n_queries + 1))
     labeled_sizes = tuple(config.dataset.labeled_size + q * config.batch_size
                           for q in queries)
-
-    def per_query(name: str) -> np.ndarray:
-        rows = [getattr(r, name) for r in ordered]
-        if any(len(row) != config.n_queries for row in rows):
-            raise ConfigError(f"a round's {name} does not have "
-                              f"{config.n_queries} query rows")
-        # row qi holds every round's samples for query qi, round-major
-        return np.stack(rows, axis=1).reshape(config.n_queries, -1)
-
-    def ci(samples: np.ndarray) -> CiSummary:
-        return mean_ci(samples, config.confidence)
-
-    n_positive, aucs, f1s = map(per_query, ("n_positive", "auc", "f1"))
-    lam = aucs.reshape(config.n_queries, len(ordered), -1).mean(axis=2)
+    ci = functools.partial(mean_ci, confidence=config.confidence)
+    # [k, q, i]: lane k's samples at query q in round i of seed order
+    n_positive, aucs, f1s = (np.stack([getattr(r, name) for r in ordered], axis=2)
+                             for name in ("n_positive", "auc", "f1"))
+    lam = aucs.mean(axis=3)
     zeta = n_positive / np.array(labeled_sizes)[:, None]
-    defined_eta = [cost_efficiency(lam_row[defined], zeta_row[defined],
-                                   config.cost)
-                   for lam_row, zeta_row, defined in zip(lam, zeta, zeta > 0)]
+    eta = np.full((3, *shape), np.nan)
+    for k, q in np.ndindex(shape):
+        defined = zeta[k, q] > 0
+        samples = cost_efficiency(lam[k, q, defined], zeta[k, q, defined], config.cost)
+        if len(samples) >= 2:
+            eta[:, k, q] = astuple(ci(samples))
+    # AUC and F1 pool every round's per-test-pool samples, round-major
     return ExperimentSummary(
         queries=queries, labeled_sizes=labeled_sizes,
-        lam=tuple(map(ci, lam)), zeta=tuple(map(ci, zeta)),
-        eta=tuple(ci(row) if len(row) >= 2 else None for row in defined_eta),
-        auc=tuple(map(ci, aucs)), f1=tuple(map(ci, f1s)),
-        eta_missing=tuple(len(ordered) - len(row) for row in defined_eta))
+        lam=ci(lam), zeta=ci(zeta), eta=CiSummary(*eta),
+        auc=ci(aucs.reshape(*shape, -1)), f1=ci(f1s.reshape(*shape, -1)),
+        eta_missing=(zeta == 0).sum(axis=2))

@@ -215,9 +215,15 @@ class TestCriterion7Determinism:
             dataset=DatasetConfig(class_sep=0.5),
             strategies=(QueryStrategy(kind="shifted-normal"),),
             n_queries=10, rounds=5, base_seed=7)
-        results = run_rounds(config)[0]
+        results = run_rounds(config)
         shuffled = [results[i] for i in (3, 0, 4, 1, 2)]
-        permutation_ok = aggregate(config, results) == aggregate(config, shuffled)
+        forward, backward = (aggregate(config, r) for r in (results, shuffled))
+        permutation_ok = np.array_equal(forward.eta_missing,
+                                        backward.eta_missing) and all(
+            getattr(getattr(forward, name), bound).tobytes()
+            == getattr(getattr(backward, name), bound).tobytes()
+            for name in ("lam", "zeta", "eta", "auc", "f1")
+            for bound in ("mean", "lower", "upper"))
 
         ok = csv_same and json_same and permutation_ok
         report(7, f"repeated command byte-identical (csv={csv_same}, "
@@ -253,12 +259,12 @@ class TestCriterion9PhiDiagnostic:
             dataset=DatasetConfig(class_sep=0.5),
             strategies=(QueryStrategy(kind="shifted-normal"),),
             n_queries=5, rounds=3, base_seed=21, record_phi=True)
-        results = run_rounds(config)[0]
+        results = run_rounds(config)
         checked = 0
         all_ok = True
         for result in results:
             reference = seed_round(config, result.seed)
-            for interim, trace in zip(reference.interim_probs, result.phi_trace):
+            for interim, trace in zip(reference.interim_probs, result.phi_trace[0]):
                 lo = 0.5 - config.phi_delta
                 hi = 0.5 + config.phi_delta
                 brute = [reference.final_probs[i] for i in sorted(interim)
@@ -272,7 +278,7 @@ class TestCriterion9PhiDiagnostic:
         payload = json.loads((tmp_path / "results/phi.json").read_text())
         cli_traces = [entry["phi"]
                       for entry in payload["strategies"]["shifted-normal"]]
-        cli_ok = cli_traces == [[list(t) for t in r.phi_trace] for r in results]
+        cli_ok = cli_traces == [[list(t) for t in r.phi_trace[0]] for r in results]
 
         ok = all_ok and checked == 15 and cli_ok
         report(9, f"phi trace equals brute-force filter for all {checked} "

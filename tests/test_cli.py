@@ -132,19 +132,18 @@ class TestRunCommand:
                                   n_test_pools=3, test_pool_size=150),
             strategies=tuple(QueryStrategy(kind) for kind in STRATEGY_KINDS),
             n_queries=10, rounds=2, base_seed=3)
-        lanes = run_rounds(config)
-        assert len(lanes) == len(STRATEGY_KINDS)
-        for strategy, lane in zip(config.strategies, lanes):
-            summary = aggregate(config, lane)
-            payload = json.loads(json.dumps(
-                _summary_payload(config, strategy, summary)))
+        summary = aggregate(config, run_rounds(config))
+        assert summary.eta_missing.shape == (len(STRATEGY_KINDS), 10)
+        for k, strategy in enumerate(config.strategies):
+            payload = json.loads(json.dumps(_summary_payload(config, summary, k)))
             assert payload["rounds"] == 2
             assert payload["confidence"] == 0.99
             assert len(payload["lambda"]["mean"]) == config.n_queries
             assert payload["config"]["strategy"]["kind"] == strategy.kind
             assert "strategies" not in payload["config"]
             assert payload["config"]["dataset"]["seed"] == config.base_seed
-            assert payload["eta"]["n_missing"] == list(summary.eta_missing)
+            assert payload["eta"]["n_missing"] == summary.eta_missing[k].tolist()
+            assert payload["lambda"]["upper"] == summary.lam.upper[k].tolist()
 
 
 class TestCompareCommand:
@@ -471,6 +470,10 @@ class TestOutputsMatchSeedPackage:
                          "--cost-c", "3", "--seed", "580"],
             "cost-1283": ["compare", "--rounds", "2", "--queries", "3",
                           "--cost-c", "3", "--seed", "1283"],
+            # a ragged eta row of 8 or more samples: round seed 580 leaves
+            # the uncertainty and shifted-normal q = 1 rows 9 of 10
+            "cost-571": ["compare", "--rounds", "10", "--queries", "3",
+                         "--cost-c", "3", "--seed", "571"],
             # the payload echoes the base seed as config.dataset.seed: a
             # negative one, and one read from the environment only
             "negative-seed": ["compare", "--rounds", "2", "--queries", "2",

@@ -13,6 +13,9 @@ from alqsim.metrics import student_t_cdf
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
+# Interval samples: finite, away from overflow, with zeros of both signs.
+CI_SAMPLE = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+
 # Few distinct values, both zeros among them, so ties are the rule.
 TIED_SCORE = st.sampled_from([-0.5, -0.0, 0.0, 0.1, 0.25, 0.5, 1.0])
 
@@ -321,6 +324,8 @@ class TestMeanCi:
     def test_zero_variance(self):
         summary = mean_ci([0.7, 0.7, 0.7])
         assert summary.mean == summary.lower == summary.upper == 0.7
+        # an equal row never enters the sums, so a huge one cannot overflow
+        assert mean_ci([[1e308] * 3, [0.7] * 3]).upper.tolist() == [1e308, 0.7]
 
     def test_reference_t_quantile_at_29_dof(self):
         rng = np.random.default_rng(5)
@@ -348,12 +353,54 @@ class TestMeanCi:
         with pytest.raises(ValueError, match="finite"):
             mean_ci([1.0, bad])
 
-    @pytest.mark.parametrize("samples", [[[1.0, 2.0], [3.0, 5.0]], 1.0],
-                             ids=["rows", "scalar"])
-    def test_samples_must_be_1d(self, samples):
-        """Rows are not pooled into one sample under the row count's df."""
-        with pytest.raises(ValueError, match="1-D"):
-            mean_ci(samples)
+    def test_rows_are_not_pooled(self):
+        """Rows are not pooled into one sample under the row count's df:
+        each row along the last axis gets its own interval, and a 1-D call
+        returns floats."""
+        rows = mean_ci([[1.0, 2.0], [3.0, 5.0]])
+        assert rows.mean.tolist() == [1.5, 4.0]
+        for i, row in enumerate([[1.0, 2.0], [3.0, 5.0]]):
+            assert CiSummary(rows.mean[i], rows.lower[i], rows.upper[i]) == mean_ci(row)
+        assert {type(v) for v in dataclasses.astuple(mean_ci([1.0, 2.0]))} == {float}
+
+    def test_scalar_samples_rejected(self):
+        with pytest.raises(ValueError, match="rows"):
+            mean_ci(1.0)
+
+    @PROPERTY
+    @given(st.data())
+    def test_each_row_equals_its_one_dimensional_call(self, data):
+        """2-D and 3-D calls summarise each row bit for bit as a 1-D call
+        on it alone, past numpy's 8-accumulator pairwise sums at 8 or more
+        samples; a row of equal samples stays exactly degenerate at its
+        first sample, sign of zero included."""
+        leading = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                           max_size=2), label="leading axes"))
+        n = data.draw(st.integers(2, 40), label="samples per row")
+        rows = []
+        for _ in range(int(np.prod(leading))):
+            kind = data.draw(st.sampled_from(["spread", "equal", "zeros"]))
+            if kind == "spread":
+                rows.append(data.draw(st.lists(CI_SAMPLE, min_size=n, max_size=n)))
+            elif kind == "equal":
+                rows.append([data.draw(CI_SAMPLE)] * n)
+            else:
+                rows.append(data.draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                               min_size=n, max_size=n)))
+        samples = np.array(rows).reshape(*leading, n)
+        confidence = data.draw(st.sampled_from([0.9, 0.99]), label="confidence")
+        summary = mean_ci(samples, confidence)
+        for index in np.ndindex(*leading):
+            expected = mean_ci(samples[index], confidence)
+            for bound in ("mean", "lower", "upper"):
+                value = getattr(summary, bound)
+                assert value.shape == leading
+                assert (value[index].tobytes()
+                        == np.float64(getattr(expected, bound)).tobytes()), bound
+            if samples[index].min() == samples[index].max():
+                first = np.float64(samples[index][0]).tobytes()
+                assert {np.float64(v).tobytes()
+                        for v in dataclasses.astuple(expected)} == {first}
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, np.nan])
     def test_confidence_outside_open_unit_interval_rejected(self, confidence):

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alqsim.simulation as simulation_module
-from alqsim import (ConfigError, CostModel, DatasetConfig, GlmHyperparams,
-                    QueryStrategy, RoundResult, SimulationConfig,
+from alqsim import (CiSummary, ConfigError, CostModel, DatasetConfig,
+                    GlmHyperparams, QueryStrategy, RoundResult, SimulationConfig,
                     SimulationError, aggregate, cost_efficiency, dataset_rng,
                     fit, mean_ci, predict_proba, run_round, run_rounds,
                     select_uncertainty, split_pools)
@@ -21,6 +21,7 @@ from alqsim.datagen import generate_dataset
 from alqsim.simulation import worker_count
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
+BOUNDS = ("mean", "lower", "upper")
 
 
 def config_for(*kinds, cs=0.5, rounds=3, seed=0, **overrides):
@@ -48,6 +49,31 @@ def split_for(config, seed):
     return dataset, split_pools(dataset, config.dataset, data_rng)
 
 
+def lane(result, k):
+    """Lane ``k`` of ``result`` as a one-lane result."""
+    return RoundResult(
+        seed=result.seed, selected_ids=result.selected_ids[k:k + 1],
+        n_positive=result.n_positive[k:k + 1], auc=result.auc[k:k + 1],
+        f1=result.f1[k:k + 1],
+        phi_trace=None if result.phi_trace is None else result.phi_trace[k:k + 1])
+
+
+def summary_bytes(summary, lanes=slice(None)):
+    """Every field of ``summary``, its arrays cut to ``lanes`` and read as
+    raw bytes: NaN matches NaN, and -0.0 does not match 0.0."""
+    fields = {"queries": summary.queries, "labeled_sizes": summary.labeled_sizes,
+              "eta_missing": summary.eta_missing[lanes].tobytes()}
+    for name in ("lam", "zeta", "eta", "auc", "f1"):
+        for bound in BOUNDS:
+            fields[name, bound] = getattr(getattr(summary, name), bound)[lanes].tobytes()
+    return fields
+
+
+def interval(ci, k, q):
+    """Lane ``k``'s entry at query index ``q`` of an interval of arrays."""
+    return CiSummary(*(float(getattr(ci, bound)[k, q]) for bound in BOUNDS))
+
+
 def assert_same_round(first, second):
     """Field-by-field equality; array fields compare with NaN equal to NaN."""
     for field in dataclasses.fields(RoundResult):
@@ -58,33 +84,37 @@ def assert_same_round(first, second):
             assert a == b, field.name
 
 
-def assert_matches_seed_round(result, seed_result):
-    """``result`` observed what the seed package's round did: the same ids
-    selected, positives held, per-pool AUC and F1, lambda and phi trace."""
+def assert_matches_seed_round(result, seed_result, k=0):
+    """Lane ``k`` of ``result`` observed what the seed package's round did:
+    the same ids selected, positives held, per-pool AUC and F1, lambda and
+    phi trace."""
     snapshots = seed_result.snapshots
-    assert result.selected_ids.tolist() == [list(s.selected_ids)
-                                            for s in snapshots]
-    assert result.n_positive.tolist() == [round(s.metrics.zeta * s.labeled_size)
-                                          for s in snapshots]
-    assert result.auc.tolist() == [list(s.metrics.auc_per_test)
-                                   for s in snapshots]
-    assert result.f1.tolist() == [list(s.metrics.f1_per_test)
-                                  for s in snapshots]
-    assert result.auc.mean(axis=1).tolist() == [s.metrics.lam for s in snapshots]
-    assert result.phi_trace == seed_result.phi_trace
+    assert result.selected_ids[k].tolist() == [list(s.selected_ids)
+                                               for s in snapshots]
+    assert result.n_positive[k].tolist() == [
+        round(s.metrics.zeta * s.labeled_size) for s in snapshots]
+    assert result.auc[k].tolist() == [list(s.metrics.auc_per_test)
+                                      for s in snapshots]
+    assert result.f1[k].tolist() == [list(s.metrics.f1_per_test)
+                                     for s in snapshots]
+    assert result.auc[k].mean(axis=1).tolist() == [s.metrics.lam
+                                                   for s in snapshots]
+    assert result.phi_trace[k] == seed_result.phi_trace
 
 
-def hand_built_round(seed, n_positive, lam=None):
-    """A RoundResult with the given per-query held positives, AUC rows whose
-    mean is lambda (arbitrary if not given; exact for dyadic values), and
-    arbitrary other metrics."""
-    n_positive = np.asarray(n_positive, dtype=np.int64)
+def hand_built_round(seed, n_positive, lam=None, lanes=1):
+    """A RoundResult of ``lanes`` equal lanes with the given per-query held
+    positives, AUC rows whose mean is lambda (arbitrary if not given; exact
+    for dyadic values), and arbitrary other metrics."""
+    n_positive = np.tile(np.asarray(n_positive, dtype=np.int64), (lanes, 1))
     rng = np.random.default_rng(seed)
-    n = len(n_positive)
+    n = n_positive.shape[1]
     auc = (rng.random((n, 3)) if lam is None
            else np.repeat(np.asarray(lam, dtype=np.float64)[:, None], 3, axis=1))
-    return RoundResult(seed=seed, selected_ids=np.zeros((n, 2), dtype=np.int64),
-                       n_positive=n_positive, auc=auc, f1=rng.random((n, 3)))
+    return RoundResult(seed=seed,
+                       selected_ids=np.zeros((lanes, n, 2), dtype=np.int64),
+                       n_positive=n_positive, auc=np.tile(auc, (lanes, 1, 1)),
+                       f1=np.tile(rng.random((n, 3)), (lanes, 1, 1)))
 
 
 class TestConfigValidation:
@@ -203,16 +233,16 @@ class TestRunRound:
     def test_pool_sizes_with_paper_defaults(self):
         config = SimulationConfig(dataset=DatasetConfig(class_sep=0.5),
                                   strategies=(QueryStrategy(kind="random"),))
-        result = run_round(config, 0)[0]
-        assert result.selected_ids.shape == (20, 2)
+        result = run_round(config, 0)
+        assert result.selected_ids.shape == (1, 20, 2)
         assert len(set(result.selected_ids.ravel().tolist())) == 40
-        assert result.n_positive.shape == (20,)
+        assert result.n_positive.shape == (1, 20)
         assert result.n_positive.dtype == np.int64
-        assert result.auc.shape == result.f1.shape == (20, 3)
+        assert result.auc.shape == result.f1.shape == (1, 20, 3)
         # the final labeled pool is the 10 seed rows plus the 40 queried rows
         (_, labels), (seed_ids, _, _) = split_for(config, 0)
         held = np.concatenate([seed_ids, result.selected_ids.ravel()])
-        assert result.n_positive[-1] == labels[held].sum()
+        assert result.n_positive[0, -1] == labels[held].sum()
 
     def test_labeled_size_grows_by_batch(self, monkeypatch):
         sizes = []
@@ -223,7 +253,7 @@ class TestRunRound:
 
         monkeypatch.setattr(simulation_module, "fit", recording_fit)
         config = config_for("uncertainty", rounds=2)
-        summary = aggregate(config, run_rounds(config)[0])
+        summary = aggregate(config, run_rounds(config))
         per_round = [10 + 2 * q for q in range(0, 11)]
         assert sizes == per_round * 2
         assert summary.labeled_sizes == tuple(per_round[1:])
@@ -233,7 +263,7 @@ class TestRunRound:
         """Selected ids come from the unlabeled pool, never repeat, and never
         touch the seed pool or the test pools."""
         config = config_for(kind)
-        result = run_round(config, 5)[0]
+        result = run_round(config, 5)
         _, (labeled, unlabeled, tests) = split_for(config, 5)
 
         selected = result.selected_ids.ravel().tolist()
@@ -250,30 +280,30 @@ class TestRunRound:
                             n_queries=100)
         _, (_, unlabeled, _) = split_for(config, 2)
         assert config.n_queries * config.batch_size == len(unlabeled)
-        for result in run_round(config, 2):
-            assert sorted(result.selected_ids.ravel().tolist()) == sorted(
+        for selected in run_round(config, 2).selected_ids:
+            assert sorted(selected.ravel().tolist()) == sorted(
                 unlabeled.tolist())
 
     @pytest.mark.parametrize("kind", ["random", "uncertainty", "shifted-normal"])
     def test_bit_identical_reruns(self, kind):
         config = config_for(kind)
-        assert_same_round(run_round(config, 3)[0], run_round(config, 3)[0])
+        assert_same_round(run_round(config, 3), run_round(config, 3))
 
     def test_selection_driven_by_interim_probabilities_only(self):
         """The q=1 uncertainty batch is reproducible from the initial model
         and the unlabeled features alone (no access to hidden labels)."""
         config = config_for("uncertainty")
-        result = run_round(config, 9)[0]
+        result = run_round(config, 9)
         (features, labels), (labeled, unlabeled, _) = split_for(config, 9)
         model = fit(features[labeled][None], labels[labeled][None], config.glm)
         probs = predict_proba(model, features[unlabeled][None])[0]
-        assert result.selected_ids[0].tolist() == select_uncertainty(
+        assert result.selected_ids[0, 0].tolist() == select_uncertainty(
             unlabeled, probs, config.batch_size)
 
     def test_easy_separation_reaches_high_auc(self):
         config = config_for("random", cs=10.0)
-        result = run_round(config, 0)[0]
-        assert result.auc.mean(axis=1)[-1] > 0.95
+        result = run_round(config, 0)
+        assert result.auc[0].mean(axis=1)[-1] > 0.95
 
     def test_strategies_paired_on_one_dataset(self, seed_round):
         """Same round seed: all strategies select from the unlabeled pool of
@@ -282,11 +312,11 @@ class TestRunRound:
         config = config_for("random", "uncertainty", "shifted-normal",
                             rounds=2, record_phi=True)
         _, (_, unlabeled, _) = split_for(config, 7)
-        for strategy, result in zip(config.strategies, run_round(config, 7)):
-            assert set(result.selected_ids.ravel().tolist()) <= set(
-                unlabeled.tolist())
+        result = run_round(config, 7)
+        assert set(result.selected_ids.ravel().tolist()) <= set(unlabeled.tolist())
+        for k, strategy in enumerate(config.strategies):
             assert_matches_seed_round(
-                result, seed_round(one_lane(config, strategy), 7))
+                result, seed_round(one_lane(config, strategy), 7), k)
 
     def test_eta_is_nan_when_zeta_is_zero(self, monkeypatch):
         """With no positive label held, efficiency is undefined: every eta
@@ -300,14 +330,15 @@ class TestRunRound:
         monkeypatch.setattr(simulation_module, "split_pools",
                             negatives_only_split)
         config = config_for(rounds=2)
-        results = [run_round(config, seed)[0] for seed in range(2)]
+        results = [run_round(config, seed) for seed in range(2)]
         for result in results:
-            assert result.n_positive.tolist() == [0] * config.n_queries
-            assert (result.auc.mean(axis=1) > 0.0).all()
+            assert result.n_positive.tolist() == [[0] * config.n_queries]
+            assert (result.auc.mean(axis=2) > 0.0).all()
         summary = aggregate(config, results)
-        assert summary.eta == (None,) * config.n_queries
-        assert summary.eta_missing == (2,) * config.n_queries
-        assert all(ci.mean > 0.0 for ci in summary.lam)
+        for bound in BOUNDS:
+            assert np.isnan(getattr(summary.eta, bound)).all()
+        assert summary.eta_missing.tolist() == [[2] * config.n_queries]
+        assert (summary.lam.mean > 0.0).all()
 
 
 class TestLockStepLanes:
@@ -319,11 +350,36 @@ class TestLockStepLanes:
         config = dataclasses.replace(config, strategies=(
             *config.strategies, QueryStrategy("shifted-normal", mode=0.3)))
         for seed in (4, 5):
-            lanes = run_round(config, seed)
-            assert len(lanes) == len(config.strategies)
-            for strategy, lane in zip(config.strategies, lanes):
-                assert_same_round(lane,
-                                  run_round(one_lane(config, strategy), seed)[0])
+            paired = run_round(config, seed)
+            assert len(paired.selected_ids) == len(paired.phi_trace) == 4
+            for k, strategy in enumerate(config.strategies):
+                assert_same_round(lane(paired, k),
+                                  run_round(one_lane(config, strategy), seed))
+
+    @pytest.mark.parametrize("config", [
+        dataclasses.replace(
+            config_for("shifted-normal", "random", "uncertainty", record_phi=True),
+            strategies=(QueryStrategy("shifted-normal"), QueryStrategy("random"),
+                        QueryStrategy("uncertainty"),
+                        QueryStrategy("shifted-normal", mode=0.3))),
+        # round seed 580 holds no positive after query 1 in its uncertainty
+        # and shifted-normal lanes, so their first eta is NaN
+        SimulationConfig(dataset=DatasetConfig(),
+                         strategies=tuple(map(QueryStrategy, ("random", "uncertainty",
+                                                              "shifted-normal"))),
+                         n_queries=3, rounds=2, base_seed=580, cost=CostModel(C=3.0)),
+    ], ids=["four-lanes", "undefined-eta"])
+    def test_each_lane_summarises_as_if_run_alone(self, config):
+        """Lane k of the paired summary equals, bit for bit, the summary of
+        a one-lane experiment of ``strategies[k]``: every bound, eta's NaN
+        pattern and ``eta_missing``."""
+        paired = aggregate(config, run_rounds(config))
+        assert paired.eta_missing.shape == (len(config.strategies),
+                                            config.n_queries)
+        for k, strategy in enumerate(config.strategies):
+            alone = one_lane(config, strategy)
+            assert (summary_bytes(paired, k)
+                    == summary_bytes(aggregate(alone, run_rounds(alone)), 0))
 
     @pytest.mark.parametrize("strategies", [
         (), [QueryStrategy("random")], (QueryStrategy("random"), "random"),
@@ -344,17 +400,17 @@ class TestPhiDiagnostics:
         package's interim and final probability maps for that round."""
         config = config_for("shifted-normal", record_phi=True, rounds=3)
         lo, hi = 0.5 - config.phi_delta, 0.5 + config.phi_delta
-        for result in run_rounds(config)[0]:
+        for result in run_rounds(config):
             reference = seed_round(config, result.seed)
-            assert result.phi_trace is not None
-            assert len(result.phi_trace) == config.n_queries
-            for interim, trace in zip(reference.interim_probs, result.phi_trace):
+            (phi_trace,) = result.phi_trace
+            assert len(phi_trace) == config.n_queries
+            for interim, trace in zip(reference.interim_probs, phi_trace):
                 expected = [reference.final_probs[i] for i in sorted(interim)
                             if lo <= interim[i] <= hi]
                 assert list(trace) == expected
 
     def test_disabled_by_default(self):
-        result = run_round(config_for(), 0)[0]
+        result = run_round(config_for(), 0)
         assert result.phi_trace is None
 
 
@@ -362,19 +418,20 @@ class TestRunExperiment:
     def test_two_round_mean_is_exact_average(self):
         """lambda is each round's mean AUC over the test pools."""
         config = config_for("random", rounds=2)
-        summary = aggregate(config, run_rounds(config)[0])
-        rounds = run_rounds(config)[0]
+        summary = aggregate(config, run_rounds(config))
+        rounds = run_rounds(config)
         for qi in range(config.n_queries):
-            values = [r.auc.mean(axis=1)[qi] for r in rounds]
-            assert summary.lam[qi].mean == pytest.approx(np.mean(values), abs=1e-15)
-            assert summary.lam[qi] == mean_ci(np.array(values), config.confidence)
+            values = [r.auc[0].mean(axis=1)[qi] for r in rounds]
+            assert summary.lam.mean[0, qi] == pytest.approx(np.mean(values), abs=1e-15)
+            assert interval(summary.lam, 0, qi) == mean_ci(np.array(values),
+                                                           config.confidence)
 
     def test_aggregate_is_order_insensitive(self):
         config = config_for("shifted-normal", rounds=4)
-        results = run_rounds(config)[0]
+        results = run_rounds(config)
         forward = aggregate(config, results)
         backward = aggregate(config, list(reversed(results)))
-        assert forward == backward
+        assert summary_bytes(forward) == summary_bytes(backward)
 
     @PROPERTY
     @given(st.data())
@@ -386,7 +443,8 @@ class TestRunExperiment:
                    for seed in range(n_rounds)]
         shuffled = data.draw(st.permutations(results), label="order")
         config = config_for(n_queries=3, rounds=n_rounds)
-        assert aggregate(config, shuffled) == aggregate(config, results)
+        assert (summary_bytes(aggregate(config, shuffled))
+                == summary_bytes(aggregate(config, results)))
 
     def test_undefined_eta_counted_missing(self):
         """Samples with no positive label held (zeta 0) have no eta: they
@@ -400,12 +458,13 @@ class TestRunExperiment:
                    hand_built_round(1, [0, 7, 4, 9], [0.9, 1.0, 0.75, 1.0]),
                    hand_built_round(2, [0, 0, 2, 3], [0.9, 0.9, 0.625, 1.0])]
         summary = aggregate(config_for(n_queries=4, rounds=3), results)
-        assert summary.eta_missing == (3, 2, 1, 0)
-        assert summary.eta[0] is None and summary.eta[1] is None
+        assert summary.eta_missing.tolist() == [[3, 2, 1, 0]]
+        for bound in BOUNDS:
+            assert np.isnan(getattr(summary.eta, bound)[0, :2]).all()
         # the defined samples, in aggregate's order: by seed, round-major
-        assert summary.eta[2] == mean_ci([3.0, 5.0])
-        assert summary.eta[3] == mean_ci([1.0, 2.0, 6.0])
-        assert summary.lam[0] == mean_ci([0.9, 0.9, 0.9])
+        assert interval(summary.eta, 0, 2) == mean_ci([3.0, 5.0])
+        assert interval(summary.eta, 0, 3) == mean_ci([1.0, 2.0, 6.0])
+        assert interval(summary.lam, 0, 0) == mean_ci([0.9, 0.9, 0.9])
 
     @pytest.mark.parametrize("jobs,rounds,cores,expected", [
         (1, 40, 2, 1), (2, 40, 2, 2), (3, 40, 2, 2), (10**9, 40, 2, 2),
@@ -431,34 +490,33 @@ class TestRunExperiment:
 
     def test_parallel_equals_sequential(self):
         config = config_for("uncertainty", rounds=4)
-        assert (aggregate(config, run_rounds(config, jobs=2)[0])
-                == aggregate(config, run_rounds(config, jobs=1)[0]))
+        assert (summary_bytes(aggregate(config, run_rounds(config, jobs=2)))
+                == summary_bytes(aggregate(config, run_rounds(config, jobs=1))))
         # every round, phi trace included, crosses the pool unchanged
         config = config_for("random", "uncertainty", "shifted-normal",
                             rounds=4, record_phi=True)
         parallel, sequential = (run_rounds(config, jobs=jobs) for jobs in (2, 1))
-        for parallel_lane, sequential_lane in zip(parallel, sequential):
-            assert len(parallel_lane) == len(sequential_lane) == 4
-            for first, second in zip(parallel_lane, sequential_lane):
-                assert first.phi_trace is not None
-                assert_same_round(first, second)
+        assert len(parallel) == len(sequential) == 4
+        for first, second in zip(parallel, sequential):
+            assert len(first.phi_trace) == 3
+            assert_same_round(first, second)
 
     def test_shared_dataset_mode_reuses_split(self, seed_round):
         config = config_for("random", rounds=3, shared_dataset=True,
                             record_phi=True)
-        results = run_rounds(config)[0]
+        results = run_rounds(config)
         _, (_, unlabeled, _) = split_for(config, config.base_seed)
         for result in results:
             assert set(result.selected_ids.ravel().tolist()) <= set(
                 unlabeled.tolist())
             assert_matches_seed_round(result, seed_round(config, result.seed))
         # query randomness still differs round to round
-        assert not np.array_equal(results[0].selected_ids[0],
-                                  results[1].selected_ids[0])
+        assert not np.array_equal(results[0].selected_ids[0, 0],
+                                  results[1].selected_ids[0, 0])
 
     def test_fresh_dataset_mode_differs_per_round(self, seed_round):
         config = config_for("random", rounds=2, record_phi=True)
-        results = run_rounds(config)[0]
+        results = run_rounds(config)
         pools = [set(split_for(config, result.seed)[1][1].tolist())
                  for result in results]
         for result, unlabeled in zip(results, pools):
@@ -486,13 +544,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="each seed from 0 to 1"):
             aggregate(config_for(n_queries=3, rounds=2), results)
 
-    @pytest.mark.parametrize("n_queries", [4, 8])
-    def test_results_must_match_the_configured_queries(self, n_queries):
-        """A round with more or fewer query rows than the configuration is
-        rejected, not reshaped into other queries' samples."""
-        results = [hand_built_round(0, [1] * 8),
-                   hand_built_round(1, [1] * n_queries)]
-        with pytest.raises(ConfigError, match="query rows"):
+    # each case's (lanes, queries) of round 0, then of round 1
+    @pytest.mark.parametrize("shapes", [[(1, 8), (1, 4)], [(1, 8), (1, 8)],
+                                        [(1, 4), (2, 4)], [(2, 4), (2, 4)]],
+                             ids=["4", "8", "lanes-2", "all-lanes-2"])
+    def test_results_must_match_the_configured_queries(self, shapes):
+        """A round with more or fewer lanes or query rows than the
+        configuration is rejected, not reshaped into other lanes' or
+        queries' samples."""
+        results = [hand_built_round(seed, [1] * n_queries, lanes=lanes)
+                   for seed, (lanes, n_queries) in enumerate(shapes)]
+        with pytest.raises(ConfigError, match=r"\(L, Q\) = \(1, 4\) query rows"):
             aggregate(config_for(n_queries=4, rounds=2), results)
 
     def test_rounds_do_not_depend_on_cost(self):
@@ -501,24 +563,26 @@ class TestRunExperiment:
         bounds are sums over those samples, so they scale by 1 / C only to
         within rounding."""
         config = config_for("shifted-normal", rounds=4)
-        results = run_rounds(config)[0]
+        results = run_rounds(config)
         unit = aggregate(config, results)
         triple = aggregate(dataclasses.replace(config, cost=CostModel(C=3.0)),
                            results)
-        for name in ("lam", "zeta", "auc", "f1", "eta_missing"):
-            assert getattr(unit, name) == getattr(triple, name), name
-        for qi, size in enumerate(unit.labeled_sizes):
-            held = [r for r in results if r.n_positive[qi] > 0]
-            lam = np.array([r.auc.mean(axis=1)[qi] for r in held])
-            zeta = np.array([r.n_positive[qi] for r in held]) / size
+        triple_bytes = summary_bytes(triple)
+        for key, value in summary_bytes(unit).items():
+            if key not in {("eta", bound) for bound in BOUNDS}:
+                assert value == triple_bytes[key], key
+        for qi, size in enumerate(triple.labeled_sizes):
+            held = [r for r in results if r.n_positive[0, qi] > 0]
+            lam = np.array([r.auc[0].mean(axis=1)[qi] for r in held])
+            zeta = np.array([r.n_positive[0, qi] for r in held]) / size
             samples = cost_efficiency(lam, zeta, CostModel(C=3.0))
             np.testing.assert_array_equal(
                 samples, cost_efficiency(lam, zeta, CostModel()) / 3.0)
-            assert triple.eta[qi] == mean_ci(samples, config.confidence)
-        for base, scaled in zip(unit.eta, triple.eta):
-            for bound in ("mean", "lower", "upper"):
-                assert getattr(scaled, bound) == pytest.approx(
-                    getattr(base, bound) / 3.0, rel=1e-12, abs=0.0)
+            assert interval(triple.eta, 0, qi) == mean_ci(samples, config.confidence)
+        for bound in BOUNDS:
+            np.testing.assert_allclose(getattr(triple.eta, bound),
+                                       getattr(unit.eta, bound) / 3.0,
+                                       rtol=1e-12, atol=0.0)
 
     def test_single_round_cannot_form_intervals(self):
         with pytest.raises(ConfigError, match="rounds >= 2"):
@@ -545,7 +609,7 @@ class TestRunExperiment:
             if seed == 11:
                 raise ValueError("synthetic failure")
             time.sleep(0.2)
-            return [None]
+            return None
 
         # threads stand in for worker processes: same executor API, and the
         # patched round stays visible to them
@@ -564,22 +628,26 @@ class TestRunExperiment:
             simulation_module.NoSuchExecutor
 
     def test_summary_shapes(self):
-        config = config_for("shifted-normal", rounds=3)
-        results = run_rounds(config)[0]
+        config = config_for("shifted-normal", "random", rounds=3)
+        results = run_rounds(config)
         summary = aggregate(config, results)
         n = config.n_queries
         assert summary.queries == tuple(range(1, n + 1))
-        assert len(summary.lam) == len(summary.zeta) == len(summary.eta) == n
-        assert len(summary.auc) == len(summary.f1) == len(summary.eta_missing) == n
+        for name in ("lam", "zeta", "eta", "auc", "f1"):
+            for bound in BOUNDS:
+                assert getattr(getattr(summary, name), bound).shape == (2, n)
+        assert summary.eta_missing.shape == (2, n)
+        assert summary.eta_missing.dtype == np.int64
         assert summary.labeled_sizes[-1] == 10 + 2 * n
         # auc series pools per-test-pool samples, 3 per round, by seed and
         # round-major; lam takes one sample per round, its mean AUC
         ordered = sorted(results, key=lambda r: r.seed)
-        pooled = np.concatenate([r.auc[0] for r in ordered])
-        assert len(pooled) == 3 * config.rounds
-        assert summary.auc[0] == mean_ci(pooled, config.confidence)
-        assert summary.lam[0] == mean_ci([r.auc[0].mean() for r in ordered],
-                                         config.confidence)
+        for k in range(2):
+            pooled = np.concatenate([r.auc[k, 0] for r in ordered])
+            assert len(pooled) == 3 * config.rounds
+            assert interval(summary.auc, k, 0) == mean_ci(pooled, config.confidence)
+            assert interval(summary.lam, k, 0) == mean_ci(
+                [r.auc[k, 0].mean() for r in ordered], config.confidence)
 
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
