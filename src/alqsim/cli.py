@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
                       write_dataset_csv)
@@ -126,13 +126,17 @@ def _experiment_config(args, *kinds: str) -> SimulationConfig:
 
 def _output_paths(directory: str, names: tuple[str, ...]) -> dict[str, str]:
     """Make ``directory`` and return the path of each name in it; creates no
-    file.  Raises :class:`ConfigError` if the directory cannot be made or a
-    name exists as anything but a regular file this process can write."""
+    file.  Raises :class:`ConfigError` if the directory cannot be made or
+    written, or a name exists as anything but a regular file this process
+    can write."""
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the --out directory {directory!r}: "
                           f"{exc}") from exc
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ConfigError(f"the --out directory {directory!r} is not "
+                          f"writable by this process")
     paths = {name: os.path.join(directory, name) for name in names}
     for path in paths.values():
         if os.path.lexists(path) and not (os.path.isfile(path)
@@ -190,63 +194,37 @@ def _write_csv(fh, payloads: dict[str, dict]) -> None:
             writer.writerow([name, q, size, *cells, missing])
 
 
-def _json_scalar(value) -> str:
-    """``json``'s spelling of a string, None, bool, int or float; NaN and
-    the infinities are spelled NaN, Infinity and -Infinity."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (float("inf"), float("-inf")):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} "
-                    f"is not JSON serializable")
-
-
 def _json_chunks(value, level: int = 0):
     """The text of ``json.dumps(value, indent=2)``, yielded a piece at a time.
 
-    A list or tuple made only of plain floats, such as each of
-    ``phi.json``'s rows, is one piece, joined in one call, where ``json``'s
-    indenting encoder makes a piece of every float.  Keys must be ``str``:
-    ``json`` would coerce another key into a string, and this raises
-    ``TypeError``.
+    ``json`` spells every value.  This lays out only a non-empty dict and a
+    list or tuple that holds a dict, list or tuple; any other value is one
+    ``json.dumps`` call and one piece, so a flat list such as a ``phi.json``
+    row is not cut into a piece per item, as ``json``'s indenting encoder
+    cuts it.  Keys must be ``str``: ``json`` would coerce another key into
+    a string, and this raises ``TypeError``.
     """
-    if not isinstance(value, (dict, list, tuple)):
-        yield _json_scalar(value)
-        return
-    if not value:
-        yield "{}" if isinstance(value, dict) else "[]"
-        return
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(value, dict):
-        yield "{"
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(value, dict) and value:
         for i, (key, item) in enumerate(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
-            yield ("," if i else "") + inner + encode_basestring_ascii(key) + ": "
+            yield ("," if i else "{") + inner + json.dumps(key) + ": "
             yield from _json_chunks(item, level + 1)
-        yield "\n" + "  " * level + "}"
-        return
-    if set(map(type, value)) == {float}:
-        text = ("," + inner).join(map(float.__repr__, value))
-        if "n" in text:  # only the reprs nan, inf and -inf hold an "n"
-            text = ("," + inner).join(map(_json_scalar, value))
-        yield "[" + inner + text
-    else:
-        yield "["
+        yield outer + "}"
+    elif isinstance(value, (list, tuple)) and any(
+            issubclass(kind, (dict, list, tuple)) for kind in set(map(type, value))):
         for i, item in enumerate(value):
-            yield ("," if i else "") + inner
+            yield ("," if i else "[") + inner
             yield from _json_chunks(item, level + 1)
-    yield "\n" + "  " * level + "]"
+        yield outer + "]"
+    elif isinstance(value, (list, tuple)) and value:
+        # indent=None spells each item as indent=2 does; the separator lays it out
+        yield ("[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1]
+               + outer + "]")
+    else:
+        yield json.dumps(value)
 
 
 def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:

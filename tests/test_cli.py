@@ -40,6 +40,20 @@ def load_perfbench(monkeypatch, name):
     return module
 
 
+def deny_access_to(monkeypatch, directory) -> str:
+    """Make ``directory`` and stub ``os.access`` to deny it every access."""
+    directory.mkdir()
+    real_access = os.access
+
+    def access(path, mode, *args, **kwargs):
+        if os.path.abspath(path) == str(directory):
+            return False
+        return real_access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", access)
+    return str(directory)
+
+
 class TestRunCommand:
     def test_happy_path_writes_both_files(self, tmp_path, capsys):
         out = tmp_path / "results"
@@ -190,6 +204,21 @@ class TestCompareCommand:
         assert taken.read_text() == "not a directory"
         assert os.listdir(tmp_path / "outdir") == ["per_query.csv"]
 
+    def test_unwritable_out_directory_exits_2_before_any_round(
+            self, tmp_path, capsys, monkeypatch):
+        """An ``--out`` directory that exists but cannot be written is
+        refused before any round.  ``os.access`` is stubbed to deny it,
+        since root passes every real access check."""
+        def explode(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        locked = deny_access_to(monkeypatch, tmp_path / "locked")
+        monkeypatch.setattr(cli_module, "run_rounds", explode)
+        code = run_cli(["compare", "--rounds", "30", "--out", locked])
+        assert code == 2
+        assert repr(locked) in capsys.readouterr().err
+        assert os.listdir(locked) == []
+
     def test_dataset_generated_once_per_seed(self, tmp_path, monkeypatch):
         """The three strategies of a round share one generated dataset."""
         calls = []
@@ -280,9 +309,15 @@ class TestJsonWriter:
         {"float64": np.float64(-1.5), "nan-row": [0.5, float("nan")]},
         {"caf\u00e9 \u2603": "na\u00efve \U0001f600 \"quoted\"\n\ttab"},
         [], {}, 1.5, "text", None,
+        {"a": {"b": [1.0, [2.0], {"a": [None, 3]}, "s"]}},
+        {"a": {"b": {"c": {"row": [None, True, False, 0, 2**70, float("nan"),
+                                   float("inf"), float("-inf"), -0.0, 5e-324,
+                                   np.float64(0.1), "caf\u00e9 \u2603"]}}}},
+        {"queries": (1, 2, 3)},
     ], ids=["nested", "scalars", "special-floats", "numpy-float64-in-row",
             "numpy-float64", "non-ascii", "empty-list", "empty-dict",
-            "bare-float", "bare-str", "bare-none"])
+            "bare-float", "bare-str", "bare-none", "deep-mixed-list",
+            "deep-flat-mixed-row", "int-tuple"])
     def test_bytes_equal_json_dumps(self, document):
         assert written_json(document) == json.dumps(document, indent=2) + "\n"
 
@@ -294,12 +329,22 @@ class TestJsonWriter:
     @pytest.mark.parametrize("key", [1, 2.5, None, True])
     def test_non_str_key_rejected(self, key):
         """``json`` would coerce the key to a string; the writer refuses."""
-        with pytest.raises(TypeError, match="keys must be str"):
-            written_json({"ok": {key: 1.0}})
+        for document in ({"ok": {key: 1.0}}, [{key: 2.0}]):
+            with pytest.raises(TypeError, match="keys must be str"):
+                written_json(document)
 
     def test_unknown_object_rejected(self):
-        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
-            written_json([np.int64(3)])
+        for document in ([np.int64(3)], [[1.0, np.int64(3)]]):
+            with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+                written_json(document)
+
+    def test_mixed_flat_rows_are_one_piece_each(self):
+        """A flat row of None, ints and floats, as ``summary.json``'s eta
+        series and ints are, is one piece, laid out as ``json`` would."""
+        rows = {"mean": [0.5, None, 0.25], "n": (0, 1, 2)}
+        pieces = list(cli_module._json_chunks({"eta": rows}))
+        for row in rows.values():
+            assert json.dumps(row, indent=2).replace("\n", "\n    ") in pieces
 
     def test_phi_rows_are_one_piece_each(self, tmp_path):
         """The writer streams: a ``phi.json`` row of floats is one piece,
@@ -370,6 +415,19 @@ class TestDumpDataset:
         assert "--out" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["existing", "somedir"]
         assert os.listdir(tmp_path / "somedir") == []
+
+
+    def test_unwritable_out_directory_exits_2_before_generating(
+            self, tmp_path, capsys, monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("the dataset was generated")
+
+        locked = deny_access_to(monkeypatch, tmp_path / "locked")
+        monkeypatch.setattr(cli_module, "generate_dataset", explode)
+        code = run_cli(["dump-dataset", "--out", os.path.join(locked, "d.csv")])
+        assert code == 2
+        assert repr(locked) in capsys.readouterr().err
+        assert os.listdir(locked) == []
 
 
 class TestDeterminismAndSeeds:
