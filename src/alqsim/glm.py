@@ -16,9 +16,9 @@ that case ``fit`` returns a constant-probability fallback model with a
 Laplace-smoothed prior instead of failing, which keeps cold-start query loops
 alive.
 
-``fit`` and ``predict_proba`` take lanes, a stack of equal-sized pools
-stepped together into one model whose fields carry the lane axis; one pool
-is a stack of one lane, and each lane's fit equals its one-lane fit.
+``fit`` takes lanes, equal-sized pools stepped together into one model
+whose fields carry the lane axis; each lane's fit equals its one-lane fit,
+and ``predict_proba`` scores one set of rows under every lane.
 """
 
 from __future__ import annotations
@@ -235,28 +235,27 @@ def fit(features, labels, hp: GlmHyperparams = GlmHyperparams()) -> GlmModel:
 def predict_proba(model: GlmModel, features):
     """Predicted positive-class probabilities, strictly inside (0, 1).
 
-    A model of L lanes scores ``(L, ..., m, d)`` features, row block k
-    under lane k, and returns ``(L, ..., m)``; a leading axis of length 1
-    scores one block under every lane without copying it.  Raises
-    ``ValueError`` on any other leading length, on fewer than 3 axes, a last
-    axis other than the model dimension d, or a non-finite feature, and
-    on a model whose weights are not 2-D ``(L, d)``.
+    A model of L lanes scores ``(m, d)`` feature rows under every lane and
+    returns ``(L, m)``, whose row k is lane k's prediction.  Raises
+    ``ValueError`` unless the features are 2-D ``(m, d)`` rows of the model
+    dimension d and finite, the model's weights are 2-D ``(L, d)``, and its
+    ``intercept`` and ``fallback_prior`` are ``(L,)``.
     """
     x = np.asarray(features, dtype=np.float64)
-    if model.weights.ndim != 2:
-        raise ValueError(f"model weights must be 2-D (L, d), one row per "
-                         f"lane, got shape {model.weights.shape}")
-    n_lanes, d = model.weights.shape
-    if x.ndim < 3 or x.shape[0] not in (1, n_lanes) or x.shape[-1] != d:
-        raise ValueError(f"features of shape {x.shape} do not match a model "
-                         f"of {n_lanes} lanes and dimension {d}, which scores "
-                         f"({n_lanes}, ..., m, {d}) or (1, ..., m, {d}) features")
+    shapes = (model.weights.shape, np.shape(model.intercept),
+              np.shape(model.fallback_prior))
+    if len(shapes[0]) != 2 or not shapes[1] == shapes[2] == shapes[0][:1]:
+        raise ValueError(f"model weights must be 2-D (L, d) and intercept and "
+                         f"fallback_prior (L,), one entry per lane, got shapes "
+                         f"{shapes}")
+    d = model.weights.shape[1]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"features must be 2-D (m, d) rows of the model "
+                         f"dimension d = {d}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
-    lead = (-1,) + (1,) * (x.ndim - 3)
-    weights = model.weights.reshape(*lead, d, 1)
-    intercept = model.intercept.reshape(*lead, 1)
-    prior = model.fallback_prior.reshape(*lead, 1)
-    p = np.clip(sigmoid((x @ weights)[..., 0] + intercept),
+    p = np.clip(sigmoid((x @ model.weights[:, :, None])[..., 0]
+                        + model.intercept[:, None]),
                 _PROB_EPS, 1.0 - _PROB_EPS)
+    prior = model.fallback_prior[:, None]
     return np.where(np.isnan(prior), p, prior)

@@ -96,7 +96,7 @@ class TestFallback:
         model = fit(features[None], np.zeros((1, 10), dtype=int))
         assert model.fallback_prior[0] == pytest.approx(1 / 12)
         assert (model.weights == 0).all() and model.intercept[0] == 0.0
-        assert predict_proba(model, np.zeros((1, 1, 4)))[0, 0] == pytest.approx(1 / 12)
+        assert predict_proba(model, np.zeros((1, 4)))[0, 0] == pytest.approx(1 / 12)
 
     def test_all_positive_pool_uses_laplace_prior(self):
         features = np.random.default_rng(0).standard_normal((10, 4))
@@ -139,7 +139,7 @@ class TestFit:
         assert model.converged[0]
         assert model.weights[0, 0] > 0
         assert abs(model.intercept[0]) < 1e-6
-        assert predict_proba(model, np.zeros((1, 1, 1)))[0, 0] == pytest.approx(
+        assert predict_proba(model, np.zeros((1, 1)))[0, 0] == pytest.approx(
             0.5, abs=1e-6)
 
     @pytest.mark.parametrize("l2", [0.1, 1.0, 50.0])
@@ -387,27 +387,19 @@ class TestFitLanes:
         assert sizes == [int((steps > i).sum()) for i in range(steps.max())]
 
     def test_lane_prediction_equals_one_lane_prediction(self):
-        """A lane model scores each lane's rows, or one broadcast block of
-        rows, exactly as that lane's one-lane fit does; a single-class lane
-        predicts its prior exactly."""
+        """A lane model scores shared rows under lane k exactly as lane k's
+        one-lane fit does; a single-class lane predicts its prior exactly."""
         rng = np.random.default_rng(8)
         lanes = [random_pool(rng, n=14), random_pool(rng, n=14)]
         lanes.insert(1, make_pool(lanes[0][0], np.ones(14, dtype=int)))
         model = fit(*lane_stack(lanes))
-        own_rows = rng.standard_normal((3, 9, 4))
-        shared_rows = rng.standard_normal((1, 2, 9, 4))
-        lane_probs = predict_proba(model, own_rows)
-        shared_probs = predict_proba(model, shared_rows)
-        assert lane_probs.shape == (3, 9) and shared_probs.shape == (3, 2, 9)
+        rows = rng.standard_normal((9, 4))
+        probs = predict_proba(model, rows)
+        assert probs.shape == (3, 9)
         for k, pool in enumerate(lanes):
             alone = fit(*lane_stack([pool]))
-            assert (lane_probs[k].tobytes()
-                    == predict_proba(alone, own_rows[k][None])[0].tobytes())
-            for block in range(2):
-                assert (shared_probs[k, block].tobytes()
-                        == predict_proba(alone, shared_rows[:, block])[0].tobytes())
-        assert (lane_probs[1] == 15 / 16).all()
-        assert (shared_probs[1] == 15 / 16).all()
+            assert probs[k].tobytes() == predict_proba(alone, rows)[0].tobytes()
+        assert (probs[1] == 15 / 16).all()
 
 
 @st.composite
@@ -467,27 +459,29 @@ class TestGradient:
 class TestPredict:
     def test_zero_model_gives_half(self):
         model = lane_model(np.zeros(4), 0.0)
-        assert (predict_proba(model, np.array([[[3.0, -1.0, 0.5, 2.0]]])) == 0.5).all()
+        assert (predict_proba(model, np.array([[3.0, -1.0, 0.5, 2.0]])) == 0.5).all()
 
     def test_intercept_log3_gives_three_quarters(self):
         model = lane_model(np.zeros(2), np.log(3.0))
-        assert predict_proba(model, np.zeros((1, 1, 2)))[0, 0] == pytest.approx(
+        assert predict_proba(model, np.zeros((1, 2)))[0, 0] == pytest.approx(
             0.75, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = lane_model(np.zeros(4), 0.0)
         with pytest.raises(ValueError, match="dimension"):
-            predict_proba(model, np.zeros((1, 1, 3)))
+            predict_proba(model, np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("shape", [(5, 2), (2, 5, 2)],
-                             ids=["pool-rows", "two-of-three-lanes"])
+    @pytest.mark.parametrize("shape", [(2,), (1, 5, 2), (3, 5, 2), (2, 5, 2),
+                                       (5, 3)],
+                             ids=["one-row", "one-lane-block", "lane-blocks",
+                                  "two-of-three-lanes", "wrong-dimension"])
     def test_features_outside_the_lane_shapes_rejected(self, shape):
-        """A 3-lane model scores ``(3, ..., m, d)`` or ``(1, ..., m, d)``
-        features and names both: not one pool's ``(m, d)`` rows, nor a
-        leading axis of another length."""
+        """A 3-lane model of dimension 2 scores only ``(m, 2)`` rows and
+        names that shape: not one row, a stack of row blocks of any leading
+        length, nor rows of another dimension."""
         model = fit(*lane_stack([random_pool(np.random.default_rng(9), d=2)] * 3))
-        with pytest.raises(ValueError, match=r"scores \(3, \.\.\., m, 2\) "
-                                             r"or \(1, \.\.\., m, 2\)"):
+        with pytest.raises(ValueError, match=r"2-D \(m, d\) rows of the model "
+                                             r"dimension d = 2"):
             predict_proba(model, np.zeros(shape))
 
     @pytest.mark.parametrize("weights", [np.zeros(2), np.zeros((1, 1, 2))],
@@ -498,18 +492,32 @@ class TestPredict:
         model = GlmModel(weights, np.zeros(1), np.ones(1, dtype=bool),
                          np.zeros(1, dtype=int), np.full(1, np.nan))
         with pytest.raises(ValueError, match=r"weights must be 2-D \(L, d\)"):
-            predict_proba(model, np.zeros((1, 3, 2)))
+            predict_proba(model, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("field", ["intercept", "fallback_prior"])
+    def test_model_without_lane_fields_rejected(self, field):
+        """A 3-lane model whose intercept or fallback prior holds one entry
+        is refused, not broadcast so that every lane predicts lane 0's
+        value."""
+        fields = dict(weights=np.zeros((3, 2)), intercept=np.zeros(3),
+                      converged=np.ones(3, dtype=bool),
+                      n_iterations=np.zeros(3, dtype=int),
+                      fallback_prior=np.full(3, np.nan))
+        fields[field] = np.array([np.log(3.0) if field == "intercept" else 0.2])
+        with pytest.raises(ValueError, match=r"intercept and fallback_prior "
+                                             r"\(L,\)"):
+            predict_proba(GlmModel(**fields), np.zeros((4, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         lanes = GlmModel(np.zeros((3, 2)), np.zeros(3), np.ones(3, dtype=bool),
                          np.zeros(3, dtype=int), np.full(3, np.nan))
         with pytest.raises(ValueError, match="features must be finite"):
-            predict_proba(lanes, np.array([[[0.5, bad]]]))
+            predict_proba(lanes, np.array([[0.5, bad]]))
 
     def test_output_strictly_inside_unit_interval(self):
         model = lane_model([100.0], 0.0)
-        lo, hi = predict_proba(model, np.array([[[-50.0], [50.0]]]))[0]
+        lo, hi = predict_proba(model, np.array([[-50.0], [50.0]]))[0]
         assert 0.0 < lo < hi < 1.0
 
     def test_monotone_in_linear_score(self):
@@ -517,16 +525,16 @@ class TestPredict:
         model = lane_model(rng.standard_normal(4), 0.3)
         direction = model.weights[0] / np.linalg.norm(model.weights[0])
         xs = np.outer(np.linspace(-5, 5, 101), direction)
-        probs = predict_proba(model, xs[None])[0]
+        probs = predict_proba(model, xs)[0]
         assert (np.diff(probs) > 0).all()
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         model = lane_model(rng.standard_normal(4), -0.2)
         batch = rng.standard_normal((8, 4))
-        vectorized = predict_proba(model, batch[None])[0]
+        vectorized = predict_proba(model, batch)[0]
         assert vectorized == pytest.approx(
-            [predict_proba(model, row[None, None])[0, 0] for row in batch])
+            [predict_proba(model, row[None])[0, 0] for row in batch])
 
 
 class TestRegularizationLimit:
@@ -544,7 +552,7 @@ class TestRegularizationLimit:
         strongest = models[-1]
         base_rate = labels.sum() / len(labels)
         expected = 1.0 / (1.0 + np.exp(-strongest.intercept[0]))
-        assert predict_proba(strongest, np.zeros((1, 1, 4)))[0, 0] == pytest.approx(
+        assert predict_proba(strongest, np.zeros((1, 4)))[0, 0] == pytest.approx(
             expected, abs=1e-9)
         assert expected == pytest.approx(base_rate, abs=0.01)
 

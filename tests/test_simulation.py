@@ -258,6 +258,27 @@ class TestRunRound:
         assert sizes == per_round * 2
         assert summary.labeled_sizes == tuple(per_round[1:])
 
+    @pytest.mark.parametrize("record_phi", [False, True], ids=["no-phi", "phi"])
+    def test_one_prediction_per_fitted_model(self, monkeypatch, record_phi):
+        """Each fit is followed by one prediction of every dataset row, and
+        nothing else predicts: n_queries + 1 calls on the round's full
+        ``(N, d)`` features, with phi recording or without."""
+        scored = []
+
+        def recording_predict(model, features):
+            scored.append(features)
+            return predict_proba(model, features)
+
+        monkeypatch.setattr(simulation_module, "predict_proba", recording_predict)
+        config = config_for("random", "uncertainty", "shifted-normal",
+                            n_queries=4, record_phi=record_phi)
+        run_round(config, 3)
+        (features, _), _ = split_for(config, 3)
+        assert len(scored) == config.n_queries + 1
+        for rows in scored:
+            assert rows.shape == features.shape
+            assert rows.tobytes() == features.tobytes()
+
     @pytest.mark.parametrize("kind", ["random", "uncertainty", "shifted-normal"])
     def test_pool_conservation(self, kind):
         """Selected ids come from the unlabeled pool, never repeat, and never
@@ -296,7 +317,7 @@ class TestRunRound:
         result = run_round(config, 9)
         (features, labels), (labeled, unlabeled, _) = split_for(config, 9)
         model = fit(features[labeled][None], labels[labeled][None], config.glm)
-        probs = predict_proba(model, features[unlabeled][None])[0]
+        probs = predict_proba(model, features[unlabeled])[0]
         assert result.selected_ids[0, 0].tolist() == select_uncertainty(
             unlabeled, probs, config.batch_size)
 
