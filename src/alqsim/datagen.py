@@ -38,6 +38,10 @@ class DatasetConfig:
         for name in ("n_features", "labeled_size", "unlabeled_size",
                      "n_test_pools", "test_pool_size"):
             require_positive_int(name, getattr(self, name))
+        if self.test_pool_size < 2:
+            raise ConfigError(
+                f"test_pool_size must be at least 2, since a one-row test pool "
+                f"never holds both classes, got {self.test_pool_size!r}")
         # beyond about 1e153 the Newton Hessian overflows mid-round, and
         # AUC is already 1.0 at class_sep 4
         if not 0 < self.class_sep <= 1e6:

@@ -10,13 +10,13 @@ labels accumulated in the labeled pool, and ``C >= 1`` the cost of one
 positive label relative to one negative label.
 
 AUC is the Mann-Whitney U over n+ * n- pairs (Hanley & McNeil 1982),
-counted exactly in int64: each row is sorted once as integer keys that
-order like the scores and hold the label in the low bit, so every tie group
-lists its negatives first.  A score's code is its float64 bit pattern when
-every score lies in [0, 2), which covers every probability
-``predict_proba`` returns, and its dense rank among the scores otherwise
-(negative or large scores, or infinities).  Both codes order exactly like
-the floats, so the AUC is that of the pair-counting definition.
+counted exactly in int64 as two rank sums of integer keys that order like
+the scores and hold the label in the low bit, one sort listing each tie
+group's negatives first and one its positives first.  A score's code is its
+float64 bit pattern when every score lies in [0, 2), which covers every
+probability ``predict_proba`` returns, and its dense rank among the scores
+otherwise (negative or large scores, or infinities).  Both codes order
+exactly like the floats, so the AUC is that of the pair-counting definition.
 
 Confidence intervals are Student-t based; the t quantile is computed
 numerically in-repo (the finite series of the t CDF at an integer df,
@@ -90,11 +90,12 @@ def auc(scores, labels) -> np.float64 | np.ndarray:
     pattern (after ``+ 0.0``, so -0.0 becomes 0.0) when every score lies in
     [0, 2), where a non-negative float64's bits order like the float and
     stay below 2**62, and otherwise its dense rank among all the scores.
-    One sort of the keys ``code << 1 | label`` puts each tie group's
-    negatives before its positives, so a positive's count of negatives at
-    or before it, plus those before its tie group, is twice its count of
-    beaten negatives plus its ties.  2U is thus an exact integer, and the
-    AUC is (2U / 2) / (n+ * n-).
+    Sorted as ``code << 1 | label``, each tie group lists its negatives
+    first, so a positive's 0-based position is the negatives at or below it
+    plus the positives before it; sorted as ``code << 1 | (1 - label)``, it
+    is the negatives strictly below it plus the same positives.  2U, both
+    positions summed over the positives less n+ * (n+ - 1), is thus an exact
+    integer, and the AUC is (2U / 2) / (n+ * n-).
     """
     scores, labels = _rows(scores, labels)
     n_pos = labels.sum(axis=-1)
@@ -105,33 +106,27 @@ def auc(scores, labels) -> np.float64 | np.ndarray:
         codes = (scores + 0.0).view(np.int64)
     else:
         codes = np.unique(scores.ravel(), return_inverse=True)[1].reshape(scores.shape)
-    keys = np.sort(codes << 1 | labels, axis=-1)
-    negative = (keys & 1) == 0
-    seen = np.cumsum(negative, axis=-1)  # negatives at or before each slot
-    codes = keys >> 1
-    opens = np.empty(keys.shape, dtype=bool)
-    opens[..., :1] = True
-    np.not_equal(codes[..., 1:], codes[..., :-1], out=opens[..., 1:])
-    # negatives before each slot's tie group
-    before = np.maximum.accumulate(np.where(opens, seen - negative, 0), axis=-1)
-    two_u = np.where(negative, 0, seen + before).sum(axis=-1)
+    negatives_first = np.sort(codes << 1 | labels, axis=-1)
+    positives_first = np.sort(codes << 1 | (1 - labels), axis=-1)
+    positive_slots = (negatives_first & 1) + (positives_first & 1 ^ 1)
+    two_u = positive_slots @ np.arange(labels.shape[-1]) - n_pos * (n_pos - 1)
     return two_u / 2 / (n_pos * n_neg)
 
 
 def f1(probs, labels) -> np.float64 | np.ndarray:
     """F1 score of probabilities thresholded at 0.5; degenerate cases return 0.
 
-    Rows and labels are laid out as for :func:`auc`.
+    Rows and labels are laid out as for :func:`auc`.  Precision and recall
+    divide ``tp`` by the predicted positives and by the positive labels.
     """
     probs, labels = _rows(probs, labels)
     predicted = probs >= 0.5
-    positive = labels == 1
-    tp = (predicted & positive).sum(axis=-1)
-    fp = (predicted & (labels == 0)).sum(axis=-1)
-    fn = (~predicted & positive).sum(axis=-1)
+    tp = (predicted & (labels == 1)).sum(axis=-1)
+    n_predicted = predicted.sum(axis=-1)
+    n_positive = labels.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        precision = np.where(n_predicted > 0, tp / n_predicted, 0.0)
+        recall = np.where(n_positive > 0, tp / n_positive, 0.0)
         score = 2.0 * precision * recall / (precision + recall)
     return np.where(precision + recall == 0.0, 0.0, score)[()]
 

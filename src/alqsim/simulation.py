@@ -286,8 +286,9 @@ def aggregate(config: SimulationConfig,
     ``eta_missing``) at zeta = 0.  Order-insensitive: any permutation of
     ``results`` yields the same summary.  Raises :class:`ConfigError` unless
     there is one result per configured round, seeded ``config.base_seed + i``
-    as :func:`run_rounds` seeds round i, each with (L, Q) = (lanes, queries)
-    leading its rows.
+    as :func:`run_rounds` seeds round i, each with the array shapes
+    :class:`RoundResult` lists for the config's lanes, queries, batch size
+    and test pools.
     """
     if len(results) != config.rounds:
         raise ConfigError(f"aggregation needs one result per configured round: "
@@ -299,11 +300,14 @@ def aggregate(config: SimulationConfig,
                           f"{config.base_seed} to {config.base_seed + config.rounds - 1}, "
                           f"got seeds {seeds}")
     shape = (len(config.strategies), config.n_queries)
+    pools = (*shape, config.dataset.n_test_pools)
+    expected = {"selected_ids": (*shape, config.batch_size), "n_positive": shape,
+                "auc": pools, "f1": pools}
     for r in ordered:
-        leading = [r.n_positive.shape[:2], r.auc.shape[:2], r.f1.shape[:2]]
-        if leading != [shape] * 3:
-            raise ConfigError(f"round {r.seed}'s n_positive, auc and f1 lead with "
-                              f"{leading}, not the (L, Q) = {shape} query rows")
+        shapes = {name: getattr(r, name).shape for name in expected}
+        if shapes != expected:
+            raise ConfigError(f"round {r.seed}'s shapes are {shapes}, not {expected} "
+                              f"for the (L, Q) = {shape} query rows")
     queries = tuple(range(1, config.n_queries + 1))
     labeled_sizes = tuple(config.dataset.labeled_size + q * config.batch_size
                           for q in queries)

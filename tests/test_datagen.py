@@ -33,6 +33,13 @@ class TestDatasetConfig:
         with pytest.raises(ConfigError):
             small_config(**bad)
 
+    def test_one_row_test_pools_rejected(self):
+        """A one-row test pool never holds both classes, so its AUC is
+        undefined in every round."""
+        with pytest.raises(ConfigError, match="test_pool_size must be at least 2"):
+            small_config(test_pool_size=1)
+        assert small_config(test_pool_size=2).test_pool_size == 2
+
 
 class TestGenerateDataset:
     def test_wide_separation_is_linearly_separable(self):

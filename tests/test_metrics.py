@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -26,6 +26,10 @@ BITS_SCORE = st.sampled_from([0.0, -0.0, 5e-324, 1e-12, 0.25, 0.5,
 DENSE_SCORE = st.sampled_from([-0.5, -0.0, 0.0, 2.0, 1e300])
 INF_SCORE = st.sampled_from([-np.inf, -0.5, -0.0, 0.0, 2.0, 1e300, np.inf])
 
+# Probabilities on both sides of f1's threshold and exactly on it.
+F1_PROB = st.sampled_from([0.0, 1e-12, 0.25, float(np.nextafter(0.5, 0.0)), 0.5,
+                           0.75, 1.0])
+
 LONG_ROWS = {
     "random": np.random.default_rng(11).random(1000),
     "tied_1_decimal": np.round(np.random.default_rng(12).random(1000), 1),
@@ -47,14 +51,16 @@ def scored_rows(score):
 
 
 @st.composite
-def stacks(draw, score):
+def stacks(draw, score, both_classes=True):
     """``(L, P, m)`` scores with ``(P, m)`` labels, every label row holding
-    both classes, as ``auc`` scores lanes against shared test pools."""
+    both classes unless ``both_classes`` is false, as ``auc`` and ``f1``
+    score lanes against shared test pools."""
     lanes, pools, m = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
                        draw(st.integers(2, 30)))
-    labels = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m)
-                           .filter(lambda row: len(set(row)) == 2),
-                           min_size=pools, max_size=pools))
+    label_row = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    if both_classes:
+        label_row = label_row.filter(lambda row: len(set(row)) == 2)
+    labels = draw(st.lists(label_row, min_size=pools, max_size=pools))
     scores = draw(st.lists(score, min_size=lanes * pools * m,
                            max_size=lanes * pools * m))
     return np.reshape(scores, (lanes, pools, m)), np.array(labels)
@@ -257,6 +263,28 @@ class TestF1:
 
     def test_degenerate_all_negative_predictions(self):
         assert f1([0.2, 0.3], [0, 0]) == 0.0
+
+    @PROPERTY
+    @given(st.lists(st.tuples(F1_PROB, st.integers(0, 1)), min_size=1,
+                    max_size=60))
+    @example([(0.5, 1), (0.5, 0), (0.25, 1)])  # p exactly 0.5 is predicted
+    @example([(0.5, 0), (0.75, 0)])  # no positive label
+    @example([(0.25, 1), (0.0, 0)])  # no predicted positive
+    def test_rows_equal_seed_package(self, seed_package, rows):
+        probs, labels = (np.array(column) for column in zip(*rows))
+        assert same_bits(f1(probs, labels), seed_package.metrics.f1(probs, labels))
+
+    @PROPERTY
+    @given(stacks(F1_PROB, both_classes=False))
+    @example((np.array([[[0.5, 0.25], [0.0, 0.75]]]), np.array([[0, 0], [1, 0]])))
+    def test_stacks_equal_seed_package(self, seed_package, stack):
+        probs, labels = stack
+        f1s = f1(probs, labels)
+        assert f1s.shape == probs.shape[:2]
+        for lane in range(len(probs)):
+            for pool, pool_labels in enumerate(labels):
+                assert same_bits(f1s[lane, pool], seed_package.metrics.f1(
+                    probs[lane, pool], pool_labels))
 
 
 class TestCostEfficiency:

@@ -102,19 +102,20 @@ def assert_matches_seed_round(result, seed_result, k=0):
     assert result.phi_trace[k] == seed_result.phi_trace
 
 
-def hand_built_round(seed, n_positive, lam=None, lanes=1):
-    """A RoundResult of ``lanes`` equal lanes with the given per-query held
-    positives, AUC rows whose mean is lambda (arbitrary if not given; exact
-    for dyadic values), and arbitrary other metrics."""
+def hand_built_round(seed, n_positive, lam=None, lanes=1, batch=2, pools=3):
+    """A RoundResult of ``lanes`` equal lanes of ``batch`` ids per query and
+    ``pools`` test pools, with the given per-query held positives, AUC rows
+    whose mean is lambda (arbitrary if not given; exact for dyadic values),
+    and arbitrary other metrics."""
     n_positive = np.tile(np.asarray(n_positive, dtype=np.int64), (lanes, 1))
     rng = np.random.default_rng(seed)
     n = n_positive.shape[1]
-    auc = (rng.random((n, 3)) if lam is None
-           else np.repeat(np.asarray(lam, dtype=np.float64)[:, None], 3, axis=1))
+    auc = (rng.random((n, pools)) if lam is None
+           else np.repeat(np.asarray(lam, dtype=np.float64)[:, None], pools, axis=1))
     return RoundResult(seed=seed,
-                       selected_ids=np.zeros((lanes, n, 2), dtype=np.int64),
+                       selected_ids=np.zeros((lanes, n, batch), dtype=np.int64),
                        n_positive=n_positive, auc=np.tile(auc, (lanes, 1, 1)),
-                       f1=np.tile(rng.random((n, 3)), (lanes, 1, 1)))
+                       f1=np.tile(rng.random((n, pools)), (lanes, 1, 1)))
 
 
 class TestConfigValidation:
@@ -564,6 +565,19 @@ class TestRunExperiment:
         results = [hand_built_round(seed, [1, 2, 3]) for seed in seeds]
         with pytest.raises(ConfigError, match="each seed from 0 to 1"):
             aggregate(config_for(n_queries=3, rounds=2), results)
+
+    @pytest.mark.parametrize("round_shape,config", [
+        (dict(batch=2), config_for(n_queries=3, rounds=2, batch_size=3)),
+        (dict(pools=2), config_for(n_queries=3, rounds=2)),
+    ], ids=["batch-2-under-batch-3", "2-pools-under-3"])
+    def test_results_must_match_the_configured_batch_and_pools(self, round_shape,
+                                                               config):
+        """Rounds of another batch size or test-pool count are rejected, not
+        summarised under the configured labeled sizes or pools."""
+        results = [hand_built_round(seed, [1, 2, 3], **round_shape)
+                   for seed in (0, 1)]
+        with pytest.raises(ConfigError, match=r"\(L, Q\) = \(1, 3\) query rows"):
+            aggregate(config, results)
 
     # each case's (lanes, queries) of round 0, then of round 1
     @pytest.mark.parametrize("shapes", [[(1, 8), (1, 4)], [(1, 8), (1, 8)],
