@@ -90,7 +90,10 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                         "regenerating per round")
     p.add_argument("--phi", action="store_true",
                    help="record interim/final probability diagnostics (phi.json)")
-    p.add_argument("--jobs", type=int, default=1, help="max concurrent rounds")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="max concurrent rounds; each process runs BLAS on one "
+                        "thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS "
+                        "or OMP_NUM_THREADS is set")
 
 
 def _resolve_seed(value: int | None) -> int:

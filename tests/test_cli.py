@@ -360,6 +360,27 @@ class TestJsonWriter:
         assert max(piece.count("[") for piece in pieces) == 1
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def entry_point_process(variables):
+    """The BLAS thread variables and the thread count (None without
+    ``/proc``) of a fresh interpreter that imports ``alqsim.__main__``,
+    started with ``variables`` as its only BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(variables)
+    script = (
+        "import json, os\n"
+        "import alqsim.__main__\n"
+        "task = '/proc/self/task'\n"
+        f"print(json.dumps([{{k: os.environ.get(k) for k in {BLAS_THREAD_VARS!r}}},"
+        " len(os.listdir(task)) if os.path.isdir(task) else None]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestEntryPoint:
     """``python -m alqsim`` and the installed script run one function."""
 
@@ -382,6 +403,18 @@ class TestEntryPoint:
         if code == 2:
             assert b"rounds >= 2" in proc.stderr
             assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                        reason="counts threads in /proc; one core starts no helper")
+    def test_blas_starts_no_helper_thread(self):
+        variables, threads = entry_point_process({})
+        assert variables == {**dict.fromkeys(BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "1"}
+        assert threads == 1
+
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+    def test_caller_thread_count_wins(self, name):
+        variables, _ = entry_point_process({name: "2"})
+        assert variables == {**dict.fromkeys(BLAS_THREAD_VARS), name: "2"}
 
 
 class TestDumpDataset:
