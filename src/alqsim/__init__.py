@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlqsimError", "ConfigError", "SimulationError",
     "DatasetConfig",
-    "dataset_rng", "generate_dataset", "split_pools", "write_dataset_csv",
+    "dataset_rng", "generate_dataset", "split_pools",
     "GlmHyperparams", "GlmModel", "fit", "predict_proba",
     "QueryStrategy", "beta_pdf", "beta_sample",
     "select_random", "select_shifted_normal", "select_uncertainty",

@@ -18,8 +18,7 @@ import json
 import os
 import sys
 
-from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
-                      write_dataset_csv)
+from .datagen import DatasetConfig, dataset_rng, generate_dataset
 from .errors import ConfigError, require_positive_int, require_seed
 from .metrics import CostModel
 from .simulation import (ExperimentSummary, SimulationConfig, aggregate,
@@ -57,18 +56,23 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=_cmd_compare)
 
     dump_p = sub.add_parser("dump-dataset", help="write one generated dataset as CSV")
-    dump_p.add_argument("--class-sep", type=float, default=DatasetConfig.class_sep)
-    dump_p.add_argument("--seed", type=int, default=None,
-                        help=f"dataset seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED}); "
-                             "matches the dataset a round with this seed sees")
+    _add_dataset_flags(dump_p)
     dump_p.add_argument("--out", default="dataset.csv", help="output CSV path")
     dump_p.set_defaults(func=_cmd_dump_dataset)
     return parser
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class-sep", type=float, default=DatasetConfig.class_sep,
                    help="class-centroid separation; smaller means more overlap")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"round 0's seed (default: ${SEED_ENV_VAR} or "
+                        f"{DEFAULT_SEED}); round i uses seed + i, and "
+                        "dump-dataset --seed s writes round 0's dataset")
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    _add_dataset_flags(p)
     p.add_argument("--queries", type=int, default=SimulationConfig.n_queries,
                    help="number of queries per round")
     p.add_argument("--batch", type=int, default=SimulationConfig.batch_size,
@@ -77,8 +81,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                    help="independent simulation rounds")
     p.add_argument("--cost-c", type=float, default=CostModel.C,
                    help="relative cost C of a positive label (C >= 1)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"base seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--mode", type=float, default=QueryStrategy.mode,
                    help="peak of the shifted-normal target distribution")
@@ -112,10 +114,15 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
+def _dataset_args(args) -> tuple[int, DatasetConfig]:
+    """Round 0's seed and the dataset config that :func:`_add_dataset_flags`
+    parsed, the seed resolved and checked first."""
+    return _resolve_seed(args.seed), DatasetConfig(class_sep=args.class_sep)
+
+
 def _experiment_config(args, *kinds: str) -> SimulationConfig:
     """The one experiment that runs the strategy ``kinds`` as paired lanes."""
-    seed = _resolve_seed(args.seed)
-    dataset = DatasetConfig(class_sep=args.class_sep)
+    seed, dataset = _dataset_args(args)
     strategies = tuple(QueryStrategy(kind=kind, mode=args.mode,
                                      concentration=args.concentration)
                        for kind in kinds)
@@ -195,6 +202,16 @@ def _write_csv(fh, payloads: dict[str, dict]) -> None:
                 payload["eta"]["n_missing"]):
             cells = ["" if v is None else format(v, ".9g") for v in values]
             writer.writerow([name, q, size, *cells, missing])
+
+
+def _write_dataset_csv(fh, features, labels) -> None:
+    """``dataset.csv``: header ``id,f0,...,f{d-1},label``, then one row per
+    instance, whose id is its row index and whose features have 9
+    significant digits."""
+    writer = csv.writer(fh)
+    writer.writerow(["id", *(f"f{j}" for j in range(features.shape[1])), "label"])
+    for i, (row, label) in enumerate(zip(features, labels)):
+        writer.writerow([i, *(f"{x:.9g}" for x in row), int(label)])
 
 
 def _json_chunks(value, level: int = 0):
@@ -285,14 +302,14 @@ def _print_final_table(payloads: dict[str, dict]) -> None:
 
 
 def _cmd_dump_dataset(args) -> int:
-    seed = _resolve_seed(args.seed)
-    config = DatasetConfig(class_sep=args.class_sep)
+    seed, config = _dataset_args(args)
     directory, name = os.path.split(args.out)
     if not name:
         raise ConfigError(f"--out {args.out!r} does not name a file")
     path = _output_paths(directory or ".", (name,))[name]
     features, labels = generate_dataset(config, dataset_rng(seed))
-    write_dataset_csv((features, labels), path)
+    with open(path, "w", newline="") as fh:
+        _write_dataset_csv(fh, features, labels)
     print(f"wrote {len(labels)} instances to {args.out}")
     return 0
 
@@ -302,9 +319,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1

@@ -12,7 +12,6 @@ and several held-out test pools; a pool is the array of the rows it holds.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,20 +136,3 @@ def split_pools(
     return (perm[:n_seed], perm[n_seed:n_seed + n_query],
             perm[n_seed + n_query:].reshape(config.n_test_pools,
                                             config.test_pool_size))
-
-
-def write_dataset_csv(dataset: tuple[np.ndarray, np.ndarray], path) -> None:
-    """Dump a ``(features, labels)`` dataset as CSV with header
-    ``id,f0,...,f{d-1},label``; the id of a row is its index.
-
-    Floats are serialized with 9 significant digits.
-    """
-    features, labels = dataset
-    if not len(labels):
-        raise ValueError("nothing to write: empty dataset")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f{j}" for j in range(features.shape[1])]
-                        + ["label"])
-        for i, (row, label) in enumerate(zip(features, labels)):
-            writer.writerow([i] + [f"{x:.9g}" for x in row] + [int(label)])

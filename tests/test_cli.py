@@ -16,7 +16,7 @@ import alqsim.__main__ as main_module
 import alqsim.cli as cli_module
 import alqsim.simulation as simulation_module
 from alqsim import (DatasetConfig, QueryStrategy, SimulationConfig, aggregate,
-                    run_rounds)
+                    dataset_rng, generate_dataset, run_round, run_rounds)
 from alqsim.cli import (CSV_HEADER, _experiment_config, _summary_payload,
                         build_parser, main)
 from alqsim.strategies import STRATEGY_KINDS
@@ -417,6 +417,34 @@ class TestEntryPoint:
         assert variables == {**dict.fromkeys(BLAS_THREAD_VARS), name: "2"}
 
 
+class TestHelp:
+    """argparse formats a help string only when ``--help`` shows it, so a
+    bad format in one fails only here."""
+
+    SEED_HELP = ("round 0's seed (default: $ALQ_SEED or 5); round i uses "
+                 "seed + i, and dump-dataset --seed s writes round 0's dataset")
+
+    def help_text(self, capsys, monkeypatch, argv):
+        """The help of ``argv``, each run of whitespace one space; wide
+        enough that no word is hyphen-wrapped."""
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--help"])
+        assert exit_info.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_root_help_lists_the_subcommands(self, capsys, monkeypatch):
+        text = self.help_text(capsys, monkeypatch, [])
+        assert "{run,compare,dump-dataset}" in text
+
+    @pytest.mark.parametrize("subcommand", ["run", "compare", "dump-dataset"])
+    def test_each_subcommand_documents_seed_once(self, capsys, monkeypatch,
+                                                 subcommand):
+        text = self.help_text(capsys, monkeypatch, [subcommand])
+        assert "--seed SEED" in text and "--class-sep CLASS_SEP" in text
+        assert text.count(self.SEED_HELP) == 1
+
+
 class TestDumpDataset:
     def test_writes_default_sized_dataset(self, tmp_path):
         target = tmp_path / "data.csv"
@@ -432,6 +460,44 @@ class TestDumpDataset:
         for target in (a, b):
             run_cli(["dump-dataset", "--seed", "9", "--out", str(target)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_values_roundtrip_at_9_significant_digits(self, tmp_path):
+        target = tmp_path / "data.csv"
+        assert run_cli(["dump-dataset", "--seed", "9", "--out", str(target)]) == 0
+        features, labels = generate_dataset(DatasetConfig(), dataset_rng(9))
+        with open(target, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[0]) for row in rows] == list(range(len(labels)))
+        assert [int(row[-1]) for row in rows] == labels.tolist()
+        parsed = np.array([[float(cell) for cell in row[1:-1]] for row in rows])
+        np.testing.assert_allclose(parsed, features, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("seed", [7, -7])
+    def test_writes_the_dataset_round_0_sees(self, tmp_path, monkeypatch, seed):
+        """``dump-dataset --seed s`` writes the dataset that round 0 of an
+        experiment run with ``--seed s`` and the same ``--class-sep`` draws."""
+        drawn = []
+
+        def capture(*args, **kwargs):
+            drawn.append(generate_dataset(*args, **kwargs))
+            return drawn[-1]
+
+        flags = ["--class-sep", "0.5", "--seed", str(seed)]
+        args = build_parser().parse_args(
+            ["run", "--strategy", "random", "--queries", "1", *flags])
+        config = _experiment_config(args, args.strategy)
+        monkeypatch.setattr(simulation_module, "generate_dataset", capture)
+        run_round(config, config.base_seed)
+        [(features, labels)] = drawn
+
+        target = tmp_path / "data.csv"
+        assert run_cli(["dump-dataset", *flags, "--out", str(target)]) == 0
+        with open(target, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(labels)
+        assert [row[1:-1] for row in rows] == [
+            [f"{x:.9g}" for x in row] for row in features]
+        assert [int(row[-1]) for row in rows] == labels.tolist()
 
     @pytest.mark.parametrize("out", ["existing/x.csv", "somedir/", ""])
     def test_unusable_out_exits_2_before_generating(self, tmp_path, capsys,

@@ -3,7 +3,7 @@ import pytest
 
 from alqsim import (ConfigError, DatasetConfig, dataset_rng,
                     generate_dataset, split_pools)
-from alqsim.datagen import query_rng, write_dataset_csv
+from alqsim.datagen import query_rng
 
 
 def small_config(**overrides):
@@ -174,31 +174,3 @@ class TestSplitPools:
         assert (features == original[0]).all() and (labels == original[1]).all()
         assert set(labels[unlabeled].tolist()) == {0, 1}
 
-
-class TestCsvDump:
-    def test_header_and_shape(self, tmp_path):
-        config = small_config()
-        dataset = generate_dataset(config, np.random.default_rng(0))
-        path = tmp_path / "data.csv"
-        write_dataset_csv(dataset, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id,f0,f1,f2,f3,label"
-        assert len(lines) == len(dataset[1]) + 1
-
-    def test_empty_dataset_rejected_before_the_file_opens(self, tmp_path):
-        path = tmp_path / "data.csv"
-        with pytest.raises(ValueError, match="empty"):
-            write_dataset_csv((np.empty((0, 4)), np.empty(0, dtype=np.int64)), path)
-        assert not path.exists()
-
-    def test_values_roundtrip_at_9_significant_digits(self, tmp_path):
-        config = small_config()
-        features, labels = generate_dataset(config, np.random.default_rng(0))
-        path = tmp_path / "data.csv"
-        write_dataset_csv((features, labels), path)
-        row = path.read_text().splitlines()[1].split(",")
-        assert int(row[0]) == 0
-        assert int(row[-1]) == labels[0]
-        for text, value in zip(row[1:-1], features[0]):
-            assert float(text) == pytest.approx(value, rel=1e-8)
-            assert text == f"{value:.9g}"

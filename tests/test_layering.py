@@ -1,7 +1,8 @@
-"""Module layering: the package's import graph, pinned module by module.
-The model, metric and selector layers work on plain arrays and know nothing
-of how a dataset is generated or split; only the engine and the CLI combine
-the layers."""
+"""Module layering: the package's import graph, pinned module by module, and
+the one module that writes files.  The model, metric and selector layers
+work on plain arrays and know nothing of how a dataset is generated or
+split; only the engine and the CLI combine the layers, and only the CLI
+writes a file."""
 
 import ast
 import json
@@ -53,6 +54,19 @@ def test_package_imports_match_the_module_graph(module):
     internal = {name.split(".")[-1] for name in imports
                 if name.split(".")[0] in package_names}
     assert internal == ALLOWED_IMPORTS[module]
+
+
+@pytest.mark.parametrize("module", sorted(set(ALLOWED_IMPORTS) - {"cli"}))
+def test_only_cli_writes_files(module):
+    """``cli`` owns every output file, so no other module imports a file
+    format module or calls ``open``."""
+    path = PACKAGE / f"{module}.py"
+    formats = {name for name in imported_modules(path)
+               if name.split(".")[0] in ("csv", "json")}
+    opens = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
+    assert (formats, opens) == (set(), [])
 
 
 def test_package_exports_resolve():
