@@ -455,6 +455,18 @@ class TestDumpDataset:
         assert lines[0] == "id,f0,f1,f2,f3,label"
         assert len(lines) == 1 + 4010
 
+    def test_header_and_shape(self, tmp_path):
+        config = DatasetConfig(class_sep=0.5, labeled_size=10,
+                               unlabeled_size=50, n_test_pools=2,
+                               test_pool_size=20)
+        features, labels = generate_dataset(config, np.random.default_rng(0))
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="") as fh:
+            cli_module._write_dataset_csv(fh, features, labels)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "id,f0,f1,f2,f3,label"
+        assert len(lines) == len(labels) + 1
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for target in (a, b):
