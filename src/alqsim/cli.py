@@ -263,7 +263,8 @@ def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:
                                   else {"strategies": payloads})}
     if args.phi:
         documents["phi.json"] = {"delta": config.phi_delta, "strategies": {
-            kind: [{"seed": r.seed, "phi": r.phi_trace[k]} for r in results]
+            kind: [{"seed": r.seed, "phi": [row.tolist() for row in r.phi_trace[k]]}
+                   for r in results]
             for k, kind in enumerate(kinds)}}
     with open(paths["per_query.csv"], "w", newline="") as fh:
         _write_csv(fh, payloads)

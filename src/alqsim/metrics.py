@@ -23,8 +23,8 @@ numerically in-repo (the finite series of the t CDF at an integer df,
 inverted by bisection) rather than from shipped tables.  The quantile is a
 pure function of ``(p, df)``, memoized: an aggregate asks for few, since
 ``mean_ci`` summarises all rows of a call at one df (rounds - 1 for lambda
-and zeta, n_test_pools * rounds - 1 for AUC and F1), and an eta row, one
-call each, uses rounds - 1 or less.
+and zeta, n_test_pools * rounds - 1 for AUC and F1), and eta's rows, one
+call per count n of defined samples, use n - 1, at most rounds - 1.
 """
 
 from __future__ import annotations

@@ -110,10 +110,10 @@ class RoundResult:
     arrays instead.
 
     ``phi_trace`` is set only when the round ran with phi recording
-    enabled, one trace per lane: ``phi_trace[k][q-1]`` lists, in ascending
-    id order, lane k's final model's probabilities of the ids still
-    unlabeled at query q whose interim probability at query q lay within
-    the config's ``phi_delta`` of 0.5.
+    enabled, one trace per lane: ``phi_trace[k][q-1]`` is a 1-D float64
+    array of, in ascending id order, lane k's final model's probabilities
+    of the ids still unlabeled at query q whose interim probability at
+    query q lay within the config's ``phi_delta`` of 0.5.
     """
 
     seed: int
@@ -121,7 +121,7 @@ class RoundResult:
     n_positive: np.ndarray
     auc: np.ndarray
     f1: np.ndarray
-    phi_trace: tuple[tuple[tuple[float, ...], ...], ...] | None = None
+    phi_trace: tuple[tuple[np.ndarray, ...], ...] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +215,7 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
         f1s[:, q] = f1(test_probs, test_labels)
 
     # a band marks only live rows, so final[band] lists them by id
-    traces = (tuple(tuple(tuple(final[band].tolist()) for band in lane_band)
+    traces = (tuple(tuple(final[band] for band in lane_band)
                     for final, lane_band in zip(probs, in_band))
               if config.record_phi else None)
     return RoundResult(seed=round_seed, selected_ids=selected,
@@ -317,12 +317,16 @@ def aggregate(config: SimulationConfig,
                              for name in ("n_positive", "auc", "f1"))
     lam = aucs.mean(axis=3)
     zeta = n_positive / np.array(labeled_sizes)[:, None]
+    # eta's (lane, query) rows, grouped by their count n of defined samples:
+    # one (rows, n) call per group, each row bit for bit its own 1-D call
+    defined = zeta > 0
+    counts = defined.sum(axis=2)
     eta = np.full((3, *shape), np.nan)
-    for k, q in np.ndindex(shape):
-        defined = zeta[k, q] > 0
-        samples = cost_efficiency(lam[k, q, defined], zeta[k, q, defined], config.cost)
-        if len(samples) >= 2:
-            eta[:, k, q] = astuple(ci(samples))
+    for n in set(counts.ravel().tolist()) - {0, 1}:
+        rows = counts == n
+        kept = defined & rows[..., None]
+        samples = cost_efficiency(lam[kept], zeta[kept], config.cost)
+        eta[:, rows] = astuple(ci(samples.reshape(-1, n)))
     # AUC and F1 pool every round's per-test-pool samples, round-major
     return ExperimentSummary(
         queries=queries, labeled_sizes=labeled_sizes,

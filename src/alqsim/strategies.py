@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -157,12 +156,10 @@ def _nearest(ids: np.ndarray, probs: np.ndarray, targets) -> list[int]:
     return chosen
 
 
-def select_random(pool_ids: Sequence[int], k: int,
+def select_random(ids: np.ndarray, k: int,
                   rng: np.random.Generator) -> list[int]:
     """Uniform sample of ``k`` distinct ids, ignoring any model output."""
-    ids = _check_ids(pool_ids, k)
-    chosen = rng.choice(ids, size=k, replace=False)
-    return [int(i) for i in chosen]
+    return rng.choice(_check_ids(ids, k), size=k, replace=False).tolist()
 
 
 def select_uncertainty(ids: np.ndarray, probs: np.ndarray, k: int) -> list[int]:

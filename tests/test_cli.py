@@ -609,6 +609,19 @@ class TestDeterminismAndSeeds:
         assert ((serial / "per_query.csv").read_bytes()
                 == (parallel / "per_query.csv").read_bytes())
 
+    def test_jobs_flag_does_not_change_compare_phi_outputs(self, tmp_path,
+                                                          monkeypatch):
+        """Every file ``compare --phi`` writes, phi rows included, is the
+        same at ``--jobs 1`` and in a two-process pool."""
+        monkeypatch.setattr(simulation_module.os, "cpu_count", lambda: 2)
+        outs = {jobs: tmp_path / f"jobs-{jobs}" for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            assert run_cli(["compare", *FAST, "--phi", "--jobs", jobs,
+                            "--out", str(out)]) == 0
+        for name in ("per_query.csv", "summary.json", "phi.json"):
+            assert ((outs["1"] / name).read_bytes()
+                    == (outs["2"] / name).read_bytes()), name
+
 
 class TestOutputsMatchSeedPackage:
     """Outputs equal those of the seed package in ``perfbench/oracle``.

@@ -74,12 +74,25 @@ def interval(ci, k, q):
     return CiSummary(*(float(getattr(ci, bound)[k, q]) for bound in BOUNDS))
 
 
+def phi_rows(trace):
+    """One lane's phi ``trace`` as lists of floats, after checking that each
+    row is a 1-D float64 array."""
+    for row in trace:
+        assert isinstance(row, np.ndarray)
+        assert row.dtype == np.float64 and row.ndim == 1
+    return [row.tolist() for row in trace]
+
+
 def assert_same_round(first, second):
-    """Field-by-field equality; array fields compare with NaN equal to NaN."""
+    """Field-by-field equality; array fields compare with NaN equal to NaN,
+    and phi traces compare row by row as exact lists of floats."""
     for field in dataclasses.fields(RoundResult):
         a, b = getattr(first, field.name), getattr(second, field.name)
         if isinstance(a, np.ndarray):
             np.testing.assert_array_equal(a, b, err_msg=field.name)
+        elif field.name == "phi_trace" and a is not None:
+            assert len(a) == len(b)
+            assert list(map(phi_rows, a)) == list(map(phi_rows, b))
         else:
             assert a == b, field.name
 
@@ -99,7 +112,7 @@ def assert_matches_seed_round(result, seed_result, k=0):
                                      for s in snapshots]
     assert result.auc[k].mean(axis=1).tolist() == [s.metrics.lam
                                                    for s in snapshots]
-    assert result.phi_trace[k] == seed_result.phi_trace
+    assert phi_rows(result.phi_trace[k]) == list(map(list, seed_result.phi_trace))
 
 
 def hand_built_round(seed, n_positive, lam=None, lanes=1, batch=2, pools=3):
@@ -487,6 +500,43 @@ class TestRunExperiment:
         assert interval(summary.eta, 0, 2) == mean_ci([3.0, 5.0])
         assert interval(summary.eta, 0, 3) == mean_ci([1.0, 2.0, 6.0])
         assert interval(summary.lam, 0, 0) == mean_ci([0.9, 0.9, 0.9])
+
+    def test_eta_rows_group_by_defined_sample_count(self, monkeypatch):
+        """eta's rows hold 0, 1, 2, all 4, 2 and 3 defined samples in one
+        experiment: each row of two or more is, bit for bit, its own 1-D
+        interval of its defined samples, the others stay NaN, and one
+        ``mean_ci`` call summarises each sample count."""
+        # labeled sizes 12, 14, ..., 22; rows are rounds, columns queries
+        held = [[0, 0, 3, 5, 0, 4],
+                [0, 5, 0, 2, 6, 0],
+                [0, 0, 7, 6, 0, 9],
+                [0, 0, 0, 1, 8, 2]]
+        results = [hand_built_round(seed, row) for seed, row in enumerate(held)]
+        config = config_for(n_queries=6, rounds=4, cost=CostModel(C=3.0))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mean_ci(*args, **kwargs)
+
+        monkeypatch.setattr(simulation_module, "mean_ci", counted)
+        summary = aggregate(config, results)
+        # lambda, zeta, AUC and F1, then eta's sample counts 2, 3 and 4
+        assert len(calls) == 4 + 3
+        assert summary.eta_missing.tolist() == [[4, 3, 2, 0, 2, 1]]
+        for qi, size in enumerate(summary.labeled_sizes):
+            rows = [r for r in results if r.n_positive[0, qi] > 0]
+            if len(rows) < 2:
+                for bound in BOUNDS:
+                    assert np.isnan(getattr(summary.eta, bound)[0, qi])
+                continue
+            lam = np.array([r.auc[0].mean(axis=1)[qi] for r in rows])
+            zeta = np.array([r.n_positive[0, qi] for r in rows]) / size
+            expected = mean_ci(cost_efficiency(lam, zeta, config.cost),
+                               config.confidence)
+            got = dataclasses.astuple(interval(summary.eta, 0, qi))
+            assert (np.array(got).tobytes()
+                    == np.array(dataclasses.astuple(expected)).tobytes())
 
     @pytest.mark.parametrize("jobs,rounds,cores,expected", [
         (1, 40, 2, 1), (2, 40, 2, 2), (3, 40, 2, 2), (10**9, 40, 2, 2),
