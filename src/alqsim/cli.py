@@ -36,6 +36,9 @@ CSV_HEADER = ["strategy", "q", "labeled_size",
 BOUNDS = ("mean", "lower", "upper")
 # what every run writes into --out; --phi adds "phi.json"
 RESULT_FILES = ("per_query.csv", "summary.json")
+SHARED_DATASET_NOTE = ("note: with --shared-dataset every round reuses round 0's "
+                       "dataset, so the intervals cover query draws only, and a "
+                       "deterministic lane's interval (uncertainty's) is a point")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,6 +258,8 @@ def _run_experiments(args, kinds: tuple[str, ...]) -> dict[str, dict]:
     require_positive_int("jobs", args.jobs)
     paths = _output_paths(args.out,
                           RESULT_FILES + (("phi.json",) if args.phi else ()))
+    if config.shared_dataset:
+        print(SHARED_DATASET_NOTE, file=sys.stderr)
     results = run_rounds(config, jobs=args.jobs)
     summary = aggregate(config, results)
     payloads = {kind: _summary_payload(config, summary, k)

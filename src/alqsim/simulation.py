@@ -43,8 +43,8 @@ from .errors import (AlqsimError, ConfigError, reject_non_finite,
                      require_positive_int, require_seed)
 from .glm import GlmHyperparams, fit, predict_proba
 from .metrics import CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci
-from .strategies import (QueryStrategy, select_random, select_shifted_normal,
-                         select_uncertainty)
+from .strategies import (TARGET_RULES, QueryStrategy, match_targets,
+                         select_random)
 
 
 class SimulationError(AlqsimError, RuntimeError):
@@ -151,8 +151,9 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     Returns one :class:`RoundResult` whose lane k is a pure function of
     (config, ``strategies[k]``, seed), as if that lane had run alone: the
     lanes share the seed's dataset and split, and each draws its query
-    randomness from its own ``query_rng(round_seed)``.  Each fit's one
-    ``(L, N)`` prediction of every row feeds selection and evaluation.  With
+    randomness from its own ``query_rng(round_seed)``.  A kind is its target
+    rule: per query, one :func:`match_targets` call picks for every lane
+    whose kind has one, and each random lane samples its own picks.  With
     phi recording, each query marks, per lane and keyed by dataset row, which
     live rows' interim probabilities lay in the phi band; the trace reads the
     final prediction's entries of the marked rows.  Raises :class:`ConfigError`
@@ -169,6 +170,7 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     strategies = config.strategies
     rngs = [query_rng(round_seed) for _ in strategies]
     n_lanes, n_queries, batch = len(strategies), config.n_queries, config.batch_size
+    matched = [k for k, s in enumerate(strategies) if s.kind in TARGET_RULES]
 
     # each lane's unlabeled rows, in pool order; all lanes hold as many
     live_ids = np.tile(u_ids, (n_lanes, 1))
@@ -192,14 +194,13 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
         if config.record_phi:
             np.put_along_axis(in_band[:, q], live_ids,
                               (live_probs >= lo) & (live_probs <= hi), axis=1)
-        for k, strategy in enumerate(strategies):
-            if strategy.kind == "random":
-                selected[k, q] = select_random(live_ids[k], batch, rngs[k])
-            elif strategy.kind == "uncertainty":
-                selected[k, q] = select_uncertainty(live_ids[k], live_probs[k], batch)
-            else:
-                selected[k, q] = select_shifted_normal(
-                    live_ids[k], live_probs[k], batch, strategy, rngs[k])
+        for k in sorted(set(range(n_lanes)) - set(matched)):
+            selected[k, q] = select_random(live_ids[k], batch, rngs[k])
+        if matched:
+            targets = [TARGET_RULES[strategies[k].kind](strategies[k], batch, rngs[k])
+                       for k in matched]
+            selected[matched, q] = match_targets(
+                live_ids[matched], live_probs[matched], targets)
         # batch before pool axis: .all over a short trailing axis is ~8x slower
         kept = (live_ids[:, None, :] != selected[:, q, :, None]).all(axis=1)
         live_ids = live_ids[kept].reshape(n_lanes, -1)

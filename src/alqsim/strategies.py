@@ -7,8 +7,7 @@ Three policies are provided:
   predicted probability is closest to 0.5.  For binary problems this ranking
   coincides with margin and entropy ranking, so the simplest form is used.
 * ``shifted-normal`` -- draw target probabilities from a Beta distribution
-  whose peak sits left of 0.5 (default 0.45) and pick, for each target, the
-  not-yet-chosen candidate whose predicted probability is nearest to it.
+  whose peak sits left of 0.5 (default 0.45) and pick the nearest to each.
   Selections therefore cluster below the decision boundary, trimming the
   share of expensive positive labels, while the full-support targets keep a
   nonzero reach across the whole probability range.
@@ -20,9 +19,10 @@ default, the concentration is the single width knob.
 Selectors receive only an ``ids`` array and the matching array of predicted
 probabilities; true labels never enter a policy.
 
-Both model-driven policies are one matcher: for each target in turn, take
-the nearest not-yet-chosen candidate, ties to the lower id.  Uncertainty
-matches every target to 0.5; shifted-normal matches Beta draws.
+A model-driven kind is its target rule, ``TARGET_RULES[kind](strategy, k,
+rng)``: one query's k targets in (0, 1), all drawn from the lane's generator
+before any pick, since a pick uses no randomness; random has no rule.  One
+matcher, :func:`match_targets`, picks for every lane of a stack.
 
 Beta draws come from numpy's ``Generator.beta``, the ratio g1 / (g1 + g2) of
 two Marsaglia-Tsang gamma variates, so every draw is a pure function of the
@@ -38,7 +38,12 @@ import numpy as np
 
 from .errors import ConfigError, reject_non_finite, require_positive_int
 
-STRATEGY_KINDS = ("random", "uncertainty", "shifted-normal")
+TARGET_RULES = {
+    "uncertainty": lambda strategy, k, rng: [0.5] * k,
+    "shifted-normal": lambda strategy, k, rng: [beta_sample(strategy, rng)
+                                                for _ in range(k)],
+}
+STRATEGY_KINDS = ("random", *TARGET_RULES)
 
 
 @dataclass(frozen=True)
@@ -138,22 +143,24 @@ def _check_scored(ids: np.ndarray, probs: np.ndarray,
     return _check_ids(ids, k), probs
 
 
-def _nearest(ids: np.ndarray, probs: np.ndarray, targets) -> list[int]:
-    """For each target in turn, the id of the nearest not-yet-chosen prob.
-
-    Ties go to the lower id, so the picks are a pure function of the set of
-    ``(id, prob)`` pairs and the targets.  ``targets`` may be a generator,
-    drawn one target per pick.
-    """
-    available = np.ones(len(ids), dtype=bool)
-    chosen: list[int] = []
-    for target in targets:
-        distance = np.where(available, np.abs(probs - target), np.inf)
-        nearest = np.flatnonzero(distance == distance.min())
-        pick = nearest[np.argmin(ids[nearest])]
-        available[pick] = False
-        chosen.append(int(ids[pick]))
-    return chosen
+def match_targets(ids: np.ndarray, probs: np.ndarray, targets) -> np.ndarray:
+    """``(L, k)`` picks from ``(L, n)`` unique integer ids and probs and
+    ``(L, k)`` targets: lane l's j-th pick is the id whose prob is nearest
+    ``targets[l, j]`` among those not yet picked, ties to the lower id.
+    Checks nothing."""
+    targets = np.asarray(targets, dtype=np.float64)
+    available = np.ones(ids.shape, dtype=bool)
+    lanes, top = np.arange(len(ids)), np.iinfo(ids.dtype).max
+    picks = np.empty(targets.shape, dtype=ids.dtype)
+    for j, column in enumerate(targets.T):
+        distance = np.where(available, np.abs(probs - column[:, None]), np.inf)
+        tied = distance == distance.min(axis=1, keepdims=True)
+        # the lowest tied id (top is the lowest only as the one tied id)
+        lowest = np.where(tied, ids, top).min(axis=1, keepdims=True)
+        pick = (tied & (ids == lowest)).argmax(axis=1)
+        available[lanes, pick] = False
+        picks[:, j] = ids[lanes, pick]
+    return picks
 
 
 def select_random(ids: np.ndarray, k: int,
@@ -163,14 +170,11 @@ def select_random(ids: np.ndarray, k: int,
 
 
 def select_uncertainty(ids: np.ndarray, probs: np.ndarray, k: int) -> list[int]:
-    """The ``k`` ids whose probability is closest to 0.5.
-
-    This is the nearest-target matcher with every target at 0.5: ties go to
-    the lower id, making the result a pure function of the set of
-    ``(id, prob)`` pairs (order-independent).
-    """
+    """The ``k`` ids whose probability is closest to 0.5: the matcher with
+    every target at 0.5, ties to the lower id, so a pure function of the set
+    of ``(id, prob)`` pairs (order-independent)."""
     ids, probs = _check_scored(ids, probs, k)
-    return _nearest(ids, probs, [0.5] * k)
+    return match_targets(ids[None], probs[None], [[0.5] * k])[0].tolist()
 
 
 def select_shifted_normal(ids: np.ndarray, probs: np.ndarray, k: int,
@@ -185,4 +189,5 @@ def select_shifted_normal(ids: np.ndarray, probs: np.ndarray, k: int,
     are sparse or heavily skewed.
     """
     ids, probs = _check_scored(ids, probs, k)
-    return _nearest(ids, probs, (beta_sample(strategy, rng) for _ in range(k)))
+    targets = TARGET_RULES["shifted-normal"](strategy, k, rng)
+    return match_targets(ids[None], probs[None], [targets])[0].tolist()

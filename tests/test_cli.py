@@ -17,8 +17,8 @@ import alqsim.cli as cli_module
 import alqsim.simulation as simulation_module
 from alqsim import (DatasetConfig, QueryStrategy, SimulationConfig, aggregate,
                     dataset_rng, generate_dataset, run_round, run_rounds)
-from alqsim.cli import (CSV_HEADER, _experiment_config, _summary_payload,
-                        build_parser, main)
+from alqsim.cli import (CSV_HEADER, SHARED_DATASET_NOTE, _experiment_config,
+                        _summary_payload, build_parser, main)
 from alqsim.strategies import STRATEGY_KINDS
 
 FAST = ["--rounds", "3", "--queries", "5", "--seed", "11"]
@@ -623,6 +623,29 @@ class TestDeterminismAndSeeds:
                     == (outs["2"] / name).read_bytes()), name
 
 
+class TestSharedDatasetNote:
+    """Under ``--shared-dataset`` only the query draws vary between rounds,
+    so ``run`` and ``compare`` say on stderr what the intervals cover; they
+    print nothing there without the flag, and stdout is unchanged."""
+
+    def test_note_names_what_the_intervals_cover(self):
+        assert "query draws only" in SHARED_DATASET_NOTE
+        assert "is a point" in SHARED_DATASET_NOTE
+
+    @pytest.mark.parametrize("command", [["run", "--strategy", "uncertainty"],
+                                         ["compare"]])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_note_on_stderr_only_with_the_flag(self, tmp_path, capsys,
+                                               command, shared):
+        flags = ["--shared-dataset"] if shared else []
+        code = run_cli([*command, "--rounds", "2", "--queries", "2", *flags,
+                        "--out", str(tmp_path / "out")])
+        assert code == 0
+        output = capsys.readouterr()
+        assert output.err == (SHARED_DATASET_NOTE + "\n" if shared else "")
+        assert SHARED_DATASET_NOTE not in output.out
+
+
 class TestOutputsMatchSeedPackage:
     """Outputs equal those of the seed package in ``perfbench/oracle``.
 
@@ -700,25 +723,31 @@ class TestBenchmarkCallSites:
     """The call sites the benchmark's tracer wraps still exist.
 
     A site the program stops calling reads 0 in the per-layer metrics, and
-    nothing else fails, so the sites that are called are pinned here.  The
-    check is "contains", so re-pointing the benchmark at new sites keeps it.
+    nothing else fails, so the sites that are called are pinned here, and
+    so is the exact set of sites the program no longer has.  The engine
+    matches every model-driven lane in one ``match_targets`` call, so the
+    two model-driven selector sites are absent and the matcher's time shows
+    in ``simulation.run_round``'s self time.
     """
 
     CALLED = {"datagen.generate_dataset", "datagen.split_pools",
               "glm.fit", "glm.predict_proba", "metrics.auc", "metrics.f1",
               "metrics.mean_ci", "metrics.student_t_quantile",
-              "strategies.select_random", "strategies.select_uncertainty",
-              "strategies.select_shifted_normal", "strategies.beta_sample",
+              "strategies.select_random", "strategies.beta_sample",
               "simulation.run_round", "simulation.run_rounds",
               "simulation.aggregate"}
+    ABSENT = {"metrics.compute_phi", "strategies.select_uncertainty",
+              "strategies.select_shifted_normal"}
 
     def test_traced_run_reaches_every_called_site(self, tmp_path, monkeypatch):
         tracer = load_perfbench(monkeypatch, "tracer")
+        absent = set()
         code, _, traced = tracer.traced_experiment(
             ["compare", "--rounds", "2", "--queries", "2", "--phi",
-             "--out", str(tmp_path / "traced")], set())
+             "--out", str(tmp_path / "traced")], absent)
         assert code == 0
         assert self.CALLED <= {span[0] for span in traced.spans}
+        assert absent == self.ABSENT
 
     def test_pool_run_counts_tasks(self, tmp_path, monkeypatch):
         tracer = load_perfbench(monkeypatch, "tracer")

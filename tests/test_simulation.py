@@ -19,6 +19,7 @@ from alqsim import (CiSummary, ConfigError, CostModel, DatasetConfig,
                     select_uncertainty, split_pools)
 from alqsim.datagen import generate_dataset
 from alqsim.simulation import worker_count
+from alqsim.strategies import match_targets
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 BOUNDS = ("mean", "lower", "upper")
@@ -415,6 +416,31 @@ class TestLockStepLanes:
             alone = one_lane(config, strategy)
             assert (summary_bytes(paired, k)
                     == summary_bytes(aggregate(alone, run_rounds(alone)), 0))
+
+    @pytest.mark.parametrize("kinds, matched", [
+        (("random", "uncertainty", "shifted-normal", "shifted-normal"), 3),
+        (("random", "random"), 0),
+    ], ids=["four-lanes", "random-only"])
+    def test_one_matcher_call_per_query_for_the_model_driven_lanes(
+            self, monkeypatch, kinds, matched):
+        """Every lane whose kind is a target rule is picked by one stacked
+        ``match_targets`` call per query; a round of random lanes makes no
+        call."""
+        calls = []
+
+        def counting(ids, probs, targets):
+            calls.append((ids.shape, np.shape(targets)))
+            return match_targets(ids, probs, targets)
+
+        monkeypatch.setattr(simulation_module, "match_targets", counting)
+        strategies = tuple(QueryStrategy(kind) for kind in kinds[:-1])
+        strategies += (QueryStrategy(kinds[-1], mode=0.3),)
+        config = dataclasses.replace(config_for(n_queries=4), strategies=strategies)
+        run_round(config, 6)
+        assert len(calls) == (config.n_queries if matched else 0)
+        live = config.dataset.unlabeled_size - np.arange(4) * config.batch_size
+        assert calls == [((matched, n), (matched, config.batch_size))
+                         for n in live[:len(calls)]]
 
     @pytest.mark.parametrize("strategies", [
         (), [QueryStrategy("random")], (QueryStrategy("random"), "random"),

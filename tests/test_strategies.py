@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from alqsim import (ConfigError, QueryStrategy, beta_pdf, beta_sample,
                     select_random, select_shifted_normal, select_uncertainty)
 from alqsim import strategies as strategies_module
-from alqsim.strategies import STRATEGY_KINDS
+from alqsim.strategies import STRATEGY_KINDS, TARGET_RULES, match_targets
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -327,6 +327,95 @@ class TestSelectShiftedNormal:
         with pytest.raises(ValueError):
             select_shifted_normal(*scored([0.5]), 2, REFERENCE,
                                   np.random.default_rng(0))
+
+
+@st.composite
+def lane_stacks(draw):
+    """0 to 3 lanes of n rows, with ids of one integer dtype unique within
+    each lane, probs in eighths, each lane's kind, and its k targets: 0.5
+    for uncertainty, sixteenths for shifted-normal.  A uint64 lane holds
+    2**64 - 1, tied in prob with another row."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    info = np.iinfo(dtype)
+    n_lanes, n = draw(st.integers(0, 3)), draw(st.integers(2, 12))
+    k = draw(st.integers(1, n))
+    ids, probs, kinds, targets = [], [], [], []
+    for _ in range(n_lanes):
+        lane_ids = draw(st.lists(st.integers(int(info.min), int(info.max) - 1),
+                                 min_size=n, max_size=n, unique=True))
+        lane_probs = draw(st.lists(EIGHTHS, min_size=n, max_size=n))
+        if dtype is np.uint64:
+            top, other = draw(st.permutations(range(n)))[:2]
+            lane_ids[top], lane_probs[top] = int(info.max), lane_probs[other]
+        kind = draw(st.sampled_from(["uncertainty", "shifted-normal"]))
+        targets.append([0.5] * k if kind == "uncertainty" else
+                       draw(st.lists(SIXTEENTHS, min_size=k, max_size=k)))
+        ids.append(lane_ids)
+        probs.append(lane_probs)
+        kinds.append(kind)
+    return (np.array(ids, dtype=dtype).reshape(n_lanes, n),
+            np.array(probs, dtype=np.float64).reshape(n_lanes, n),
+            kinds, np.array(targets, dtype=np.float64).reshape(n_lanes, k))
+
+
+class TestMatchTargets:
+    """The one matcher behind every model-driven kind, over a stack of lanes."""
+
+    @PROPERTY
+    @given(lane_stacks())
+    def test_lane_stack_matches_one_lane_and_seed_selectors(self, seed_package,
+                                                             stack):
+        """Each lane of a stacked call picks what its own one-lane
+        ``select_*`` call picks, and what the seed package's selector picks
+        on the ids' ranks (its ids are int64), ties to the lower id."""
+        ids, probs, kinds, targets = stack
+        picks = match_targets(ids, probs, targets)
+        assert picks.shape == targets.shape and picks.dtype == ids.dtype
+        seed = seed_package.strategies
+        k = targets.shape[1]
+        for lane_ids, lane_probs, kind, lane_targets, lane_picks in zip(
+                ids, probs, kinds, targets, picks):
+            expected = lane_picks.tolist()
+            ranked = np.sort(lane_ids)
+            candidates = [seed.ScoredCandidate(int(rank), prob) for rank, prob
+                          in zip(np.searchsorted(ranked, lane_ids), lane_probs)]
+            if kind == "uncertainty":
+                own = select_uncertainty(lane_ids, lane_probs, k)
+                seeds = seed.select_uncertainty(candidates, k)
+            else:
+                with pytest.MonkeyPatch.context() as mp:
+                    for module in (strategies_module, seed):
+                        draws = iter(lane_targets.tolist())
+                        mp.setattr(module, "beta_sample",
+                                   lambda strategy, rng, draws=draws: next(draws))
+                    own = select_shifted_normal(lane_ids, lane_probs, k,
+                                                REFERENCE, np.random.default_rng(0))
+                    seeds = seed.select_shifted_normal(candidates, k, None,
+                                                       np.random.default_rng(0))
+            assert own == expected
+            assert ranked[seeds].tolist() == expected
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_zero_lane_stack_returns_zero_rows(self, dtype):
+        picks = match_targets(np.empty((0, 5), dtype=dtype), np.empty((0, 5)),
+                              np.empty((0, 3)))
+        assert picks.shape == (0, 3) and picks.dtype == dtype
+
+    def test_largest_uint64_id_loses_a_tie_and_is_exact(self):
+        """2**64 - 1 ties with 7 and goes second, as itself; it is not the
+        first row, so a pick that mistook it for a masked row would fail."""
+        top = 2**64 - 1
+        ids = np.array([[7, 2**63 + 1, top]], dtype=np.uint64)
+        probs = np.array([[0.625, 0.9, 0.375]])
+        picks = match_targets(ids, probs, [[0.5, 0.5, 0.5]])
+        assert picks.tolist() == [[7, top, 2**63 + 1]]
+
+    def test_each_kind_but_random_is_a_target_rule(self):
+        assert set(TARGET_RULES) == set(STRATEGY_KINDS) - {"random"}
+        assert TARGET_RULES["uncertainty"](None, 3, None) == [0.5] * 3
+        strategy, rng = QueryStrategy("shifted-normal"), np.random.default_rng(9)
+        targets = TARGET_RULES["shifted-normal"](strategy, 4, np.random.default_rng(9))
+        assert targets == [beta_sample(strategy, rng) for _ in range(4)]
 
 
 class TestQueryStrategy:
