@@ -19,7 +19,7 @@ __all__ = [
     "dataset_rng", "generate_dataset", "split_pools",
     "GlmHyperparams", "GlmModel", "fit", "predict_proba",
     "QueryStrategy", "beta_pdf", "beta_sample",
-    "select_random", "select_shifted_normal", "select_uncertainty",
+    "select_random", "match_targets",
     "CostModel", "CiSummary",
     "auc", "f1", "cost_efficiency",
     "mean_ci", "student_t_quantile",

@@ -5,11 +5,12 @@ seed pool, then repeatedly (select a batch with a query strategy, reveal the
 selected instances' true labels, move them to the labeled pool, refit, evaluate
 on the held-out test pools).  Each fitted model scores every dataset row once,
 for selection, evaluation and the phi trace.  A lane's unlabeled pool is the
-array of its live row ids, in pool order.  True labels cross into the loop only
-at the reveal step; selectors see ids and predicted probabilities, nothing
-else.  A round records what it observed after each query: the ids it selected,
-the positive labels it held, each test pool's AUC and F1 and, optionally, its
-phi trace; it knows no labeling cost.
+array of its live row ids, ascending for a model-driven lane and in pool order
+for a random lane.  True labels cross into the loop only at the reveal step;
+selectors see ids and predicted probabilities, nothing else.  A round records
+what it observed after each query: the ids it selected, the positive labels it
+held, each test pool's AUC and F1 and, optionally, its phi trace; it knows no
+labeling cost.
 
 An experiment is one :class:`SimulationConfig`; its ``strategies`` are
 compared paired, as lanes.  It runs many independent rounds (seeds
@@ -153,8 +154,9 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     lanes share the seed's dataset and split, and each draws its query
     randomness from its own ``query_rng(round_seed)``.  A kind is its target
     rule: per query, one :func:`match_targets` call picks for every lane
-    whose kind has one, and each random lane samples its own picks.  With
-    phi recording, each query marks, per lane and keyed by dataset row, which
+    whose kind has one, over its live ids in ascending order, and each random
+    lane samples its own picks from its live ids in pool order.  With phi
+    recording, each query marks, per lane and keyed by dataset row, which
     live rows' interim probabilities lay in the phi band; the trace reads the
     final prediction's entries of the marked rows.  Raises :class:`ConfigError`
     unless ``round_seed`` is an ``int`` in [-2**63, 2**63).
@@ -172,8 +174,10 @@ def run_round(config: SimulationConfig, round_seed: int) -> RoundResult:
     n_lanes, n_queries, batch = len(strategies), config.n_queries, config.batch_size
     matched = [k for k, s in enumerate(strategies) if s.kind in TARGET_RULES]
 
-    # each lane's unlabeled rows, in pool order; all lanes hold as many
+    # each lane's unlabeled rows, as many in every lane: ascending for the
+    # matcher, in pool order for rng.choice; dropping picks keeps the order
     live_ids = np.tile(u_ids, (n_lanes, 1))
+    live_ids[matched] = np.sort(u_ids)
     # each lane's labeled rows: seed rows first, then queried rows in
     # selection order; fit's float sums run in this order, so it must not change
     held = np.tile(seed_ids, (n_lanes, 1))

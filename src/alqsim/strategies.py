@@ -22,7 +22,8 @@ probabilities; true labels never enter a policy.
 A model-driven kind is its target rule, ``TARGET_RULES[kind](strategy, k,
 rng)``: one query's k targets in (0, 1), all drawn from the lane's generator
 before any pick, since a pick uses no randomness; random has no rule.  One
-matcher, :func:`match_targets`, picks for every lane of a stack.
+checked matcher, :func:`match_targets`, picks for every lane of a stack
+whose ids each ascend.
 
 Beta draws come from numpy's ``Generator.beta``, the ratio g1 / (g1 + g2) of
 two Marsaglia-Tsang gamma variates, so every draw is a pure function of the
@@ -110,10 +111,47 @@ def beta_sample(strategy: QueryStrategy, rng: np.random.Generator) -> float:
     return min(max(value, 1e-15), 1.0 - 1e-15)
 
 
-def _check_ids(ids, k: int) -> np.ndarray:
-    """``ids`` as an array of its own integer dtype, after checking that it
-    is 1-D and unique and that ``k`` of them exist; a cast to int64 would
-    wrap unsigned ids >= 2**63 to ids outside the pool."""
+def match_targets(ids: np.ndarray, probs: np.ndarray, targets) -> np.ndarray:
+    """``(L, k)`` picks from ``(L, n)`` ids and probs and ``(L, k)`` targets:
+    lane l's j-th pick is the id whose prob is nearest ``targets[l, j]``
+    among those not yet picked, ties to the lower id.  Raises ``ValueError``
+    unless the shapes match, k <= n, each lane's ids are integers in strictly
+    ascending order (so the first nearest row holds the lowest tied id),
+    every prob lies strictly inside (0, 1) and every target is finite."""
+    ids, probs = np.asarray(ids), np.asarray(probs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if (ids.ndim != 2 or probs.shape != ids.shape or targets.ndim != 2
+            or len(targets) != len(ids)):
+        raise ValueError(f"ids and probs must be (L, n) and targets (L, k), got "
+                         f"shapes {ids.shape}, {probs.shape} and {targets.shape}")
+    if targets.shape[1] > ids.shape[1]:
+        raise ValueError(f"cannot select {targets.shape[1]} from {ids.shape[1]} candidates")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
+    # a comparison, not np.diff, which wraps a descending uint64 pair
+    if not (ids[:, 1:] > ids[:, :-1]).all():
+        raise ValueError("each lane's ids must be strictly ascending")
+    if not ((probs > 0.0) & (probs < 1.0)).all():
+        raise ValueError("every prob must lie strictly inside (0, 1)")
+    if not np.isfinite(targets).all():
+        raise ValueError("every target must be finite")
+    available = np.ones(ids.shape, dtype=bool)
+    lanes = np.arange(len(ids))
+    picks = np.empty(targets.shape, dtype=ids.dtype)
+    for j, column in enumerate(targets.T):
+        distance = np.where(available, np.abs(probs - column[:, None]), np.inf)
+        pick = distance.argmin(axis=1)
+        available[lanes, pick] = False
+        picks[:, j] = ids[lanes, pick]
+    return picks
+
+
+def select_random(ids: np.ndarray, k: int,
+                  rng: np.random.Generator) -> list[int]:
+    """Uniform sample of ``k`` distinct ids, ignoring any model output.
+    Raises ``ValueError`` unless ``ids`` is 1-D and holds at least ``k``
+    unique integers, kept in their own dtype: a cast to int64 would wrap
+    unsigned ids >= 2**63 to ids outside the pool."""
     ids = np.asarray(ids)
     if ids.ndim != 1:
         raise ValueError(f"ids must be a 1-D array, got shape {ids.shape}")
@@ -124,70 +162,4 @@ def _check_ids(ids, k: int) -> np.ndarray:
         raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
     if (np.diff(np.sort(ids)) == 0).any():
         raise ValueError("ids must be unique")
-    return ids
-
-
-def _check_scored(ids: np.ndarray, probs: np.ndarray,
-                  k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``ids`` and ``probs`` as arrays, after checking a selector's input.
-
-    Both must be 1-D and of equal length, ids unique integers, and every
-    prob strictly inside (0, 1), which NaN is not.
-    """
-    ids, probs = np.asarray(ids), np.asarray(probs, dtype=np.float64)
-    if ids.ndim != 1 or probs.shape != ids.shape:
-        raise ValueError(f"ids and probs must be 1-D arrays of equal length, got "
-                         f"shapes {ids.shape} and {probs.shape}")
-    if not ((probs > 0.0) & (probs < 1.0)).all():
-        raise ValueError("every prob must lie strictly inside (0, 1)")
-    return _check_ids(ids, k), probs
-
-
-def match_targets(ids: np.ndarray, probs: np.ndarray, targets) -> np.ndarray:
-    """``(L, k)`` picks from ``(L, n)`` unique integer ids and probs and
-    ``(L, k)`` targets: lane l's j-th pick is the id whose prob is nearest
-    ``targets[l, j]`` among those not yet picked, ties to the lower id.
-    Checks nothing."""
-    targets = np.asarray(targets, dtype=np.float64)
-    available = np.ones(ids.shape, dtype=bool)
-    lanes, top = np.arange(len(ids)), np.iinfo(ids.dtype).max
-    picks = np.empty(targets.shape, dtype=ids.dtype)
-    for j, column in enumerate(targets.T):
-        distance = np.where(available, np.abs(probs - column[:, None]), np.inf)
-        tied = distance == distance.min(axis=1, keepdims=True)
-        # the lowest tied id (top is the lowest only as the one tied id)
-        lowest = np.where(tied, ids, top).min(axis=1, keepdims=True)
-        pick = (tied & (ids == lowest)).argmax(axis=1)
-        available[lanes, pick] = False
-        picks[:, j] = ids[lanes, pick]
-    return picks
-
-
-def select_random(ids: np.ndarray, k: int,
-                  rng: np.random.Generator) -> list[int]:
-    """Uniform sample of ``k`` distinct ids, ignoring any model output."""
-    return rng.choice(_check_ids(ids, k), size=k, replace=False).tolist()
-
-
-def select_uncertainty(ids: np.ndarray, probs: np.ndarray, k: int) -> list[int]:
-    """The ``k`` ids whose probability is closest to 0.5: the matcher with
-    every target at 0.5, ties to the lower id, so a pure function of the set
-    of ``(id, prob)`` pairs (order-independent)."""
-    ids, probs = _check_scored(ids, probs, k)
-    return match_targets(ids[None], probs[None], [[0.5] * k])[0].tolist()
-
-
-def select_shifted_normal(ids: np.ndarray, probs: np.ndarray, k: int,
-                          strategy: QueryStrategy,
-                          rng: np.random.Generator) -> list[int]:
-    """Select ``k`` ids by matching targets drawn from ``strategy``'s Beta.
-
-    For each of ``k`` independent draws, the remaining id whose
-    probability is nearest the drawn target is taken (ties to the lower id).
-    Matching targets rather than weighting by the density keeps the selection
-    faithful to the target distribution even when the pool's probabilities
-    are sparse or heavily skewed.
-    """
-    ids, probs = _check_scored(ids, probs, k)
-    targets = TARGET_RULES["shifted-normal"](strategy, k, rng)
-    return match_targets(ids[None], probs[None], [targets])[0].tolist()
+    return rng.choice(ids, size=k, replace=False).tolist()

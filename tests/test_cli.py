@@ -725,9 +725,9 @@ class TestBenchmarkCallSites:
     A site the program stops calling reads 0 in the per-layer metrics, and
     nothing else fails, so the sites that are called are pinned here, and
     so is the exact set of sites the program no longer has.  The engine
-    matches every model-driven lane in one ``match_targets`` call, so the
-    two model-driven selector sites are absent and the matcher's time shows
-    in ``simulation.run_round``'s self time.
+    matches every model-driven lane in one ``match_targets`` call, and the
+    two one-lane model-driven selectors are gone, so their sites are absent
+    and the matcher's time shows in ``simulation.run_round``'s self time.
     """
 
     CALLED = {"datagen.generate_dataset", "datagen.split_pools",

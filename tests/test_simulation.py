@@ -15,11 +15,10 @@ import alqsim.simulation as simulation_module
 from alqsim import (CiSummary, ConfigError, CostModel, DatasetConfig,
                     GlmHyperparams, QueryStrategy, RoundResult, SimulationConfig,
                     SimulationError, aggregate, cost_efficiency, dataset_rng,
-                    fit, mean_ci, predict_proba, run_round, run_rounds,
-                    select_uncertainty, split_pools)
+                    fit, match_targets, mean_ci, predict_proba, run_round,
+                    run_rounds, split_pools)
 from alqsim.datagen import generate_dataset
 from alqsim.simulation import worker_count
-from alqsim.strategies import match_targets
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 BOUNDS = ("mean", "lower", "upper")
@@ -327,14 +326,16 @@ class TestRunRound:
 
     def test_selection_driven_by_interim_probabilities_only(self):
         """The q=1 uncertainty batch is reproducible from the initial model
-        and the unlabeled features alone (no access to hidden labels)."""
+        and the unlabeled features alone (no access to hidden labels): the
+        matcher's picks at 0.5 over the id-sorted pool."""
         config = config_for("uncertainty")
         result = run_round(config, 9)
         (features, labels), (labeled, unlabeled, _) = split_for(config, 9)
         model = fit(features[labeled][None], labels[labeled][None], config.glm)
-        probs = predict_proba(model, features[unlabeled])[0]
-        assert result.selected_ids[0, 0].tolist() == select_uncertainty(
-            unlabeled, probs, config.batch_size)
+        pool = np.sort(unlabeled)
+        probs = predict_proba(model, features[pool])
+        picked = match_targets(pool[None], probs, [[0.5] * config.batch_size])
+        assert result.selected_ids[0, 0].tolist() == picked[0].tolist()
 
     def test_easy_separation_reaches_high_auc(self):
         config = config_for("random", cs=10.0)
@@ -424,11 +425,12 @@ class TestLockStepLanes:
     def test_one_matcher_call_per_query_for_the_model_driven_lanes(
             self, monkeypatch, kinds, matched):
         """Every lane whose kind is a target rule is picked by one stacked
-        ``match_targets`` call per query; a round of random lanes makes no
-        call."""
+        ``match_targets`` call per query, whose ids ascend along each lane;
+        a round of random lanes makes no call."""
         calls = []
 
         def counting(ids, probs, targets):
+            assert (ids[:, 1:] > ids[:, :-1]).all()
             calls.append((ids.shape, np.shape(targets)))
             return match_targets(ids, probs, targets)
 

@@ -7,25 +7,54 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from alqsim import (ConfigError, QueryStrategy, beta_pdf, beta_sample,
-                    select_random, select_shifted_normal, select_uncertainty)
+                    match_targets, select_random)
 from alqsim import strategies as strategies_module
-from alqsim.strategies import STRATEGY_KINDS, TARGET_RULES, match_targets
+from alqsim.strategies import STRATEGY_KINDS, TARGET_RULES
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
+# Beta(5.5, 6.5) and Beta(2, 2), as a strategy's mode and concentration
+REFERENCE = QueryStrategy("shifted-normal", mode=0.45, concentration=12.0)
+SYMMETRIC = QueryStrategy("shifted-normal", mode=0.5, concentration=4.0)
+
+
 def scored(probs, ids=None):
-    """The ``(ids, probs)`` arrays a selector takes; ids default to 0..n-1."""
+    """The ``(ids, probs)`` rows of one lane in ascending id order, as the
+    matcher takes them; ids default to 0..n-1."""
     probs = np.asarray(probs, dtype=np.float64)
     ids = np.arange(len(probs)) if ids is None else np.asarray(ids)
-    return ids, probs
+    order = np.argsort(ids)
+    return ids[order], probs[order]
+
+
+def picks(kind, ids, probs, k, rng=None, strategy=REFERENCE):
+    """One lane's k picks under ``kind``'s rule: its targets, drawn from
+    ``rng`` for shifted-normal, matched on a stack of that one lane."""
+    targets = TARGET_RULES[kind](strategy, k, rng)
+    return match_targets(np.asarray(ids)[None], np.asarray(probs)[None],
+                         [targets])[0].tolist()
+
+
+def assert_order_is_canonical_or_refused(kind, pool, seed=0):
+    """Rows put in id order pick what a full (distance, id) sort picks over
+    the rows in any order; left out of id order, they are refused, so the
+    order never changes a pick."""
+    ids, probs, k, perm = pool
+    targets = TARGET_RULES[kind](REFERENCE, k, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    assert (picks(kind, ids, probs, k, rng)
+            == lexsort_picks(ids[perm], probs[perm], targets))
+    if (perm != np.arange(len(perm))).any():
+        with pytest.raises(ValueError, match="ascending"):
+            picks(kind, ids[perm], probs[perm], k, np.random.default_rng(seed))
 
 
 @st.composite
 def scored_pools(draw):
-    """Distinct ids, probs in (0, 1) with frequent ties, 1 <= k <= n, and a
-    permutation of the rows."""
+    """Distinct ascending ids, probs in (0, 1) with frequent ties,
+    1 <= k <= n, and a permutation of the rows."""
     ids = draw(st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=40,
                         unique=True))
     prob = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -33,18 +62,13 @@ def scored_pools(draw):
     probs = draw(st.lists(prob, min_size=len(ids), max_size=len(ids)))
     k = draw(st.integers(1, len(ids)))
     perm = draw(st.permutations(range(len(ids))))
-    return np.array(ids, dtype=np.int64), np.array(probs), k, np.array(perm)
+    return (*scored(probs, np.array(ids, dtype=np.int64)), k, np.array(perm))
 
 
 def assert_k_distinct_from(picked, ids, k):
     assert len(picked) == k
     assert len(set(picked)) == k
     assert set(picked) <= set(ids.tolist())
-
-
-# Beta(5.5, 6.5) and Beta(2, 2), as a strategy's mode and concentration
-REFERENCE = QueryStrategy("shifted-normal", mode=0.45, concentration=12.0)
-SYMMETRIC = QueryStrategy("shifted-normal", mode=0.5, concentration=4.0)
 
 
 class TestBetaFromMode:
@@ -176,12 +200,14 @@ class TestSelectRandom:
 
 
 class TestSelectUncertainty:
+    """The uncertainty kind: the matcher with every target at 0.5."""
+
     def test_closest_to_half_wins(self):
-        picked = select_uncertainty(*scored([0.9, 0.51, 0.2], ids=[7, 8, 9]), 1)
+        picked = picks("uncertainty", *scored([0.9, 0.51, 0.2], ids=[7, 8, 9]), 1)
         assert picked == [8]
 
     def test_tie_broken_by_lower_id(self):
-        picked = select_uncertainty(*scored([0.4, 0.6], ids=[3, 5]), 1)
+        picked = picks("uncertainty", *scored([0.4, 0.6], ids=[3, 5]), 1)
         assert picked == [3]
 
     def test_matches_full_sort_oracle(self):
@@ -192,38 +218,36 @@ class TestSelectUncertainty:
             pairs = sorted(zip(ids.tolist(), probs.tolist()),
                            key=lambda pair: (abs(pair[1] - 0.5), pair[0]))
             expected = [i for i, _ in pairs][:5]
-            assert select_uncertainty(ids, probs, 5) == expected
+            assert picks("uncertainty", ids, probs, 5) == expected
 
     @PROPERTY
     @given(scored_pools())
     def test_k_distinct_ids_from_pool(self, pool):
         ids, probs, k, _ = pool
-        assert_k_distinct_from(select_uncertainty(ids, probs, k), ids, k)
+        assert_k_distinct_from(picks("uncertainty", ids, probs, k), ids, k)
 
     @PROPERTY
     @given(scored_pools())
     def test_candidate_order_irrelevant(self, pool):
-        ids, probs, k, perm = pool
-        assert (select_uncertainty(ids, probs, k)
-                == select_uncertainty(ids[perm], probs[perm], k))
+        assert_order_is_canonical_or_refused("uncertainty", pool)
 
     def test_oversized_k_rejected(self):
-        with pytest.raises(ValueError):
-            select_uncertainty(*scored([0.5]), 2)
+        with pytest.raises(ValueError, match="cannot select 2 from 1"):
+            picks("uncertainty", *scored([0.5]), 2)
         with pytest.raises(ValueError, match="cannot select 1 from 0"):
-            select_uncertainty([], [], 1)
+            picks("uncertainty", [], [], 1)
 
     @PROPERTY
     @given(st.data())
     def test_exact_ties_match_lexsort_reference(self, data):
         """Mirrored probs such as 0.375 and 0.625 tie exactly at 0.5; the
         lower id goes first, as a full sort would rank it."""
-        ids = np.array(data.draw(st.lists(st.integers(0, 100), min_size=1,
-                                          max_size=12, unique=True)))
+        ids = np.sort(data.draw(st.lists(st.integers(0, 100), min_size=1,
+                                         max_size=12, unique=True)))
         probs = np.array(data.draw(st.lists(EIGHTHS, min_size=len(ids),
                                             max_size=len(ids))))
         k = data.draw(st.integers(1, len(ids)))
-        assert (select_uncertainty(ids, probs, k)
+        assert (picks("uncertainty", ids, probs, k)
                 == lexsort_picks(ids, probs, [0.5] * k))
 
 
@@ -246,9 +270,12 @@ SIXTEENTHS = st.sampled_from([i / 16 for i in range(1, 16)])
 
 
 class TestSelectShiftedNormal:
+    """The shifted-normal kind: the matcher on targets drawn from the
+    strategy's Beta."""
+
     def test_single_candidate_forced(self):
-        assert select_shifted_normal(*scored([0.9], ids=[42]), 1, REFERENCE,
-                                     np.random.default_rng(0)) == [42]
+        assert picks("shifted-normal", *scored([0.9], ids=[42]), 1,
+                     np.random.default_rng(0)) == [42]
 
     def test_mode_candidate_selected_most_often(self):
         """Over 10k single draws the 0.45 candidate dominates 0.1 and 0.9."""
@@ -256,7 +283,7 @@ class TestSelectShiftedNormal:
         rng = np.random.default_rng(123)
         counts = np.zeros(3)
         for _ in range(10_000):
-            counts[select_shifted_normal(ids, probs, 1, REFERENCE, rng)[0]] += 1
+            counts[picks("shifted-normal", ids, probs, 1, rng)[0]] += 1
         assert counts[1] == counts.max()
 
     def test_degenerate_targets_pick_nearest(self, monkeypatch):
@@ -264,8 +291,8 @@ class TestSelectShiftedNormal:
                             lambda strategy, rng: 0.45)
         ids, probs = scored([0.2, 0.5, 0.8], ids=[1, 2, 3])
         for _ in range(5):
-            picked = strategies_module.select_shifted_normal(
-                ids, probs, 1, REFERENCE, np.random.default_rng(0))
+            picked = picks("shifted-normal", ids, probs, 1,
+                           np.random.default_rng(0))
             assert picked == [2]
 
     @PROPERTY
@@ -273,8 +300,8 @@ class TestSelectShiftedNormal:
     def test_matches_lexsort_reference(self, data):
         """Exact distance ties go to the lower id, and a target nearest an
         already-picked id takes the next one, as a full sort would."""
-        ids = np.array(data.draw(st.lists(st.integers(0, 100), min_size=1,
-                                          max_size=12, unique=True)))
+        ids = np.sort(data.draw(st.lists(st.integers(0, 100), min_size=1,
+                                         max_size=12, unique=True)))
         probs = np.array(data.draw(st.lists(EIGHTHS, min_size=len(ids),
                                             max_size=len(ids))))
         k = data.draw(st.integers(1, len(ids)))
@@ -283,63 +310,55 @@ class TestSelectShiftedNormal:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strategies_module, "beta_sample",
                        lambda strategy, rng: next(draws))
-            picked = select_shifted_normal(ids, probs, k, REFERENCE,
-                                           np.random.default_rng(0))
+            picked = picks("shifted-normal", ids, probs, k,
+                           np.random.default_rng(0))
         assert picked == lexsort_picks(ids, probs, targets)
 
     def test_returns_distinct_ids_without_replacement(self):
         rng = np.random.default_rng(8)
         ids, probs = scored(rng.uniform(0.01, 0.99, size=40))
-        picked = select_shifted_normal(ids, probs, 10, REFERENCE, rng)
+        picked = picks("shifted-normal", ids, probs, 10, rng)
         assert_k_distinct_from(picked, ids, 10)
 
     @PROPERTY
     @given(scored_pools())
     def test_k_distinct_ids_from_pool(self, pool):
         ids, probs, k, _ = pool
-        picked = select_shifted_normal(ids, probs, k, REFERENCE,
-                                       np.random.default_rng(0))
+        picked = picks("shifted-normal", ids, probs, k, np.random.default_rng(0))
         assert_k_distinct_from(picked, ids, k)
 
     @PROPERTY
     @given(scored_pools())
     def test_candidate_order_irrelevant(self, pool):
-        """With the generator at a fixed seed, the targets are the same and
-        (distance, id) ranks every row the same way in any order."""
-        ids, probs, k, perm = pool
-        first = select_shifted_normal(ids, probs, k, REFERENCE,
-                                      np.random.default_rng(5))
-        permuted = select_shifted_normal(ids[perm], probs[perm], k, REFERENCE,
-                                         np.random.default_rng(5))
-        assert first == permuted
+        """With the generator at a fixed seed, the targets are the same."""
+        assert_order_is_canonical_or_refused("shifted-normal", pool, seed=5)
 
     def test_selection_histogram_peaks_at_mode(self):
         """10k selections over a uniform grid of probs: modal bin holds 0.45."""
         ids, grid = scored((np.arange(100) + 0.5) / 100)
         rng = np.random.default_rng(31)
-        chosen_probs = [grid[select_shifted_normal(ids, grid, 1, REFERENCE, rng)[0]]
+        chosen_probs = [grid[picks("shifted-normal", ids, grid, 1, rng)[0]]
                         for _ in range(10_000)]
         counts, edges = np.histogram(chosen_probs, bins=10, range=(0.0, 1.0))
         modal_bin = counts.argmax()
         assert edges[modal_bin] <= 0.45 < edges[modal_bin + 1]
 
     def test_oversized_k_rejected(self):
-        with pytest.raises(ValueError):
-            select_shifted_normal(*scored([0.5]), 2, REFERENCE,
-                                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match="cannot select 2 from 1"):
+            picks("shifted-normal", *scored([0.5]), 2, np.random.default_rng(0))
 
 
 @st.composite
-def lane_stacks(draw):
-    """0 to 3 lanes of n rows, with ids of one integer dtype unique within
-    each lane, probs in eighths, each lane's kind, and its k targets: 0.5
-    for uncertainty, sixteenths for shifted-normal.  A uint64 lane holds
-    2**64 - 1, tied in prob with another row."""
+def lane_stacks(draw, kinds=tuple(TARGET_RULES)):
+    """0 to 3 lanes of n rows, with ids of one integer dtype ascending
+    within each lane, probs in eighths, each lane's kind drawn from
+    ``kinds`` and its k targets from that kind's rule, on a drawn seed.  A
+    uint64 lane holds 2**64 - 1, tied in prob with another row."""
     dtype = draw(st.sampled_from([np.int64, np.uint64]))
     info = np.iinfo(dtype)
     n_lanes, n = draw(st.integers(0, 3)), draw(st.integers(2, 12))
     k = draw(st.integers(1, n))
-    ids, probs, kinds, targets = [], [], [], []
+    ids, probs, lane_kinds, targets = [], [], [], []
     for _ in range(n_lanes):
         lane_ids = draw(st.lists(st.integers(int(info.min), int(info.max) - 1),
                                  min_size=n, max_size=n, unique=True))
@@ -347,15 +366,29 @@ def lane_stacks(draw):
         if dtype is np.uint64:
             top, other = draw(st.permutations(range(n)))[:2]
             lane_ids[top], lane_probs[top] = int(info.max), lane_probs[other]
-        kind = draw(st.sampled_from(["uncertainty", "shifted-normal"]))
-        targets.append([0.5] * k if kind == "uncertainty" else
-                       draw(st.lists(SIXTEENTHS, min_size=k, max_size=k)))
-        ids.append(lane_ids)
-        probs.append(lane_probs)
-        kinds.append(kind)
+        order = sorted(range(n), key=lane_ids.__getitem__)
+        kind = draw(st.sampled_from(kinds))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        targets.append(TARGET_RULES[kind](QueryStrategy(kind), k, rng))
+        ids.append([lane_ids[i] for i in order])
+        probs.append([lane_probs[i] for i in order])
+        lane_kinds.append(kind)
     return (np.array(ids, dtype=dtype).reshape(n_lanes, n),
             np.array(probs, dtype=np.float64).reshape(n_lanes, n),
-            kinds, np.array(targets, dtype=np.float64).reshape(n_lanes, k))
+            lane_kinds, np.array(targets, dtype=np.float64).reshape(n_lanes, k))
+
+
+def each_pick(stack):
+    """Every pick of a stacked call: its lane's ids, its distance from each
+    row, the rows still unpicked at it, and the row it took."""
+    ids, probs, _, targets = stack
+    for lane_ids, lane_probs, lane_targets, lane_picks in zip(
+            ids, probs, targets, match_targets(ids, probs, targets)):
+        available = np.ones(len(lane_ids), dtype=bool)
+        for target, pick in zip(lane_targets, lane_picks):
+            row = int(np.flatnonzero(lane_ids == pick)[0])
+            yield lane_ids, np.abs(lane_probs - target), available.copy(), row
+            available[row] = False
 
 
 class TestMatchTargets:
@@ -365,50 +398,74 @@ class TestMatchTargets:
     @given(lane_stacks())
     def test_lane_stack_matches_one_lane_and_seed_selectors(self, seed_package,
                                                              stack):
-        """Each lane of a stacked call picks what its own one-lane
-        ``select_*`` call picks, and what the seed package's selector picks
-        on the ids' ranks (its ids are int64), ties to the lower id."""
+        """Each lane of a stacked call picks what its own one-lane call
+        picks and, for the seed package's two kinds, what the seed
+        package's selector picks on the ids' ranks (its ids are int64),
+        ties to the lower id."""
         ids, probs, kinds, targets = stack
-        picks = match_targets(ids, probs, targets)
-        assert picks.shape == targets.shape and picks.dtype == ids.dtype
+        picked = match_targets(ids, probs, targets)
+        assert picked.shape == targets.shape and picked.dtype == ids.dtype
         seed = seed_package.strategies
         k = targets.shape[1]
         for lane_ids, lane_probs, kind, lane_targets, lane_picks in zip(
-                ids, probs, kinds, targets, picks):
+                ids, probs, kinds, targets, picked):
             expected = lane_picks.tolist()
-            ranked = np.sort(lane_ids)
-            candidates = [seed.ScoredCandidate(int(rank), prob) for rank, prob
-                          in zip(np.searchsorted(ranked, lane_ids), lane_probs)]
+            own = match_targets(lane_ids[None], lane_probs[None], lane_targets[None])
+            assert own[0].tolist() == expected
+            candidates = [seed.ScoredCandidate(rank, prob)
+                          for rank, prob in enumerate(lane_probs)]
             if kind == "uncertainty":
-                own = select_uncertainty(lane_ids, lane_probs, k)
                 seeds = seed.select_uncertainty(candidates, k)
-            else:
+            elif kind == "shifted-normal":
                 with pytest.MonkeyPatch.context() as mp:
-                    for module in (strategies_module, seed):
-                        draws = iter(lane_targets.tolist())
-                        mp.setattr(module, "beta_sample",
-                                   lambda strategy, rng, draws=draws: next(draws))
-                    own = select_shifted_normal(lane_ids, lane_probs, k,
-                                                REFERENCE, np.random.default_rng(0))
+                    draws = iter(lane_targets.tolist())
+                    mp.setattr(seed, "beta_sample",
+                               lambda strategy, rng: next(draws))
                     seeds = seed.select_shifted_normal(candidates, k, None,
                                                        np.random.default_rng(0))
-            assert own == expected
-            assert ranked[seeds].tolist() == expected
+            else:
+                continue
+            assert lane_ids[seeds].tolist() == expected
+
+    @pytest.mark.parametrize("kind", sorted(TARGET_RULES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_every_rule_picks_k_distinct_ids_of_its_lane(self, kind, data):
+        ids, probs, _, targets = data.draw(lane_stacks((kind,)))
+        for lane_ids, lane_picks in zip(ids, match_targets(ids, probs, targets)):
+            assert_k_distinct_from(lane_picks.tolist(), lane_ids, targets.shape[1])
+
+    @pytest.mark.parametrize("kind", sorted(TARGET_RULES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_every_rule_picks_the_row_nearest_its_target(self, kind, data):
+        """No row still unpicked lies nearer a target than the row it took."""
+        for _, distance, available, row in each_pick(data.draw(lane_stacks((kind,)))):
+            assert available[row]
+            assert distance[row] == distance[available].min()
+
+    @pytest.mark.parametrize("kind", sorted(TARGET_RULES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_every_rule_breaks_ties_to_the_lower_id(self, kind, data):
+        """Of the unpicked rows nearest a target, the pick is the lowest id."""
+        for ids, distance, available, row in each_pick(data.draw(lane_stacks((kind,)))):
+            nearest = available & (distance == distance[available].min())
+            assert ids[row] == ids[nearest].min()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     def test_zero_lane_stack_returns_zero_rows(self, dtype):
-        picks = match_targets(np.empty((0, 5), dtype=dtype), np.empty((0, 5)),
-                              np.empty((0, 3)))
-        assert picks.shape == (0, 3) and picks.dtype == dtype
+        picked = match_targets(np.empty((0, 5), dtype=dtype), np.empty((0, 5)),
+                               np.empty((0, 3)))
+        assert picked.shape == (0, 3) and picked.dtype == dtype
 
     def test_largest_uint64_id_loses_a_tie_and_is_exact(self):
-        """2**64 - 1 ties with 7 and goes second, as itself; it is not the
-        first row, so a pick that mistook it for a masked row would fail."""
+        """2**64 - 1 ties with 7 and goes second, as itself."""
         top = 2**64 - 1
         ids = np.array([[7, 2**63 + 1, top]], dtype=np.uint64)
         probs = np.array([[0.625, 0.9, 0.375]])
-        picks = match_targets(ids, probs, [[0.5, 0.5, 0.5]])
-        assert picks.tolist() == [[7, top, 2**63 + 1]]
+        picked = match_targets(ids, probs, [[0.5, 0.5, 0.5]])
+        assert picked.tolist() == [[7, top, 2**63 + 1]]
 
     def test_each_kind_but_random_is_a_target_rule(self):
         assert set(TARGET_RULES) == set(STRATEGY_KINDS) - {"random"}
@@ -451,26 +508,26 @@ class TestQueryStrategy:
 
 
 class TestScoredSelectorInput:
-    """Both scored selectors share one check on ``(ids, probs)``; every
-    selector rejects ids that are not 1-D."""
+    """The matcher refuses any input on which a pick could repeat an id,
+    name an id outside its lane or read a NaN; ``select_random`` checks its
+    own ids."""
 
     def test_probs_must_lie_strictly_inside_open_interval(self):
         for bad_prob in (0.0, 1.0, float("nan")):
             ids, probs = scored([0.3, bad_prob, 0.7])
             with pytest.raises(ValueError, match="strictly inside"):
-                select_uncertainty(ids, probs, 1)
-            with pytest.raises(ValueError, match="strictly inside"):
-                select_shifted_normal(ids, probs, 1, REFERENCE,
-                                      np.random.default_rng(0))
+                match_targets(ids[None], probs[None], [[0.5]])
 
     def test_ids_and_probs_must_be_matching_1d_arrays(self):
-        for ids, probs in ((np.arange(3), np.full(2, 0.5)),
-                           (np.arange(4).reshape(2, 2), np.full((2, 2), 0.5))):
-            with pytest.raises(ValueError, match="equal length"):
-                select_uncertainty(ids, probs, 1)
-            with pytest.raises(ValueError, match="equal length"):
-                select_shifted_normal(ids, probs, 1, REFERENCE,
-                                      np.random.default_rng(0))
+        """A stack's ids and probs are (L, n) and its targets (L, k); each
+        ``select_random`` lane is 1-D."""
+        for ids, probs, targets in (
+                (np.arange(3)[None], np.full((1, 2), 0.5), [[0.5]]),
+                (np.arange(3), np.full(3, 0.5), [0.5]),
+                (np.arange(3)[None], np.full((1, 3), 0.5), [[0.5], [0.5]]),
+                (np.arange(3)[None], np.full((1, 3), 0.5), [0.5])):
+            with pytest.raises(ValueError, match=r"\(L, n\)"):
+                match_targets(ids, probs, targets)
         for ids in (np.arange(4).reshape(2, 2), np.array(3)):
             with pytest.raises(ValueError, match="1-D"):
                 select_random(ids, 1, np.random.default_rng(0))
@@ -478,26 +535,40 @@ class TestScoredSelectorInput:
     def test_repeated_ids_rejected(self):
         """Each selector promises k distinct ids, so a repeated id is an
         error rather than a repeated pick."""
-        ids, probs = scored([0.5, 0.5, 0.9], ids=[1, 1, 2])
-        with pytest.raises(ValueError, match="unique"):
-            select_uncertainty(ids, probs, 2)
-        with pytest.raises(ValueError, match="unique"):
-            select_shifted_normal(ids, probs, 2, REFERENCE,
-                                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match="ascending"):
+            match_targets([[1, 1, 2]], [[0.5, 0.5, 0.9]], [[0.5, 0.5]])
         with pytest.raises(ValueError, match="unique"):
             select_random([3, 3, 3], 2, np.random.default_rng(0))
+
+    def test_unsorted_ids_rejected(self):
+        """Out-of-order ids would break the tie to the lower id, so they
+        are refused, a uint64 lane whose descending pair ``np.diff`` would
+        wrap to a large positive step included."""
+        for ids in (np.array([[3, 1, 2]]), np.array([[0, 2**64 - 1, 5]], dtype=np.uint64),
+                    np.array([[1, 2, 3], [2, 1, 3]])):
+            probs = np.full(ids.shape, 0.5)
+            with pytest.raises(ValueError, match="ascending"):
+                match_targets(ids, probs, np.full((len(ids), 2), 0.5))
+
+    def test_non_finite_targets_rejected(self):
+        ids, probs = scored([0.2, 0.5, 0.8], ids=[1, 2, 3])
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                match_targets(ids[None], probs[None], [[bad, 0.5]])
+
+    def test_oversized_k_rejected(self):
+        with pytest.raises(ValueError, match="cannot select 3 from 2"):
+            match_targets([[1, 2]], [[0.4, 0.6]], [[0.5, 0.5, 0.5]])
 
     def test_non_integer_ids_rejected(self):
         """A float or bool id would otherwise be cast to an integer that is
         not in the pool."""
         rng = np.random.default_rng(0)
-        for ids in ([1.5, 2.5], np.array([True, False])):
+        for ids in ([1.5, 2.5], np.array([False, True])):
             with pytest.raises(ValueError, match="integers"):
                 select_random(ids, 2, rng)
             with pytest.raises(ValueError, match="integers"):
-                select_uncertainty(ids, [0.5, 0.6], 1)
-            with pytest.raises(ValueError, match="integers"):
-                select_shifted_normal(ids, [0.5, 0.6], 1, REFERENCE, rng)
+                match_targets(np.asarray(ids)[None], [[0.5, 0.6]], [[0.5]])
 
     def test_unsigned_ids_above_int64_are_picked_as_given(self):
         """A uint64 id >= 2**63 is returned as itself, not wrapped to a
@@ -505,6 +576,5 @@ class TestScoredSelectorInput:
         ids, probs = scored([0.45, 0.9], ids=np.array([2**63 + 5, 7], dtype=np.uint64))
         rng = np.random.default_rng(0)
         assert_k_distinct_from(select_random(ids, 2, rng), ids, 2)
-        assert_k_distinct_from(select_uncertainty(ids, probs, 1), ids, 1)
-        assert_k_distinct_from(select_shifted_normal(ids, probs, 1, REFERENCE, rng),
-                               ids, 1)
+        assert_k_distinct_from(picks("uncertainty", ids, probs, 1), ids, 1)
+        assert_k_distinct_from(picks("shifted-normal", ids, probs, 1, rng), ids, 1)
