@@ -18,24 +18,23 @@ probability ``predict_proba`` returns, and its dense rank among the scores
 otherwise (negative or large scores, or infinities).  Both codes order
 exactly like the floats, so the AUC is that of the pair-counting definition.
 
-Confidence intervals are Student-t based; the t quantile is computed
-numerically in-repo (the finite series of the t CDF at an integer df,
-inverted by bisection) rather than from shipped tables.  The quantile is a
-pure function of ``(p, df)``, memoized: an aggregate asks for few, since
-``mean_ci`` summarises all rows of a call at one df (rounds - 1 for lambda
-and zeta, n_test_pools * rounds - 1 for AUC and F1), and eta's rows, one
-call per count n of defined samples, use n - 1, at most rounds - 1.
+Confidence intervals are Student-t based at the one level ``CONFIDENCE``;
+the t quantile is computed numerically in-repo (the finite series of the t
+CDF at an integer df, inverted by bisection) rather than from shipped
+tables.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, reject_non_finite
+
+# the level of every interval the package reports
+CONFIDENCE = 0.99
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,9 @@ class CostModel:
 
 @dataclass(frozen=True)
 class CiSummary:
-    """Symmetric Student-t confidence interval around a sample mean, or
-    arrays of them, one per row of a ``mean_ci`` call; the confidence level
-    and sample count live in the config and, for eta, ``eta_missing``."""
+    """Symmetric Student-t interval at level ``CONFIDENCE`` around a sample
+    mean, or arrays of them, one per row of a ``mean_ci`` call; the sample
+    count follows from the config and, for eta, ``eta_missing``."""
 
     mean: float | np.ndarray
     lower: float | np.ndarray
@@ -150,16 +149,15 @@ def cost_efficiency(lam, zeta, cost: CostModel) -> float | np.ndarray:
     return float(eta) if eta.ndim == 0 else eta
 
 
-def mean_ci(samples, confidence: float = 0.99) -> CiSummary:
-    """Student-t confidence interval for the mean of each row of ``samples``.
+def mean_ci(samples) -> CiSummary:
+    """Student-t interval at level ``CONFIDENCE`` for the mean of each row
+    of ``samples``.
 
     A row is the last axis: at least two samples, all finite.  A 1-D call
     returns floats, any other arrays over the leading axes, each row's bit
     for bit those of a 1-D call on it.  Each interval is exactly symmetric
     about its mean, and degenerate at the first sample for equal samples.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     data = np.asarray(samples, dtype=np.float64)
     if data.ndim == 0:
         raise ValueError("samples must hold rows along the last axis, got a scalar")
@@ -173,7 +171,7 @@ def mean_ci(samples, confidence: float = 0.99) -> CiSummary:
     degenerate = data.min(axis=-1) == data.max(axis=-1)
     spread = np.where(degenerate[..., None], 0.0, data)
     mean = spread.mean(axis=-1)
-    half_width = (student_t_quantile(0.5 + confidence / 2.0, n - 1)
+    half_width = (student_t_quantile(0.5 + CONFIDENCE / 2.0, n - 1)
                   * spread.std(axis=-1, ddof=1) / math.sqrt(n))
     bounds = [np.where(degenerate, data[..., 0], bound)
               for bound in (mean, mean - half_width, mean + half_width)]
@@ -216,14 +214,13 @@ def student_t_cdf(t: float, df: int) -> float:
     return 0.5 + 0.5 * central if t > 0 else 0.5 - 0.5 * central
 
 
-@functools.cache
 def student_t_quantile(p: float, df: float) -> float:
-    """Inverse CDF of Student's t, accurate to well under 1e-6.
+    """Inverse CDF of Student's t at any ``p`` in (0, 1) and a positive
+    integer ``df`` (29 and 29.0 give the same float), accurate to well
+    under 1e-6.
 
     Computed by bisection against :func:`student_t_cdf` on an expanding
-    bracket, once per distinct ``(p, df)``: ``df`` 29 and 29.0 share a cache
-    entry and give the same float.  Bad arguments raise ``ValueError`` on
-    every call, since an exception is never cached.
+    bracket; bad arguments raise ``ValueError``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p!r}")

@@ -43,7 +43,8 @@ from .datagen import (DatasetConfig, dataset_rng, generate_dataset,
 from .errors import (AlqsimError, ConfigError, reject_non_finite,
                      require_positive_int, require_seed)
 from .glm import GlmHyperparams, fit, predict_proba
-from .metrics import CiSummary, CostModel, auc, cost_efficiency, f1, mean_ci
+from .metrics import (CONFIDENCE, CiSummary, CostModel, auc, cost_efficiency,
+                      f1, mean_ci)
 from .strategies import (TARGET_RULES, QueryStrategy, match_targets,
                          select_random)
 
@@ -55,9 +56,10 @@ class SimulationError(AlqsimError, RuntimeError):
 @dataclass(frozen=True)
 class SimulationConfig:
     """Complete description of one experiment; each of ``strategies`` is a
-    lane of every round.  ``confidence``, every interval's level, and
-    ``phi_delta``, the phi band's half-width around 0.5, are fixed: no
-    constructor or ``dataclasses.replace`` sets them."""
+    lane of every round.  ``confidence``, which echoes
+    ``metrics.CONFIDENCE``, the level of every interval, and ``phi_delta``,
+    the phi band's half-width around 0.5, are fixed: no constructor or
+    ``dataclasses.replace`` sets them."""
 
     dataset: DatasetConfig
     strategies: tuple[QueryStrategy, ...]
@@ -67,7 +69,7 @@ class SimulationConfig:
     glm: GlmHyperparams = GlmHyperparams()
     rounds: int = 30
     base_seed: int = 0
-    confidence: float = field(default=0.99, init=False)
+    confidence: float = field(default=CONFIDENCE, init=False)
     shared_dataset: bool = False
     record_phi: bool = False
     phi_delta: float = field(default=0.05, init=False)
@@ -316,7 +318,6 @@ def aggregate(config: SimulationConfig,
     queries = tuple(range(1, config.n_queries + 1))
     labeled_sizes = tuple(config.dataset.labeled_size + q * config.batch_size
                           for q in queries)
-    ci = functools.partial(mean_ci, confidence=config.confidence)
     # [k, q, i]: lane k's samples at query q in round i of seed order
     n_positive, aucs, f1s = (np.stack([getattr(r, name) for r in ordered], axis=2)
                              for name in ("n_positive", "auc", "f1"))
@@ -331,10 +332,10 @@ def aggregate(config: SimulationConfig,
         rows = counts == n
         kept = defined & rows[..., None]
         samples = cost_efficiency(lam[kept], zeta[kept], config.cost)
-        eta[:, rows] = astuple(ci(samples.reshape(-1, n)))
+        eta[:, rows] = astuple(mean_ci(samples.reshape(-1, n)))
     # AUC and F1 pool every round's per-test-pool samples, round-major
     return ExperimentSummary(
         queries=queries, labeled_sizes=labeled_sizes,
-        lam=ci(lam), zeta=ci(zeta), eta=CiSummary(*eta),
-        auc=ci(aucs.reshape(*shape, -1)), f1=ci(f1s.reshape(*shape, -1)),
+        lam=mean_ci(lam), zeta=mean_ci(zeta), eta=CiSummary(*eta),
+        auc=mean_ci(aucs.reshape(*shape, -1)), f1=mean_ci(f1s.reshape(*shape, -1)),
         eta_missing=(zeta == 0).sum(axis=2))

@@ -56,6 +56,15 @@ def test_package_imports_match_the_module_graph(module):
     assert internal == ALLOWED_IMPORTS[module]
 
 
+@pytest.mark.parametrize("module", sorted(ALLOWED_IMPORTS))
+def test_imports_only_the_standard_library_numpy_and_the_package(module):
+    """``src`` runs on numpy alone; scipy, say, is only a test dependency."""
+    allowed = {*sys.stdlib_module_names, "numpy", "alqsim", *ALLOWED_IMPORTS}
+    outside = {name for name in imported_modules(PACKAGE / f"{module}.py")
+               if name.split(".")[0] not in allowed}
+    assert outside == set()
+
+
 @pytest.mark.parametrize("module", sorted(set(ALLOWED_IMPORTS) - {"cli"}))
 def test_only_cli_writes_files(module):
     """``cli`` owns every output file, so no other module imports a file

@@ -8,7 +8,7 @@ from scipy import stats
 
 from alqsim import (CiSummary, ConfigError, CostModel, auc, cost_efficiency,
                     f1, mean_ci, student_t_quantile)
-from alqsim.metrics import student_t_cdf
+from alqsim.metrics import CONFIDENCE, student_t_cdf
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -358,7 +358,7 @@ class TestMeanCi:
     def test_reference_t_quantile_at_29_dof(self):
         rng = np.random.default_rng(5)
         samples = rng.standard_normal(30)
-        summary = mean_ci(samples, confidence=0.99)
+        summary = mean_ci(samples)
         t = student_t_quantile(0.995, 29)
         assert t == pytest.approx(2.7564, abs=2e-4)
         expected_half = t * samples.std(ddof=1) / np.sqrt(30)
@@ -416,10 +416,9 @@ class TestMeanCi:
                 rows.append(data.draw(st.lists(st.sampled_from([0.0, -0.0]),
                                                min_size=n, max_size=n)))
         samples = np.array(rows).reshape(*leading, n)
-        confidence = data.draw(st.sampled_from([0.9, 0.99]), label="confidence")
-        summary = mean_ci(samples, confidence)
+        summary = mean_ci(samples)
         for index in np.ndindex(*leading):
-            expected = mean_ci(samples[index], confidence)
+            expected = mean_ci(samples[index])
             for bound in ("mean", "lower", "upper"):
                 value = getattr(summary, bound)
                 assert value.shape == leading
@@ -429,11 +428,6 @@ class TestMeanCi:
                 first = np.float64(samples[index][0]).tobytes()
                 assert {np.float64(v).tobytes()
                         for v in dataclasses.astuple(expected)} == {first}
-
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, np.nan])
-    def test_confidence_outside_open_unit_interval_rejected(self, confidence):
-        with pytest.raises(ValueError, match="confidence"):
-            mean_ci([1.0, 2.0], confidence=confidence)
 
     def test_half_width_shrinks_like_inverse_sqrt_n(self):
         """Fixed +/-1 samples: half-width falls by ~2x per 4x sample size
@@ -445,12 +439,6 @@ class TestMeanCi:
             widths.append(s.upper - s.mean)
         for a, b in zip(widths, widths[1:]):
             assert a / b == pytest.approx(2.0, rel=0.05)
-
-    def test_lower_confidence_narrows_the_interval(self):
-        narrow = mean_ci([1.0, 2.0, 4.0], confidence=0.9)
-        wide = mean_ci([1.0, 2.0, 4.0], confidence=0.99)
-        assert narrow.mean == wide.mean
-        assert wide.lower < narrow.lower < narrow.upper < wide.upper
 
 
 class TestStudentT:
@@ -484,19 +472,24 @@ class TestStudentT:
             assert student_t_cdf(student_t_quantile(p, 12), 12) == pytest.approx(
                 p, abs=1e-9)
 
+    def test_integral_float_df_gives_the_same_quantile(self):
+        for p in (0.005, 0.1, 0.5, 0.6, 0.975, 0.995):
+            assert student_t_quantile(p, 29) == student_t_quantile(p, 29.0)
+
     def test_quantile_equals_seed_package_at_99_percent(self, seed_package):
         # the program's only p; every interval of a run of up to 103 rounds
         # asks for a df in this range
-        p = 0.5 + 0.99 / 2
+        assert CONFIDENCE == 0.99
+        p = 0.5 + CONFIDENCE / 2
         for df in range(1, 228):
             assert (student_t_quantile(p, df)
                     == seed_package.metrics.student_t_quantile(p, df)), df
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            student_t_quantile(0.0, 5)
-        with pytest.raises(ValueError):
-            student_t_quantile(0.5, 0)
+        for p, df in ((0.0, 5), (1.0, 5), (float("nan"), 5), (0.5, 0),
+                      (0.9, -2.0), (0.5, 2.5)):
+            with pytest.raises(ValueError):
+                student_t_quantile(p, df)
         with pytest.raises(ValueError):
             student_t_cdf(1.0, -1)
         for df in (2.5, float("nan"), float("inf")):
@@ -504,22 +497,6 @@ class TestStudentT:
                 student_t_cdf(1.0, df)
             with pytest.raises(ValueError):
                 student_t_quantile(0.9, df)
-
-
-class TestQuantileMemo:
-    def test_cached_value_equals_a_fresh_bisection(self):
-        for df in (1, 2, 5, 29, 29.0, 100.0):
-            for p in (0.005, 0.1, 0.5, 0.6, 0.975, 0.995):
-                fresh = student_t_quantile.__wrapped__(p, df)
-                assert student_t_quantile(p, df) == fresh
-                assert student_t_quantile(p, df) == fresh
-
-    def test_errors_are_never_cached(self):
-        for p, df in ((0.0, 5), (1.0, 5), (float("nan"), 5), (0.9, 0),
-                      (0.9, -2.0), (0.9, 2.5), (0.5, 2.5)):
-            for _ in range(3):
-                with pytest.raises(ValueError):
-                    student_t_quantile(p, df)
 
 
 class TestCiSummaryType:

@@ -486,8 +486,7 @@ class TestRunExperiment:
         for qi in range(config.n_queries):
             values = [r.auc[0].mean(axis=1)[qi] for r in rounds]
             assert summary.lam.mean[0, qi] == pytest.approx(np.mean(values), abs=1e-15)
-            assert interval(summary.lam, 0, qi) == mean_ci(np.array(values),
-                                                           config.confidence)
+            assert interval(summary.lam, 0, qi) == mean_ci(np.array(values))
 
     def test_aggregate_is_order_insensitive(self):
         config = config_for("shifted-normal", rounds=4)
@@ -560,8 +559,7 @@ class TestRunExperiment:
                 continue
             lam = np.array([r.auc[0].mean(axis=1)[qi] for r in rows])
             zeta = np.array([r.n_positive[0, qi] for r in rows]) / size
-            expected = mean_ci(cost_efficiency(lam, zeta, config.cost),
-                               config.confidence)
+            expected = mean_ci(cost_efficiency(lam, zeta, config.cost))
             got = dataclasses.astuple(interval(summary.eta, 0, qi))
             assert (np.array(got).tobytes()
                     == np.array(dataclasses.astuple(expected)).tobytes())
@@ -691,7 +689,7 @@ class TestRunExperiment:
             samples = cost_efficiency(lam, zeta, CostModel(C=3.0))
             np.testing.assert_array_equal(
                 samples, cost_efficiency(lam, zeta, CostModel()) / 3.0)
-            assert interval(triple.eta, 0, qi) == mean_ci(samples, config.confidence)
+            assert interval(triple.eta, 0, qi) == mean_ci(samples)
         for bound in BOUNDS:
             np.testing.assert_allclose(getattr(triple.eta, bound),
                                        getattr(unit.eta, bound) / 3.0,
@@ -758,9 +756,9 @@ class TestRunExperiment:
         for k in range(2):
             pooled = np.concatenate([r.auc[k, 0] for r in ordered])
             assert len(pooled) == 3 * config.rounds
-            assert interval(summary.auc, k, 0) == mean_ci(pooled, config.confidence)
+            assert interval(summary.auc, k, 0) == mean_ci(pooled)
             assert interval(summary.lam, k, 0) == mean_ci(
-                [r.auc[k, 0].mean() for r in ordered], config.confidence)
+                [r.auc[k, 0].mean() for r in ordered])
 
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
