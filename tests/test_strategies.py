@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from alqsim import (ConfigError, QueryStrategy, beta_pdf, beta_sample,
                     match_targets, select_random)
+from alqsim import strategies as strategies_module
 from alqsim.strategies import STRATEGY_KINDS, TARGET_RULES
 
 # Reproducible property runs that leave no example database behind.
@@ -200,6 +201,35 @@ def lexsort_picks(ids, probs, targets):
 EIGHTHS = st.sampled_from([i / 8 for i in range(1, 8)])
 
 
+def assert_order_is_canonical_or_refused(kind, pool, seed=5):
+    """Rows put in id order pick what a full (distance, id) sort picks over
+    the rows in any order; left out of id order, they are refused, so the
+    order never changes a pick.  The generator's seed fixes the targets."""
+    ids, probs, k, perm = pool
+    targets = TARGET_RULES[kind](REFERENCE, k, np.random.default_rng(seed))
+    assert (picks(kind, ids, probs, k, np.random.default_rng(seed))
+            == lexsort_picks(ids[perm], probs[perm], targets))
+    if (perm != np.arange(len(perm))).any():
+        with pytest.raises(ValueError, match="ascending"):
+            picks(kind, ids[perm], probs[perm], k, np.random.default_rng(seed))
+
+
+def assert_matches_the_full_sort(kind, data):
+    """With probs in eighths and the rule's targets rounded to sixteenths,
+    a target halfway between two probs ties them exactly; the lower id goes
+    first, and a target nearest an already-picked id takes the next one, as
+    a full sort would."""
+    ids = np.sort(data.draw(st.lists(st.integers(0, 100), min_size=1,
+                                     max_size=12, unique=True)))
+    probs = np.array(data.draw(st.lists(EIGHTHS, min_size=len(ids),
+                                        max_size=len(ids))))
+    k = data.draw(st.integers(1, len(ids)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    targets = np.round(np.multiply(TARGET_RULES[kind](REFERENCE, k, rng), 16)) / 16
+    assert (match_targets(ids[None], probs[None], targets[None])[0].tolist()
+            == lexsort_picks(ids, probs, targets))
+
+
 @st.composite
 def lane_stacks(draw, kinds=tuple(TARGET_RULES)):
     """0 to 3 lanes of n rows, with ids of one integer dtype ascending
@@ -294,42 +324,27 @@ class TestMatchTargets:
     @PROPERTY
     @given(pool=scored_pools())
     def test_every_rule_keeps_id_order_or_refuses(self, kind, pool):
-        """Rows in id order pick what a full (distance, id) sort picks over
-        the rows in any order; left out of id order, they are refused, so
-        the order never changes a pick.  The generator's seed fixes the
-        targets."""
-        ids, probs, k, perm = pool
-        targets = TARGET_RULES[kind](REFERENCE, k, np.random.default_rng(5))
-        assert (picks(kind, ids, probs, k, np.random.default_rng(5))
-                == lexsort_picks(ids[perm], probs[perm], targets))
-        if (perm != np.arange(len(perm))).any():
-            with pytest.raises(ValueError, match="ascending"):
-                picks(kind, ids[perm], probs[perm], k, np.random.default_rng(5))
+        assert_order_is_canonical_or_refused(kind, pool)
 
     @pytest.mark.parametrize("kind", sorted(TARGET_RULES))
     @PROPERTY
     @given(data=st.data())
     def test_every_rule_matches_the_full_sort(self, kind, data):
-        """With probs in eighths and the rule's targets rounded to
-        sixteenths, a target halfway between two probs ties them exactly;
-        the lower id goes first, and a target nearest an already-picked id
-        takes the next one, as a full sort would."""
-        ids = np.sort(data.draw(st.lists(st.integers(0, 100), min_size=1,
-                                         max_size=12, unique=True)))
-        probs = np.array(data.draw(st.lists(EIGHTHS, min_size=len(ids),
-                                            max_size=len(ids))))
-        k = data.draw(st.integers(1, len(ids)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-        targets = np.round(np.multiply(TARGET_RULES[kind](REFERENCE, k, rng), 16)) / 16
-        assert (match_targets(ids[None], probs[None], targets[None])[0].tolist()
-                == lexsort_picks(ids, probs, targets))
+        assert_matches_the_full_sort(kind, data)
+
+    @pytest.mark.parametrize("kind", sorted(TARGET_RULES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_every_rule_picks_k_distinct_ids_of_its_lane(self, kind, data):
+        ids, probs, _, targets = data.draw(lane_stacks((kind,)))
+        for lane_ids, lane_picks in zip(ids, match_targets(ids, probs, targets)):
+            assert_k_distinct_from(lane_picks.tolist(), lane_ids, targets.shape[1])
 
     @pytest.mark.parametrize("kind", sorted(TARGET_RULES))
     @PROPERTY
     @given(data=st.data())
     def test_every_rule_picks_the_row_nearest_its_target(self, kind, data):
-        """Each pick takes a row of its lane not yet picked, so a lane's k
-        picks are distinct, and no unpicked row lies nearer the target."""
+        """No row still unpicked lies nearer a target than the row it took."""
         for _, distance, available, row in each_pick(data.draw(lane_stacks((kind,)))):
             assert available[row]
             assert distance[row] == distance[available].min()
@@ -365,8 +380,85 @@ class TestMatchTargets:
         assert targets == [beta_sample(strategy, rng) for _ in range(4)]
 
 
-class TestShiftedNormalRule:
-    """The shifted-normal rule's Beta targets pull picks toward its mode."""
+class TestSelectUncertainty:
+    """The uncertainty kind: the matcher with every target at 0.5."""
+
+    def test_closest_to_half_wins(self):
+        picked = picks("uncertainty", *scored([0.9, 0.51, 0.2], ids=[7, 8, 9]), 1)
+        assert picked == [8]
+
+    def test_tie_broken_by_lower_id(self):
+        picked = picks("uncertainty", *scored([0.4, 0.6], ids=[3, 5]), 1)
+        assert picked == [3]
+
+    def test_matches_full_sort_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            ids, probs = scored(rng.uniform(0.01, 0.99, size=50),
+                                ids=rng.permutation(500)[:50])
+            pairs = sorted(zip(ids.tolist(), probs.tolist()),
+                           key=lambda pair: (abs(pair[1] - 0.5), pair[0]))
+            expected = [i for i, _ in pairs][:5]
+            assert picks("uncertainty", ids, probs, 5) == expected
+
+    @PROPERTY
+    @given(scored_pools())
+    def test_k_distinct_ids_from_pool(self, pool):
+        ids, probs, k, _ = pool
+        assert_k_distinct_from(picks("uncertainty", ids, probs, k), ids, k)
+
+    @PROPERTY
+    @given(scored_pools())
+    def test_candidate_order_irrelevant(self, pool):
+        assert_order_is_canonical_or_refused("uncertainty", pool)
+
+    def test_oversized_k_rejected(self):
+        with pytest.raises(ValueError, match="cannot select 2 from 1"):
+            picks("uncertainty", *scored([0.5]), 2)
+        with pytest.raises(ValueError, match="cannot select 1 from 0"):
+            picks("uncertainty", [], [], 1)
+
+    @PROPERTY
+    @given(st.data())
+    def test_exact_ties_match_lexsort_reference(self, data):
+        assert_matches_the_full_sort("uncertainty", data)
+
+
+class TestSelectShiftedNormal:
+    """The shifted-normal kind: the matcher on targets drawn from the
+    strategy's Beta, which pull picks toward its mode."""
+
+    def test_single_candidate_forced(self):
+        assert picks("shifted-normal", *scored([0.9], ids=[42]), 1,
+                     np.random.default_rng(0)) == [42]
+
+    def test_degenerate_targets_pick_nearest(self, monkeypatch):
+        monkeypatch.setattr(strategies_module, "beta_sample",
+                            lambda strategy, rng: 0.45)
+        ids, probs = scored([0.2, 0.5, 0.8], ids=[1, 2, 3])
+        for _ in range(5):
+            picked = picks("shifted-normal", ids, probs, 1,
+                           np.random.default_rng(0))
+            assert picked == [2]
+
+    def test_returns_distinct_ids_without_replacement(self):
+        rng = np.random.default_rng(8)
+        ids, probs = scored(rng.uniform(0.01, 0.99, size=40))
+        picked = picks("shifted-normal", ids, probs, 10, rng)
+        assert_k_distinct_from(picked, ids, 10)
+
+    @PROPERTY
+    @given(scored_pools())
+    def test_k_distinct_ids_from_pool(self, pool):
+        ids, probs, k, _ = pool
+        picked = picks("shifted-normal", ids, probs, k, np.random.default_rng(0))
+        assert_k_distinct_from(picked, ids, k)
+
+    def test_oversized_k_rejected(self):
+        with pytest.raises(ValueError, match="cannot select 2 from 1"):
+            picks("shifted-normal", *scored([0.5]), 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="cannot select 1 from 0"):
+            picks("shifted-normal", [], [], 1, np.random.default_rng(0))
 
     def test_mode_candidate_selected_most_often(self):
         """Over 10k single draws the 0.45 candidate dominates 0.1 and 0.9."""
@@ -418,7 +510,7 @@ class TestQueryStrategy:
                 QueryStrategy(kind=kind, concentration=float("inf"))
 
 
-class TestSelectorInput:
+class TestScoredSelectorInput:
     """The matcher refuses any input on which a pick could repeat an id,
     name an id outside its lane or read a NaN; ``select_random`` checks its
     own ids."""
@@ -468,14 +560,8 @@ class TestSelectorInput:
                 match_targets(ids[None], probs[None], [[bad, 0.5]])
 
     def test_oversized_k_rejected(self):
-        """k beyond the lane, an empty lane included, under every rule."""
         with pytest.raises(ValueError, match="cannot select 3 from 2"):
             match_targets([[1, 2]], [[0.4, 0.6]], [[0.5, 0.5, 0.5]])
-        for kind in TARGET_RULES:
-            with pytest.raises(ValueError, match="cannot select 2 from 1"):
-                picks(kind, *scored([0.5]), 2, np.random.default_rng(0))
-            with pytest.raises(ValueError, match="cannot select 1 from 0"):
-                picks(kind, [], [], 1, np.random.default_rng(0))
 
     def test_non_integer_ids_rejected(self):
         """A float or bool id would otherwise be cast to an integer that is
